@@ -8,8 +8,9 @@ overriding the config and the PULSESCOPE_OUT environment variable), and
 
 Config dialect: one `key = value` per line, `#` comments. Numeric keys
 carry their SI unit as a suffix; run `pulsescope --help-config` to list
-all keys with defaults. Exit codes: 0 success, 2 configuration error,
-3 numerical-convergence error, 4 regime violation.
+all keys with defaults. Exit codes: 0 success, 2 configuration error or
+any other invalid input or state, 3 numerical-convergence error or a
+curve that does not reach the requested feature, 4 regime violation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig, load_config
-from .errors import ConfigError, NumericalConvergenceError, RegimeViolationError
+from .errors import (
+    ConfigError,
+    GridRangeError,
+    NumericalConvergenceError,
+    PulsescopeError,
+    RegimeViolationError,
+)
 from .excitation import excitation_probability, imaging_rate
 from .focal import (
     RadialCurve,
@@ -202,12 +209,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalConvergenceError as exc:
+    except (NumericalConvergenceError, GridRangeError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except RegimeViolationError as exc:
         print(f"regime violation: {exc}", file=sys.stderr)
         return EXIT_REGIME
+    except PulsescopeError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return 0
 
 

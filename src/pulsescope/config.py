@@ -12,7 +12,7 @@ with a 1.6 ns lifetime and tenfold inhomogeneous broadening, driven by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -125,10 +125,6 @@ def load_config(path) -> ScenarioConfig:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     return loads_config(p.read_text())
-
-
-def with_output_dir(cfg: ScenarioConfig, output_dir) -> ScenarioConfig:
-    return replace(cfg, output_dir=str(output_dir))
 
 
 @dataclass(frozen=True)

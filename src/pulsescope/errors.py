@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto process exit codes: config problems exit 2,
-numerical-convergence failures exit 3, regime violations exit 4.
+The CLI maps these onto process exit codes: numerical-convergence
+failures and grid-range errors exit 3, regime violations exit 4, and
+config problems and every other package error exit 2.
 """
 
 

@@ -50,7 +50,13 @@ from .errors import (
     RegimeViolationError,
 )
 from .focal import FocusingGeometry, RadialCurve, _amplitude_prefactor
-from .quadrature import certified_tail_cutoff, oscillatory_cos_sin
+from .quadrature import (
+    CosSinMatrices,
+    certified_tail_cutoff,
+    cos_sin_transform,
+    oscillatory_cos_sin,
+    trapezoid_weights,
+)
 from .spectra import PulseSpectrum
 
 RESONANCE_TOLERANCE = 1e-6
@@ -149,6 +155,57 @@ class ExcitationResult:
         ) + "\n"
 
 
+class PulseAreaSynthesis:
+    """Single-pulse area chi(rho, tau) for one spectrum, geometry, pulse
+    energy and transition, at any radius.
+
+    chi is the running integral of the focal field from t = -inf; with
+    phi(0) = 0 each spectral component contributes sin(w tau)/w, giving
+
+        chi(rho, tau) = (d/hbar) (kappa/pi) sqrt(2U/(eps0 c))
+                        * Re int_0^inf (phi(w) B(w, rho) / w) e^{-i w tau} dw
+
+    with B the Airy kernel J1(A w rho / c)/rho and tau measured from the
+    rephasing time. Exact for every tau, so no cumulative quadrature
+    error enters the area.
+
+    The frequency grid, the trapezoid-weighted spectrum, the prefactor
+    and the cos/sin matrices (`matrices`) do not depend on rho, so one
+    instance serves every radius of an excitation curve; the matrices
+    are freed with the instance.
+    """
+
+    def __init__(self, geometry: FocusingGeometry, spectrum: PulseSpectrum,
+                 pulse_energy: float, tls: TwoLevelSystem,
+                 grid_scale: float = 1.0):
+        n = int(max(4001, 24.0 * spectrum.max_frequency / spectrum.spectral_width)
+                * max(grid_scale, 0.05)) | 1
+        self.frequencies = spectrum.frequency_grid(n)
+        self.aperture = geometry.numerical_aperture
+        self.weighted_spectrum = (spectrum.value(self.frequencies)
+                                  * trapezoid_weights(self.frequencies))
+        self.prefactor = (
+            tls.dipole_magnitude / HBAR
+            * FIELD_CALIBRATION / np.pi
+            * _amplitude_prefactor(pulse_energy)
+        )
+        self.matrices = CosSinMatrices()
+
+    def chi(self, rho: float) -> Callable:
+        """chi(rho, tau) as a function of tau (s, scalar or array)."""
+        if rho < 0:
+            raise InvalidParameterError(f"radial coordinate must be >= 0, got {rho}")
+        w, a = self.frequencies, self.aperture
+        g = self.weighted_spectrum * (a / C_LIGHT) * j1_over_x(a * w * rho / C_LIGHT)
+        re, im = np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag)
+
+        def chi(tau):
+            out = cos_sin_transform(w, tau, re, im, self.matrices) * self.prefactor
+            return out if np.ndim(tau) else float(out)
+
+        return chi
+
+
 def _chi_evaluator(
     geometry: FocusingGeometry,
     spectrum: PulseSpectrum,
@@ -157,43 +214,9 @@ def _chi_evaluator(
     rho: float,
     grid_scale: float = 1.0,
 ) -> Callable:
-    """Single-pulse area chi(rho, tau), tau measured from the rephasing time.
-
-    chi is the running integral of the focal field from t = -inf; with
-    phi(0) = 0 each spectral component contributes sin(w tau)/w, giving
-
-        chi(rho, tau) = (d/hbar) (kappa/pi) sqrt(2U/(eps0 c))
-                        * Re int_0^inf (phi(w) B(w, rho) / w) e^{-i w tau} dw
-
-    with B the Airy kernel J1(A w rho / c)/rho. Exact for every tau, so no
-    cumulative quadrature error enters the area.
-    """
-    if rho < 0:
-        raise InvalidParameterError(f"radial coordinate must be >= 0, got {rho}")
-    n = int(max(4001, 24.0 * spectrum.max_frequency / spectrum.spectral_width)
-            * max(grid_scale, 0.05)) | 1
-    w = spectrum.frequency_grid(n)
-    a = geometry.numerical_aperture
-    kernel_over_w = (a / C_LIGHT) * j1_over_x(a * w * rho / C_LIGHT)
-    gw = spectrum.value(w) * kernel_over_w
-    pref = (
-        tls.dipole_magnitude / HBAR
-        * FIELD_CALIBRATION / np.pi
-        * _amplitude_prefactor(pulse_energy)
-    )
-
-    def chi(tau):
-        tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-        out = np.empty(tau_arr.shape)
-        chunk = max(1, int(4e6 // w.size))
-        for i0 in range(0, tau_arr.size, chunk):
-            sl = slice(i0, i0 + chunk)
-            phase = np.exp(-1j * np.outer(tau_arr[sl], w))
-            out[sl] = np.trapezoid((phase * gw[None, :]).real, w, axis=1)
-        out *= pref
-        return out if np.ndim(tau) else float(out[0])
-
-    return chi
+    """chi(rho, tau) from a synthesis of its own (see PulseAreaSynthesis)."""
+    return PulseAreaSynthesis(geometry, spectrum, pulse_energy, tls,
+                              grid_scale).chi(rho)
 
 
 def chi_of_time(
@@ -238,6 +261,7 @@ def f_integral(
     chi_fn: Callable,
     pulse_width: float,
     grid_scale: float = 1.0,
+    matrices: CosSinMatrices | None = None,
 ) -> float:
     """Double integral of the emission kernel, in 1/s^2.
 
@@ -245,7 +269,9 @@ def f_integral(
     seconds; it must have decayed at +/- 12 pulse widths. The inner
     transform runs on a uniform grid; the outer photon-frequency integral
     is cut off where its integrand falls below 1e-12 of the peak, and the
-    cutoff is certified by doubling.
+    cutoff is certified by doubling. Calls that share `matrices` reuse
+    the inner transform's cos/sin matrices; the value does not depend on
+    it.
     """
     w0 = tls.transition_frequency
     # dimensionless time/frequency in carrier units
@@ -270,7 +296,7 @@ def f_integral(
         kernel = np.sin(taus) * chi_vals**2
 
         def integrand(qhat):
-            inner = oscillatory_cos_sin(taus, kernel, np.asarray(qhat))
+            inner = oscillatory_cos_sin(taus, kernel, np.asarray(qhat), matrices)
             return np.asarray(qhat) ** 3 * np.abs(inner) ** 2
 
         start = max(4.0 * ghat, 2.0)
@@ -297,6 +323,49 @@ def f_integral(
     )
 
 
+def validity_flags(
+    train: PulseTrainConfig,
+    tls: TwoLevelSystem,
+    geometry: FocusingGeometry,
+    spectrum: PulseSpectrum,
+    eta_value: float,
+) -> dict:
+    """The regime checks reported with every excitation probability."""
+    return {
+        "weak_field": bool(eta_value <= WEAK_FIELD_MAX_ETA),
+        "ultrafast": bool(spectrum.spectral_width >= tls.transition_frequency),
+        "resonant_train": bool(
+            train.resonance_offset(tls.transition_frequency) <= RESONANCE_TOLERANCE
+        ),
+        "far_field": bool(geometry.far_field_valid(spectrum)),
+    }
+
+
+def _probability(
+    train: PulseTrainConfig,
+    tls: TwoLevelSystem,
+    spectrum: PulseSpectrum,
+    synthesis: PulseAreaSynthesis,
+    rho: float,
+    grid_scale: float,
+) -> tuple[float, float]:
+    """(p_e, f) at one radius, with chi and the emission transform drawn
+    from a synthesis that other radii may share."""
+    if train.pulse_count == 0:
+        return 0.0, 0.0
+    f_val = f_integral(tls, synthesis.chi(rho), 1.0 / spectrum.spectral_width,
+                       grid_scale, synthesis.matrices)
+    p_e = (
+        f_val * 2.0 * train.pulse_count * tls.spontaneous_rate
+        / (np.pi * tls.transition_frequency**3)
+    )
+    if p_e > 1.0:
+        raise RegimeViolationError(
+            f"p_e = {p_e:.3g} > 1: inputs are outside perturbative validity"
+        )
+    return float(p_e), f_val
+
+
 def excitation_probability(
     train: PulseTrainConfig,
     tls: TwoLevelSystem,
@@ -308,28 +377,11 @@ def excitation_probability(
     """p_e(rho) = f(rho) * 2 N Gamma0 / (pi w0^3) with validity flags."""
     train.validate_against(spectrum, tls)
     eta_val = eta(geometry, spectrum, train.pulse_energy, tls, grid_scale)
-    flags = {
-        "weak_field": bool(eta_val <= WEAK_FIELD_MAX_ETA),
-        "ultrafast": bool(spectrum.spectral_width >= tls.transition_frequency),
-        "resonant_train": bool(
-            train.resonance_offset(tls.transition_frequency) <= RESONANCE_TOLERANCE
-        ),
-        "far_field": bool(geometry.far_field_valid(spectrum)),
-    }
-    if train.pulse_count == 0:
-        return ExcitationResult(0.0, eta_val, 0.0, flags)
-    chi = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, rho,
-                         grid_scale)
-    f_val = f_integral(tls, chi, 1.0 / spectrum.spectral_width, grid_scale)
-    p_e = (
-        f_val * 2.0 * train.pulse_count * tls.spontaneous_rate
-        / (np.pi * tls.transition_frequency**3)
-    )
-    if p_e > 1.0:
-        raise RegimeViolationError(
-            f"p_e = {p_e:.3g} > 1: inputs are outside perturbative validity"
-        )
-    return ExcitationResult(float(p_e), eta_val, f_val, flags)
+    flags = validity_flags(train, tls, geometry, spectrum, eta_val)
+    synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls,
+                                   grid_scale)
+    p_e, f_val = _probability(train, tls, spectrum, synthesis, rho, grid_scale)
+    return ExcitationResult(p_e, eta_val, f_val, flags)
 
 
 def excitation_resolution(
@@ -341,13 +393,32 @@ def excitation_resolution(
     grid_scale: float = 1.0,
 ) -> float:
     """2 p_e(rho) / [p_e(0) + p_e(rho)]; exactly 1 at rho = 0."""
-    p0 = excitation_probability(train, tls, geometry, spectrum, 0.0, grid_scale).p_e
+    return _resolution_evaluator(train, tls, geometry, spectrum, grid_scale)(rho)
+
+
+def _resolution_evaluator(train, tls, geometry, spectrum, grid_scale,
+                          p_focal=None) -> Callable[[float], float]:
+    """rho -> 2 p_e(rho) / [p_e(0) + p_e(rho)], every radius sharing one
+    PulseAreaSynthesis; eta and the flags are not computed."""
+    train.validate_against(spectrum, tls)
+    synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls,
+                                   grid_scale)
+
+    def p_of(r: float) -> float:
+        return _probability(train, tls, spectrum, synthesis, float(r),
+                            grid_scale)[0]
+
+    p0 = p_of(0.0) if p_focal is None else p_focal
     if p0 == 0.0:
         raise InvalidStateError("focal excitation probability vanishes")
-    if rho == 0.0:
-        return 1.0
-    pr = excitation_probability(train, tls, geometry, spectrum, rho, grid_scale).p_e
-    return 2.0 * pr / (p0 + pr)
+
+    def evaluate(r: float) -> float:
+        if r == 0.0:
+            return 1.0
+        pr = p_of(r)
+        return 2.0 * pr / (p0 + pr)
+
+    return evaluate
 
 
 def excitation_resolution_curve(
@@ -358,29 +429,20 @@ def excitation_resolution_curve(
     rho_max: float | None = None,
     n_points: int = 33,
     grid_scale: float = 1.0,
+    p_focal: float | None = None,
 ) -> RadialCurve:
-    """Sampled excitation-resolution curve with a bisectable evaluator."""
+    """Sampled excitation-resolution curve with a bisectable evaluator.
+
+    p_focal is p_e(0) when the caller already has it from
+    excitation_probability; it is computed otherwise. The samples and the
+    evaluator share one PulseAreaSynthesis, held by the evaluator.
+    """
     if rho_max is None:
         rho_max = spectrum.mean_wavelength / geometry.numerical_aperture
-
-    def p_of(r: float) -> float:
-        return excitation_probability(train, tls, geometry, spectrum, r,
-                                      grid_scale).p_e
-
-    p0 = p_of(0.0)
-    if p0 == 0.0:
-        raise InvalidStateError("focal excitation probability vanishes")
+    evaluate = _resolution_evaluator(train, tls, geometry, spectrum, grid_scale,
+                                     p_focal)
     radii = np.linspace(0.0, rho_max, n_points)
-    values = np.empty(radii.shape)
-    values[0] = 1.0
-    for i, r in enumerate(radii[1:], start=1):
-        pr = p_of(float(r))
-        values[i] = 2.0 * pr / (p0 + pr)
-
-    def evaluate(r: float) -> float:
-        pr = p_of(float(r))
-        return 2.0 * pr / (p0 + pr)
-
+    values = np.array([evaluate(float(r)) for r in radii])
     meta = {
         "spectrum": spectrum.serializable(),
         "numerical_aperture": geometry.numerical_aperture,

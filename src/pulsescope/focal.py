@@ -36,6 +36,7 @@ from .errors import (
     InvalidStateError,
     NumericalConvergenceError,
 )
+from .quadrature import cos_sin_transform, trapezoid_weights
 from .spectra import PulseSpectrum
 
 PARAXIAL_LIMIT = 0.2
@@ -203,13 +204,8 @@ def focal_field_time(
             )
     w = _synthesis_grid(spectrum, float(np.max(np.abs(tau))) + 1.0 / spectrum.spectral_width,
                         grid_scale)
-    kern = 1j * spectrum.value(w) * _airy_kernel(geometry, w, rho)
-    out = np.empty(t.shape)
-    chunk = max(1, int(4e6 // w.size))
-    for i0 in range(0, tau.size, chunk):
-        sl = slice(i0, i0 + chunk)
-        phase = np.exp(-1j * np.outer(tau[sl], w))
-        out[sl] = np.trapezoid((phase * kern[None, :]).real, w, axis=1)
+    kern = 1j * spectrum.value(w) * _airy_kernel(geometry, w, rho) * trapezoid_weights(w)
+    out = cos_sin_transform(w, tau, kern.real, kern.imag)
     out *= _amplitude_prefactor(pulse_energy) * FIELD_CALIBRATION / np.pi
     return float(out[0]) if scalar else out
 

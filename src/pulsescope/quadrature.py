@@ -1,12 +1,16 @@
-"""Quadrature helpers: certified trapezoid refinement, Filon transforms.
+"""Quadrature helpers: certified trapezoid refinement, the trapezoid
+cos/sin transform, Filon transforms.
 
-Two recurring needs drive this module. Spectral moments and field
-synthesis integrate smooth Gaussian-tailed kernels, where composite
-trapezoid converges fast but must be *certified* by grid refinement.
-Emission amplitudes integrate data multiplied by e^{i q t} with q far
-above the grid Nyquist scale of plain trapezoid accuracy; there the
-transform uses Filon-type weights that treat the oscillation exactly
-and interpolate the data linearly.
+Three recurring needs drive this module. Spectral moments integrate
+smooth Gaussian-tailed kernels, where composite trapezoid converges fast
+but must be *certified* by grid refinement. Field synthesis and the
+inner emission transform are trapezoid sums against cos and sin of
+outer(y, x); `cos_sin_transform` computes them as real matrix-vector
+products, and a `CosSinMatrices` store lets every radius of one curve
+reuse the matrices. Emission amplitudes integrate data multiplied by
+e^{i q t} with q far above the grid Nyquist scale of plain trapezoid
+accuracy; there the transform uses Filon-type weights that treat the
+oscillation exactly and interpolate the data linearly.
 """
 
 from __future__ import annotations
@@ -16,6 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalConvergenceError
+
+# bound on the elements of one phase-matrix block
+CHUNK_ELEMENTS = 4_000_000
 
 
 def trapezoid(y, x):
@@ -85,7 +92,7 @@ def filon_transform(t: np.ndarray, f: np.ndarray, q) -> np.ndarray:
     P, Q = _filon_weights(qs * h)
     out = np.empty(qs.shape, dtype=complex)
     # chunk over q to bound the phase-matrix size
-    chunk = max(1, int(4e6 // max(t.size, 1)))
+    chunk = _chunk(t)
     for i0 in range(0, qs.size, chunk):
         sl = slice(i0, i0 + chunk)
         phase = np.exp(1j * np.outer(qs[sl], t[:-1]))
@@ -94,17 +101,80 @@ def filon_transform(t: np.ndarray, f: np.ndarray, q) -> np.ndarray:
     return out if np.ndim(q) else out[0]
 
 
-def oscillatory_cos_sin(t: np.ndarray, f: np.ndarray, q) -> np.ndarray:
-    """int f(t) e^{i q t} dt by plain trapezoid (smooth, decayed kernels)."""
-    t = np.asarray(t, dtype=float)
-    qs = np.atleast_1d(np.asarray(q, dtype=float))
-    out = np.empty(qs.shape, dtype=complex)
-    chunk = max(1, int(4e6 // max(t.size, 1)))
-    for i0 in range(0, qs.size, chunk):
-        sl = slice(i0, i0 + chunk)
-        phase = np.exp(1j * np.outer(qs[sl], t))
-        out[sl] = np.trapezoid(phase * f[None, :], t, axis=1)
-    return out if np.ndim(q) else out[0]
+def trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """w with sum(w * f) the trapezoid integral of f over the grid x."""
+    d = np.diff(np.asarray(x, dtype=float))
+    w = np.zeros(d.size + 1)
+    w[:-1] += 0.5 * d
+    w[1:] += 0.5 * d
+    return w
+
+
+class CosSinMatrices:
+    """cos and sin blocks of outer(y, x), kept per (x-grid, y-grid) pair.
+
+    Pass one store to every transform of one computation (one excitation
+    curve) so repeated grids build their matrices once; the store holds
+    them until it is dropped. Grids are matched by their exact bytes.
+    """
+
+    def __init__(self):
+        self._blocks = {}
+
+    def block(self, x, y, i0, trig):
+        """trig(outer(y[i0:i0 + chunk], x)) for one chunk of y."""
+        key = (x.tobytes(), y.tobytes(), i0, trig.__name__)
+        m = self._blocks.get(key)
+        if m is None:
+            m = self._blocks[key] = _trig_block(x, y, i0, trig)
+        return m
+
+
+def _chunk(x: np.ndarray) -> int:
+    return max(1, int(CHUNK_ELEMENTS // max(x.size, 1)))
+
+
+def _trig_block(x, y, i0, trig):
+    m = np.outer(y[i0:i0 + _chunk(x)], x)
+    return trig(m, out=m)
+
+
+def cos_sin_transform(x, y, a, b, matrices: CosSinMatrices | None = None):
+    """sum_j a_j cos(y_k x_j) + b_j sin(y_k x_j) for every y_k.
+
+    a and b are real coefficients on the grid x with the quadrature
+    weights already applied, so with a + ib = f * trapezoid_weights(x)
+    this is Re int f(x) e^{-i y x} dx. Computed as real matrix-vector
+    products over blocks of at most CHUNK_ELEMENTS; an all-zero a or b
+    is skipped with its matrix. Blocks come from `matrices` when given
+    and are built and dropped otherwise; the sums are the same either
+    way.
+    """
+    x = np.asarray(x, dtype=float)
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    terms = [(trig, np.ascontiguousarray(c, dtype=float))
+             for trig, c in ((np.cos, a), (np.sin, b)) if np.any(c)]
+    out = np.zeros(ys.shape)
+    chunk = _chunk(x)
+    for i0 in range(0, ys.size, chunk):
+        for trig, c in terms:
+            m = (_trig_block(x, ys, i0, trig) if matrices is None
+                 else matrices.block(x, ys, i0, trig))
+            out[i0:i0 + chunk] += m @ c
+    return out if np.ndim(y) else out[0]
+
+
+def oscillatory_cos_sin(t: np.ndarray, f: np.ndarray, q,
+                        matrices: CosSinMatrices | None = None) -> np.ndarray:
+    """int f(t) e^{i q t} dt by plain trapezoid (smooth, decayed kernels).
+
+    Calls that share `matrices` reuse the cos/sin blocks of a repeated
+    (t, q) pair.
+    """
+    fw = np.asarray(f) * trapezoid_weights(t)
+    re = cos_sin_transform(t, q, fw.real, -fw.imag, matrices)
+    im = cos_sin_transform(t, q, fw.imag, fw.real, matrices)
+    return re + 1j * im
 
 
 def certified_tail_cutoff(

@@ -54,36 +54,23 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     files = {"intensity_resolution": _write(outdir, "intensity_resolution.csv",
                                             curve_i.to_csv())}
 
+    result = excitation_probability(train, tls, geometry, spectrum, 0.0, gs)
+    spot_e = None
     if train.pulse_count > 0:
-        result = excitation_probability(train, tls, geometry, spectrum, 0.0, gs)
         curve_e = excitation_resolution_curve(train, tls, geometry, spectrum,
-                                              grid_scale=gs)
+                                              grid_scale=gs, p_focal=result.p_e)
         spot_e = spot_size(curve_e)
         files["excitation_resolution"] = _write(
             outdir, "excitation_resolution.csv", curve_e.to_csv())
-        eta_val = result.eta
-        p_e0 = result.p_e
-        flags = dict(result.flags)
-    else:
-        eta_val = eta(geometry, spectrum, train.pulse_energy, tls, gs)
-        p_e0 = 0.0
-        spot_e = None
-        flags = {
-            "weak_field": bool(eta_val <= 0.5),
-            "ultrafast": bool(spectrum.spectral_width >= tls.transition_frequency),
-            "resonant_train": bool(
-                train.resonance_offset(tls.transition_frequency) <= 1e-6),
-            "far_field": bool(geometry.far_field_valid(spectrum)),
-        }
-    rate = imaging_rate(train, tls, p_e0)
+    rate = imaging_rate(train, tls, result.p_e)
 
     report = ScenarioReport(
-        eta=float(eta_val),
-        p_e_focal=float(p_e0),
+        eta=float(result.eta),
+        p_e_focal=float(result.p_e),
         imaging_rate_hz=float(rate),
         spot_intensity_m=float(spot_i),
         spot_excitation_m=None if spot_e is None else float(spot_e),
-        flags=flags,
+        flags=dict(result.flags),
         curve_files=files,
     )
     _write(outdir, "scenario_report.json", report.to_json())
@@ -172,15 +159,13 @@ def scan(cfg: ScenarioConfig, parameter: str, values) -> str:
         sub = _apply_parameter(cfg, parameter, value)
         spectrum, geometry, tls, train = sub.build()
         gs = sub.grid_scale
+        result = excitation_probability(train, tls, geometry, spectrum, 0.0, gs)
+        eta_val, p_e0, spot_e = result.eta, result.p_e, float("nan")
         if train.pulse_count > 0:
-            result = excitation_probability(train, tls, geometry, spectrum, 0.0, gs)
-            eta_val, p_e0 = result.eta, result.p_e
             curve_e = excitation_resolution_curve(
-                train, tls, geometry, spectrum, n_points=17, grid_scale=gs)
+                train, tls, geometry, spectrum, n_points=17, grid_scale=gs,
+                p_focal=p_e0)
             spot_e = spot_size(curve_e)
-        else:
-            eta_val = eta(geometry, spectrum, train.pulse_energy, tls, gs)
-            p_e0, spot_e = 0.0, float("nan")
         rate = imaging_rate(train, tls, p_e0)
         rows.append(
             f"{parameter},{float(value)!r},{float(eta_val)!r},{float(p_e0)!r},"

@@ -7,10 +7,18 @@ import numpy as np
 import pytest
 
 import pulsescope as ps
+from pulsescope import excitation, quadrature, scenario
 from pulsescope.cli import main
 from pulsescope.config import load_config, loads_config
-from pulsescope.errors import ConfigError
-from pulsescope.scenario import emit_figure_data, oracle_compare, scan
+from pulsescope.errors import (
+    ConfigError,
+    GridRangeError,
+    InvalidParameterError,
+    InvalidStateError,
+    NumericalConvergenceError,
+    RegimeViolationError,
+)
+from pulsescope.scenario import emit_figure_data, oracle_compare, run_scenario, scan
 
 
 def test_empty_file_gives_reference_scenario(tmp_path):
@@ -210,6 +218,20 @@ def test_cli_focus_figure_scan_oracle(tmp_path, fast_cfg_text):
     assert (out / "scan_N.csv").read_text().count("\n") == 3
 
 
+@pytest.mark.parametrize("error, code", [
+    (ConfigError, 2), (InvalidParameterError, 2), (InvalidStateError, 2),
+    (GridRangeError, 3), (NumericalConvergenceError, 3),
+    (RegimeViolationError, 4),
+])
+def test_cli_maps_every_package_error(tmp_path, monkeypatch, capsys, error, code):
+    def fail(cfg):
+        raise error("injected")
+
+    monkeypatch.setattr("pulsescope.cli.run_scenario", fail)
+    assert main(["--out", str(tmp_path), "scenario"]) == code
+    assert "injected" in capsys.readouterr().err
+
+
 def test_cli_regime_violation_exit_code(tmp_path):
     cfg = tmp_path / "hot.cfg"
     cfg.write_text("pulse_energy_J = 4e-6\ngrid_scale = 0.4\n")
@@ -243,3 +265,45 @@ def test_report_traceability(tmp_path):
     data = json.loads((tmp_path / "scenario_report.json").read_text())
     assert data["eta"] == report.eta
     assert data["curve_files"]["intensity_resolution"] == "intensity_resolution.csv"
+
+
+def test_zero_pulse_scenario_reports_the_same_flags(tmp_path):
+    text = "grid_scale = 0.3\noutput_dir = " + str(tmp_path / "{}") + "\n"
+    driven = run_scenario(loads_config(text.format("n5") + "pulse_count = 5\n"))
+    idle = run_scenario(loads_config(text.format("n0") + "pulse_count = 0\n"))
+    assert idle.flags == driven.flags
+    assert idle.eta == driven.eta
+    assert idle.p_e_focal == 0.0 and idle.spot_excitation_m is None
+
+
+def test_run_scenario_computes_eta_once(tmp_path, monkeypatch):
+    calls = []
+    real_eta = excitation.eta
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_eta(*args, **kwargs)
+
+    monkeypatch.setattr(excitation, "eta", counted)
+    monkeypatch.setattr(scenario, "eta", counted)
+    run_scenario(loads_config("grid_scale = 0.3\noutput_dir = "
+                              + str(tmp_path) + "\n"))
+    assert len(calls) == 1
+
+
+def test_repeated_scenario_repeats_its_work(tmp_path, monkeypatch):
+    # no transform matrix outlives the run that built it
+    built = []
+    real_block = quadrature._trig_block
+
+    def counted(*args):
+        built.append(args[3].__name__)
+        return real_block(*args)
+
+    monkeypatch.setattr(quadrature, "_trig_block", counted)
+    cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
+    first = run_scenario(cfg)
+    n_first = len(built)
+    second = run_scenario(cfg)
+    assert n_first > 0 and len(built) == 2 * n_first
+    assert first == second

@@ -1,0 +1,163 @@
+"""The trapezoid cos/sin transform against the complex-exponential loops
+it replaced, and the lifetime of its shared matrices.
+
+The reference loops below are the package's former implementations of
+chi, the time-domain focal field and the inner emission transform. The
+real matrix products sum the same terms in another order, so results
+agree to float64 rounding: 1e-12 of the peak, fixed before comparing.
+"""
+
+import numpy as np
+import pytest
+from scipy.constants import c as C, epsilon_0, hbar
+
+import pulsescope as ps
+from pulsescope import quadrature
+from pulsescope.bessel import j1_over_x
+from pulsescope.constants import FIELD_CALIBRATION
+from pulsescope.excitation import PulseAreaSynthesis, _chi_evaluator
+from pulsescope.focal import _synthesis_grid
+from pulsescope.quadrature import (
+    CosSinMatrices,
+    cos_sin_transform,
+    oscillatory_cos_sin,
+    trapezoid_weights,
+)
+
+TOL = 1e-12
+
+
+def _close_to_peak(got, ref):
+    peak = np.max(np.abs(ref))
+    assert peak > 0
+    assert np.max(np.abs(np.asarray(got) - ref)) <= TOL * peak
+
+
+def reference_chi(geometry, spectrum, pulse_energy, tls, rho, tau):
+    n = int(max(4001, 24.0 * spectrum.max_frequency / spectrum.spectral_width)) | 1
+    w = spectrum.frequency_grid(n)
+    a = geometry.numerical_aperture
+    gw = spectrum.value(w) * (a / C) * j1_over_x(a * w * rho / C)
+    pref = (tls.dipole_magnitude / hbar * FIELD_CALIBRATION / np.pi
+            * np.sqrt(2.0 * pulse_energy / (epsilon_0 * C)))
+    out = np.empty(tau.shape)
+    chunk = max(1, int(4e6 // w.size))
+    for i0 in range(0, tau.size, chunk):
+        sl = slice(i0, i0 + chunk)
+        phase = np.exp(-1j * np.outer(tau[sl], w))
+        out[sl] = np.trapezoid((phase * gw[None, :]).real, w, axis=1)
+    return out * pref
+
+
+def reference_field(geometry, spectrum, pulse_energy, rho, t):
+    tau = t - geometry.reference_sphere_radius / C
+    w = _synthesis_grid(spectrum, float(np.max(np.abs(tau)))
+                        + 1.0 / spectrum.spectral_width)
+    a = geometry.numerical_aperture
+    kern = 1j * spectrum.value(w) * (a * w / C) * j1_over_x(a * w * rho / C)
+    out = np.empty(t.shape)
+    chunk = max(1, int(4e6 // w.size))
+    for i0 in range(0, tau.size, chunk):
+        sl = slice(i0, i0 + chunk)
+        phase = np.exp(-1j * np.outer(tau[sl], w))
+        out[sl] = np.trapezoid((phase * kern[None, :]).real, w, axis=1)
+    return out * np.sqrt(2.0 * pulse_energy / (epsilon_0 * C)) * FIELD_CALIBRATION / np.pi
+
+
+def reference_oscillatory(t, f, q):
+    qs = np.atleast_1d(q)
+    out = np.empty(qs.shape, dtype=complex)
+    chunk = max(1, int(4e6 // t.size))
+    for i0 in range(0, qs.size, chunk):
+        sl = slice(i0, i0 + chunk)
+        phase = np.exp(1j * np.outer(qs[sl], t))
+        out[sl] = np.trapezoid(phase * f[None, :], t, axis=1)
+    return out
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    spectrum, geometry, tls, train = ps.ScenarioConfig().build()
+    return spectrum, geometry, tls, train
+
+
+@pytest.mark.parametrize("x_units", [0.0, 0.5])
+def test_chi_matches_complex_exp_loop(scenario, x_units):
+    spectrum, geometry, tls, train = scenario
+    rho = x_units * spectrum.mean_wavelength / geometry.numerical_aperture
+    # the tau grid f_integral samples: 353 points over 12 pulse widths
+    tau = np.linspace(-12.0, 12.0, 353) / spectrum.spectral_width
+    chi = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, rho)
+    ref = reference_chi(geometry, spectrum, train.pulse_energy, tls, rho, tau)
+    _close_to_peak(chi(tau), ref)
+    assert isinstance(chi(float(tau[100])), float)
+    assert abs(chi(float(tau[100])) - ref[100]) <= TOL * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("rho", [0.0, 5e-8])
+def test_focal_field_time_matches_complex_exp_loop(scenario, rho):
+    spectrum, geometry, _, train = scenario
+    t_r = geometry.reference_sphere_radius / C
+    half = 6.0 / spectrum.spectral_width
+    t = np.linspace(t_r - half, t_r + half, 1201)
+    got = ps.focal_field_time(geometry, spectrum, train.pulse_energy, rho, t)
+    _close_to_peak(got, reference_field(geometry, spectrum, train.pulse_energy,
+                                        rho, t))
+
+
+def test_oscillatory_cos_sin_matches_complex_exp_loop(monkeypatch):
+    t = np.linspace(-1.2, 1.2, 353)
+    real = np.sin(t) * np.exp(-(3.0 * t) ** 2)
+    cplx = real * np.exp(0.7j * t)
+    q = np.linspace(0.0, 60.0, 257)
+    # several blocks per call, so the chunk seams are covered too
+    monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", 20 * t.size)
+    for f in (real, cplx):
+        ref = reference_oscillatory(t, f, q)
+        _close_to_peak(oscillatory_cos_sin(t, f, q), ref)
+        _close_to_peak(oscillatory_cos_sin(t, f, q, CosSinMatrices()), ref)
+        scalar = oscillatory_cos_sin(t, f, 7.5)
+        assert np.ndim(scalar) == 0
+        assert abs(scalar - reference_oscillatory(t, f, 7.5)[0]) <= TOL * np.max(np.abs(ref))
+
+
+def test_trapezoid_weights_reproduce_numpy():
+    x = np.linspace(0.0, 3.0, 101) ** 2  # nonuniform
+    y = np.cos(x)
+    np.testing.assert_allclose(np.sum(trapezoid_weights(x) * y),
+                               np.trapezoid(y, x), rtol=1e-14)
+
+
+def test_shared_matrices_give_identical_sums_and_are_built_once(monkeypatch):
+    x = np.linspace(0.0, 5.0, 301)
+    y = np.linspace(-2.0, 2.0, 97)
+    a, b = np.cos(3 * x), np.exp(-x)
+    built = []
+    real_block = quadrature._trig_block
+
+    def counted(*args):
+        built.append(args[3].__name__)
+        return real_block(*args)
+
+    monkeypatch.setattr(quadrature, "_trig_block", counted)
+    fresh = cos_sin_transform(x, y, a, b)
+    store = CosSinMatrices()
+    first = cos_sin_transform(x, y, a, b, store)
+    again = cos_sin_transform(x, y, a, b, store)
+    assert np.array_equal(fresh, first) and np.array_equal(first, again)
+    assert built == ["cos", "sin", "cos", "sin"]  # the repeat built nothing
+    # an all-zero coefficient skips its matrix
+    built.clear()
+    cos_sin_transform(x, y, a, np.zeros_like(x))
+    assert built == ["cos"]
+
+
+def test_shared_synthesis_matches_a_fresh_one(scenario):
+    # every radius of a curve shares one synthesis; the shared path must
+    # give the same bits as a synthesis built for that radius alone
+    spectrum, geometry, tls, train = scenario
+    tau = np.linspace(-12.0, 12.0, 353) / spectrum.spectral_width
+    shared = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls)
+    for rho in (0.0, 3e-8, 9e-8):
+        fresh = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, rho)
+        assert np.array_equal(shared.chi(rho)(tau), fresh(tau))
