@@ -1,104 +1,23 @@
-"""First-order Bessel function of the first kind.
+"""First-order Bessel function of the first kind, from scipy.
 
 The focal-field kernels integrate J1 against oscillatory spectral weights,
-so evaluation error is amplified by the outer quadrature; target accuracy
-is 1e-12 absolute on the real line. Three branches:
-
-* |x| < 12   ascending power series,
-* 12..20     Miller downward recurrence with the J0 + 2*sum J_2k = 1
-             normalization,
-* |x| >= 20  Hankel asymptotic expansion.
+so evaluation error is amplified by the outer quadrature. scipy's J1 is
+within ~1e-15 absolute of arbitrary precision on the real line; this
+module adds only the removable singularity of J1(x)/x.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-_SERIES_EDGE = 12.0
-_ASYMPTOTIC_EDGE = 20.0
-_MILLER_START = 64
-_HANKEL_TERMS = 18
+from scipy.special import j1
 
 #: First positive zero of J1 (spot-size sanity checks).
 J1_FIRST_ZERO = 3.8317059702075123156
 
 
-def _j1_series_over_x(x2):
-    """sum_k (-1)^k (x^2/4)^k / (k! (k+1)!) / 2 = J1(x)/x, from x^2."""
-    q = np.asarray(x2) / 4.0
-    term = np.full(q.shape, 0.5)
-    acc = term.copy()
-    for k in range(1, 40):
-        term = term * (-q) / (k * (k + 1))
-        acc += term
-    return acc
-
-
-def _j1_miller(x):
-    """Downward recurrence for 12 <= x < 20 (x positive array)."""
-    jp = np.zeros_like(x)
-    jc = np.full_like(x, 1e-35)
-    j1 = np.zeros_like(x)
-    norm = np.zeros_like(x)
-    for k in range(_MILLER_START, 0, -1):
-        jm = (2.0 * k / x) * jc - jp
-        jp = jc
-        jc = jm
-        # after this step jc = j_{k-1}, jp = j_k
-        if k - 1 == 1:
-            j1 = jc.copy()
-        if (k - 1) % 2 == 0:
-            norm = norm + (jc if k - 1 == 0 else 2.0 * jc)
-    return j1 / norm
-
-
-def _j1_hankel(x):
-    """Asymptotic expansion for x >= 20 (x positive array)."""
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    c = np.ones_like(x)
-    inv8x = 1.0 / (8.0 * x)
-    for m in range(1, _HANKEL_TERMS + 1):
-        c = c * (4.0 - (2 * m - 1) ** 2) / m * inv8x
-        k, sign = divmod(m, 2)
-        if sign:  # odd m -> Q series
-            q = q + ((-1.0) ** (m // 2)) * c
-        else:     # even m -> P series
-            p = p + ((-1.0) ** (m // 2)) * c
-    chi = x - 0.75 * np.pi
-    return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
-
-
-def j1(x):
-    """J1(x) for scalar or array x, accurate to ~1e-12 absolute."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    ax = np.abs(x)
-    out = np.empty_like(ax)
-
-    small = ax < _SERIES_EDGE
-    mid = (ax >= _SERIES_EDGE) & (ax < _ASYMPTOTIC_EDGE)
-    big = ax >= _ASYMPTOTIC_EDGE
-    if small.any():
-        out[small] = ax[small] * _j1_series_over_x(ax[small] ** 2)
-    if mid.any():
-        out[mid] = _j1_miller(ax[mid])
-    if big.any():
-        out[big] = _j1_hankel(ax[big])
-
-    out = np.where(x < 0, -out, out)  # J1 is odd
-    return out[0] if scalar else out
-
-
 def j1_over_x(x):
     """J1(x)/x with the removable singularity: value 1/2 at x = 0."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    small = np.abs(x) < 0.5
-    out[small] = _j1_series_over_x(x[small] ** 2)
-    if (~small).any():
-        out[~small] = j1(x[~small]) / x[~small]
-    return out[0] if scalar else out
+    zero = x == 0.0
+    safe = np.where(zero, 1.0, x)
+    return np.where(zero, 0.5, j1(safe) / safe)[()]

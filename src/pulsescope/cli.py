@@ -42,6 +42,7 @@ from .focal import (
 from .scenario import (
     FIGURES,
     SCAN_PARAMETERS,
+    _write,
     emit_figure_data,
     oracle_compare,
     run_scenario,
@@ -118,13 +119,12 @@ def _load(args) -> ScenarioConfig:
 def _cmd_spectrum(cfg: ScenarioConfig) -> None:
     spectrum = cfg.build()[0]
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     w = spectrum.frequency_grid(2001)
     dens = np.abs(spectrum.value(w)) ** 2
     rows = "".join(f"{float(wi)!r},{float(di)!r}\n" for wi, di in zip(w, dens))
-    (outdir / "spectrum.csv").write_text("omega_rad_per_s,density_s\n" + rows)
-    (outdir / "spectrum.json").write_text(
-        json.dumps(spectrum.serializable(), indent=2, sort_keys=True) + "\n")
+    _write(outdir, "spectrum.csv", "omega_rad_per_s,density_s\n" + rows)
+    _write(outdir, "spectrum.json",
+           json.dumps(spectrum.serializable(), indent=2, sort_keys=True) + "\n")
     print(f"mean frequency {spectrum.mean_frequency!r} rad/s, "
           f"mean wavelength {spectrum.mean_wavelength!r} m")
 
@@ -136,9 +136,7 @@ def _cmd_focus(cfg: ScenarioConfig) -> None:
     vals = focal_intensity_rephased(geometry, spectrum, radii)
     curve = RadialCurve(radii, vals, "intensity",
                         {"spectrum": spectrum.serializable()})
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "focal_intensity.csv").write_text(curve.to_csv())
+    _write(Path(cfg.output_dir), "focal_intensity.csv", curve.to_csv())
     print(f"wrote focal_intensity.csv ({len(radii)} radii)")
 
 
@@ -147,9 +145,7 @@ def _cmd_resolve(cfg: ScenarioConfig) -> None:
     curve = intensity_resolution_curve(geometry, spectrum,
                                        grid_scale=cfg.grid_scale)
     spot = spot_size(curve)
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "intensity_resolution.csv").write_text(curve.to_csv())
+    _write(Path(cfg.output_dir), "intensity_resolution.csv", curve.to_csv())
     print(f"intensity spot size {spot!r} m")
 
 
@@ -158,9 +154,7 @@ def _cmd_excite(cfg: ScenarioConfig) -> None:
     result = excitation_probability(train, tls, geometry, spectrum, 0.0,
                                     cfg.grid_scale)
     rate = imaging_rate(train, tls, result.p_e)
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "excitation.json").write_text(result.to_json())
+    _write(Path(cfg.output_dir), "excitation.json", result.to_json())
     print(f"p_e(0) = {result.p_e!r}, eta = {result.eta!r}, R = {rate!r} Hz")
 
 

@@ -12,7 +12,7 @@ with a 1.6 ns lifetime and tenfold inhomogeneous broadening, driven by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -140,15 +140,4 @@ class ScenarioReport:
     curve_files: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "eta": self.eta,
-                "p_e_focal": self.p_e_focal,
-                "imaging_rate_hz": self.imaging_rate_hz,
-                "spot_intensity_m": self.spot_intensity_m,
-                "spot_excitation_m": self.spot_excitation_m,
-                "flags": self.flags,
-                "curve_files": self.curve_files,
-            },
-            indent=2, sort_keys=True,
-        ) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"

@@ -36,7 +36,7 @@ from .errors import (
     InvalidStateError,
     NumericalConvergenceError,
 )
-from .quadrature import cos_sin_transform, trapezoid_weights
+from .quadrature import cos_sin_transform, kernel_transform, trapezoid_weights
 from .spectra import PulseSpectrum
 
 PARAXIAL_LIMIT = 0.2
@@ -217,16 +217,18 @@ def focal_intensity_rephased(
     n_grid: int = 6001,
 ) -> np.ndarray:
     """Rephasing-time intensity |int_0^inf dw phi(w) J1(A w rho/c)/rho|^2
-    in arbitrary units (only ratios are meaningful downstream)."""
+    in arbitrary units (only ratios are meaningful downstream), as one
+    J1(x)/x kernel transform for all radii."""
     rhos = np.atleast_1d(np.asarray(rho, dtype=float))
     if np.any(rhos < 0):
         raise InvalidParameterError("radial coordinates must be >= 0")
     w = spectrum.frequency_grid(n_grid)
-    phi = spectrum.value(w)
-    out = np.empty(rhos.shape)
-    for i, r in enumerate(rhos):
-        amp = np.trapezoid(phi * _airy_kernel(geometry, w, r), w)
-        out[i] = np.abs(amp) ** 2
+    scale = geometry.numerical_aperture * w / C_LIGHT
+    g = spectrum.value(w) * scale * trapezoid_weights(w)
+    halves = np.stack([g.real, g.imag], axis=1)
+    halves = halves[:, halves.any(axis=0)]
+    amp = kernel_transform(scale, rhos, [(j1_over_x, halves)])
+    out = np.sum(amp**2, axis=1)
     return out if np.ndim(rho) else float(out[0])
 
 

@@ -24,20 +24,22 @@ weights on the demodulated integrand (so the constant segments integrate
 exactly) and the infinite tails are summed analytically, which also
 makes M vanish identically for zero drive. Second, an independent
 second-order (in the drive) perturbative evaluation of M is provided as
-a cross-check of the propagator route at small pulse areas.
+a cross-check of the propagator route at small pulse areas. The outer
+photon-frequency integral uses the package's certified panel cutoff and
+doubling-tail check from `quadrature`, as the analytic chain does.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import GridRangeError, InvalidParameterError, NumericalConvergenceError
 from .excitation import TwoLevelSystem
-from .quadrature import filon_transform
+from .quadrature import add_certified_tail, certified_tail_cutoff, filon_transform
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -169,16 +171,21 @@ def oracle_emission_amplitude(history: PropagatorHistory, omega_k) -> complex:
     the analytic pre/post dressing tails; identically zero for zero
     drive, for any w_k.
     """
-    n, e0, gg = _emission_core(history)
-    w0 = history.transition_frequency
-    t = history.times
     qs = np.atleast_1d(np.asarray(omega_k, dtype=float))
     if np.any(qs <= 0):
         raise InvalidParameterError("photon frequencies must be positive")
+    out = _window_plus_tails(history, *_emission_core(history), qs)
+    return out if np.ndim(omega_k) else complex(out[0])
+
+
+def _window_plus_tails(history: PropagatorHistory, n, e0, gg, qs):
+    """Filon window integral of the demodulated n(t) plus the analytic
+    pre/post dressing tails, at photon frequencies qs."""
+    w0 = history.transition_frequency
+    t = history.times
     out = filon_transform(t, n, qs + w0)
     out = out + e0 * np.exp(1j * qs * t[0]) / (1j * (qs + w0))
-    out = out - gg * np.exp(1j * qs * t[-1]) / (1j * (qs + w0))
-    return out if np.ndim(omega_k) else complex(out[0])
+    return out - gg * np.exp(1j * qs * t[-1]) / (1j * (qs + w0))
 
 
 @dataclass(frozen=True)
@@ -207,9 +214,9 @@ def oracle_excitation_probability(
 ) -> float:
     """p_e = Gamma0/(2 pi w0^3) int dw_k w_k^3 |M(w_k)|^2, panel quadrature.
 
-    Panels extend until the integrand drops below rel_floor of its peak;
-    the remaining tail is then measured over one more octave and must stay
-    below tail_tol of the total.
+    Panels extend until the integrand drops below rel_floor of its peak
+    (`certified_tail_cutoff`); the remaining tail is then measured over
+    one more octave and must stay below tail_tol of the total.
     """
     if abs(tls.transition_frequency - history.transition_frequency) > 1e-9 * history.transition_frequency:
         raise InvalidParameterError(
@@ -218,48 +225,20 @@ def oracle_excitation_probability(
     w0 = history.transition_frequency
     if history.drive_values is not None and not np.any(history.drive_values):
         return 0.0
-    n, e0, gg = _emission_core(history)
-    t = history.times
-    dt = t[1] - t[0]
+    core = _emission_core(history)
+    dt = history.times[1] - history.times[0]
     # drive bandwidth resolved by the history sets the panel scale
     band = 2.0 * np.pi / (40.0 * dt)
     step = max(band / 4.0, 2.0 * w0)
 
     def integrand(q):
-        amp = filon_transform(t, n, q + w0)
-        amp = amp + e0 * np.exp(1j * q * t[0]) / (1j * (q + w0))
-        amp = amp - gg * np.exp(1j * q * t[-1]) / (1j * (q + w0))
-        return q**3 * np.abs(amp) ** 2
+        return q**3 * np.abs(_window_plus_tails(history, *core, q)) ** 2
 
-    total = 0.0
-    peak = 0.0
-    lo = 1e-9 * w0
-    hi = step
-    reached = False
-    for _ in range(80):
-        q = np.linspace(lo, hi, 257)
-        y = integrand(q)
-        total += np.trapezoid(y, q)
-        peak = max(peak, float(np.max(y)))
-        if peak > 0 and float(np.max(y[-64:])) < rel_floor * peak:
-            reached = True
-            break
-        lo, hi = hi, hi + step
-    if not reached:
-        raise NumericalConvergenceError(
-            "photon-frequency integral cutoff not reached",
-            last_edge=hi, peak=peak,
-        )
-    ext = np.linspace(hi, 2.0 * hi, 257)
-    tail = np.trapezoid(integrand(ext), ext)
-    if abs(tail) > tail_tol * abs(total):
-        raise NumericalConvergenceError(
-            "photon-frequency integral tail too large at the cutoff",
-            cutoff=hi, relative_tail=float(abs(tail / total)),
-        )
-    return float(
-        (total + tail) * tls.spontaneous_rate / (2.0 * np.pi * w0**3)
-    )
+    what = "photon-frequency integral"
+    cutoff, total = certified_tail_cutoff(integrand, step, step, rel_floor,
+                                          max_panels=80, what=what)
+    total = add_certified_tail(integrand, cutoff, total, tail_tol, what)
+    return float(total * tls.spontaneous_rate / (2.0 * np.pi * w0**3))
 
 
 def second_order_emission_amplitude(
@@ -319,18 +298,7 @@ class OracleReport:
     flags: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "width_over_transition": self.width_over_transition,
-                "eta": self.eta,
-                "pulse_count": self.pulse_count,
-                "p_e_oracle": self.p_e_oracle,
-                "p_e_analytic": self.p_e_analytic,
-                "relative_deviation": self.relative_deviation,
-                "flags": self.flags,
-            },
-            indent=2, sort_keys=True,
-        ) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def default_time_grid(

@@ -1,16 +1,15 @@
-"""Quadrature helpers: certified trapezoid refinement, the trapezoid
-cos/sin transform, Filon transforms.
+"""Quadrature helpers: certified trapezoid refinement, one blocked kernel
+transform, Filon transforms, certified outer cutoffs.
 
-Three recurring needs drive this module. Spectral moments integrate
-smooth Gaussian-tailed kernels, where composite trapezoid converges fast
-but must be *certified* by grid refinement. Field synthesis and the
-inner emission transform are trapezoid sums against cos and sin of
-outer(y, x); `cos_sin_transform` computes them as real matrix-vector
-products, and a `CosSinMatrices` store lets every radius of one curve
-reuse the matrices. Emission amplitudes integrate data multiplied by
-e^{i q t} with q far above the grid Nyquist scale of plain trapezoid
-accuracy; there the transform uses Filon-type weights that treat the
-oscillation exactly and interpolate the data linearly.
+Spectral moments integrate smooth Gaussian-tailed kernels, where
+composite trapezoid converges fast but must be *certified* by grid
+refinement. Every sum_j c_j K(y_k x_j) in the package - chi, the field
+and the inner emission transform (K = cos, sin), the tau = 0 focal
+intensity (K = J1(x)/x) and Filon's rule - is a `kernel_transform`, the
+one place that builds K(outer(y, x)) blocks. Filon-type weights treat an
+e^{i q t} oscillation far above the grid Nyquist scale exactly; they need
+only the plain Fourier sum plus two endpoint terms. Outer integrals are
+cut off panel by panel and their tail certified by doubling the cutoff.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import NumericalConvergenceError
 
-# bound on the elements of one phase-matrix block
+# bound on the elements of one kernel-matrix block
 CHUNK_ELEMENTS = 4_000_000
 
 
@@ -84,20 +83,19 @@ def filon_transform(t: np.ndarray, f: np.ndarray, q) -> np.ndarray:
     """int f(t) e^{i q t} dt on a uniform grid, exact in the oscillation.
 
     f is interpolated piecewise-linearly; q may be a scalar or 1-D array.
+    With the Fourier sum S = sum_j f_j e^{i q t_j} over all n points, the
+    panel sums are h [P (S - f_{n-1} e^{i q t_{n-1}})
+    + Q e^{-i q h} (S - f_0 e^{i q t_0})].
     """
     t = np.asarray(t, dtype=float)
     f = np.asarray(f)
     h = t[1] - t[0]
     qs = np.atleast_1d(np.asarray(q, dtype=float))
     P, Q = _filon_weights(qs * h)
-    out = np.empty(qs.shape, dtype=complex)
-    # chunk over q to bound the phase-matrix size
-    chunk = _chunk(t)
-    for i0 in range(0, qs.size, chunk):
-        sl = slice(i0, i0 + chunk)
-        phase = np.exp(1j * np.outer(qs[sl], t[:-1]))
-        weighted = P[sl, None] * f[None, :-1] + Q[sl, None] * f[None, 1:]
-        out[sl] = h * np.einsum("qt,qt->q", phase, weighted)
+    s = _fourier_sum(t, qs, f)
+    left = s - f[-1] * np.exp(1j * qs * t[-1])     # f_j at panel starts
+    right = s - f[0] * np.exp(1j * qs * t[0])      # f_j at panel ends
+    out = h * (P * left + Q * np.exp(-1j * qs * h) * right)
     return out if np.ndim(q) else out[0]
 
 
@@ -134,34 +132,54 @@ def _chunk(x: np.ndarray) -> int:
     return max(1, int(CHUNK_ELEMENTS // max(x.size, 1)))
 
 
-def _trig_block(x, y, i0, trig):
+def _trig_block(x, y, i0, kernel):
+    """kernel(outer(y[i0:i0 + chunk], x)); a numpy ufunc (cos, sin) fills
+    the product matrix in place."""
     m = np.outer(y[i0:i0 + _chunk(x)], x)
-    return trig(m, out=m)
+    return kernel(m, out=m) if isinstance(kernel, np.ufunc) else kernel(m)
+
+
+def kernel_transform(x, y, terms, matrices: CosSinMatrices | None = None):
+    """sum_j c_j K(y_k x_j), summed over the (K, c) pairs of terms, for
+    every y_k.
+
+    Each c is real on the grid x with any quadrature weights already
+    applied: a vector, or a matrix with one column per right-hand side,
+    which then share each block of K. Computed as real matrix products
+    over blocks of K(outer(y, x)) of at most CHUNK_ELEMENTS; an all-zero
+    c is skipped with its matrix. Blocks come from `matrices` when given
+    and are built and dropped otherwise; the sums are the same either way.
+    """
+    x = np.asarray(x, dtype=float)
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    terms = [(kernel, np.ascontiguousarray(c, dtype=float)) for kernel, c in terms]
+    out = np.zeros(ys.shape + terms[0][1].shape[1:])
+    terms = [(kernel, c) for kernel, c in terms if c.any()]
+    chunk = _chunk(x)
+    for i0 in range(0, ys.size, chunk):
+        for kernel, c in terms:
+            m = (_trig_block(x, ys, i0, kernel) if matrices is None
+                 else matrices.block(x, ys, i0, kernel))
+            out[i0:i0 + chunk] += m @ c
+    return out if np.ndim(y) else out[0]
 
 
 def cos_sin_transform(x, y, a, b, matrices: CosSinMatrices | None = None):
     """sum_j a_j cos(y_k x_j) + b_j sin(y_k x_j) for every y_k.
 
-    a and b are real coefficients on the grid x with the quadrature
-    weights already applied, so with a + ib = f * trapezoid_weights(x)
-    this is Re int f(x) e^{-i y x} dx. Computed as real matrix-vector
-    products over blocks of at most CHUNK_ELEMENTS; an all-zero a or b
-    is skipped with its matrix. Blocks come from `matrices` when given
-    and are built and dropped otherwise; the sums are the same either
-    way.
+    With a + ib = f * trapezoid_weights(x) this is Re int f(x) e^{-i y x} dx.
     """
-    x = np.asarray(x, dtype=float)
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
-    terms = [(trig, np.ascontiguousarray(c, dtype=float))
-             for trig, c in ((np.cos, a), (np.sin, b)) if np.any(c)]
-    out = np.zeros(ys.shape)
-    chunk = _chunk(x)
-    for i0 in range(0, ys.size, chunk):
-        for trig, c in terms:
-            m = (_trig_block(x, ys, i0, trig) if matrices is None
-                 else matrices.block(x, ys, i0, trig))
-            out[i0:i0 + chunk] += m @ c
-    return out if np.ndim(y) else out[0]
+    return kernel_transform(x, y, [(np.cos, a), (np.sin, b)], matrices)
+
+
+def _fourier_sum(t, q, c, matrices: CosSinMatrices | None = None):
+    """sum_j c_j e^{i q_k t_j} for complex c; each cos/sin block serves
+    both the real and the imaginary part."""
+    c = np.asarray(c)
+    s = kernel_transform(t, q, [(np.cos, np.stack([c.real, c.imag], axis=1)),
+                                (np.sin, np.stack([-c.imag, c.real], axis=1))],
+                         matrices)
+    return s[..., 0] + 1j * s[..., 1]
 
 
 def oscillatory_cos_sin(t: np.ndarray, f: np.ndarray, q,
@@ -171,10 +189,7 @@ def oscillatory_cos_sin(t: np.ndarray, f: np.ndarray, q,
     Calls that share `matrices` reuse the cos/sin blocks of a repeated
     (t, q) pair.
     """
-    fw = np.asarray(f) * trapezoid_weights(t)
-    re = cos_sin_transform(t, q, fw.real, -fw.imag, matrices)
-    im = cos_sin_transform(t, q, fw.imag, fw.real, matrices)
-    return re + 1j * im
+    return _fourier_sum(t, q, np.asarray(f) * trapezoid_weights(t), matrices)
 
 
 def certified_tail_cutoff(
@@ -189,9 +204,8 @@ def certified_tail_cutoff(
     its running peak; returns (cutoff, value).
 
     The value is the trapezoid integral over [0, cutoff] assembled from the
-    panel grids.
+    panel grids. `add_certified_tail` then certifies the cutoff.
     """
-    edges = [0.0]
     total = 0.0
     peak = 0.0
     lo = 0.0
@@ -201,10 +215,23 @@ def certified_tail_cutoff(
         y = integrand(x)
         total += np.trapezoid(y, x)
         peak = max(peak, float(np.max(np.abs(y))))
-        edges.append(hi)
         if peak > 0 and float(np.max(np.abs(y[-64:]))) < rel_floor * peak:
             return hi, total
         lo, hi = hi, hi + step
     raise NumericalConvergenceError(
-        f"{what} cutoff not reached", panels=max_panels, last_edge=edges[-1],
+        f"{what} cutoff not reached", panels=max_panels, last_edge=lo,
     )
+
+
+def add_certified_tail(integrand, cutoff: float, value: float, rtol: float,
+                       what: str) -> float:
+    """value plus the integral over [cutoff, 2 cutoff], certified by
+    requiring that doubled tail to stay within rtol of value."""
+    ext = np.linspace(cutoff, 2.0 * cutoff, 513)
+    extra = np.trapezoid(integrand(ext), ext)
+    if abs(extra) > rtol * abs(value):
+        raise NumericalConvergenceError(
+            f"{what} not converged at its cutoff",
+            cutoff=cutoff, relative_tail=float(abs(extra / value)),
+        )
+    return value + extra

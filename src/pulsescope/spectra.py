@@ -126,10 +126,6 @@ def make_spectrum(shape: Callable, carrier: float, width: float,
 
 def make_gaussian_spectrum(carrier: float, width: float) -> PulseSpectrum:
     """Antisymmetrized Gaussian spectrum phi = i N [l(w) - l(-w)]."""
-    if carrier <= 0:
-        raise InvalidParameterError(f"carrier frequency must be positive, got {carrier}")
-    if width <= 0:
-        raise InvalidParameterError(f"spectral width must be positive, got {width}")
     return make_spectrum(_gaussian_shape(carrier, width), carrier, width)
 
 

@@ -14,6 +14,7 @@ from pulsescope.errors import (
     InvalidStateError,
     RegimeViolationError,
 )
+from pulsescope import excitation
 from pulsescope.excitation import (
     _chi_evaluator,
     dipole_from_spontaneous_rate,
@@ -300,3 +301,20 @@ def test_strong_field_flag_clears(scenario):
     assert res.eta > 0.5
     assert not res.flags["weak_field"]
     assert 0.0 <= res.p_e <= 1.0
+
+
+def test_f_integral_certifies_its_cutoff_once(scenario, monkeypatch):
+    # the first inner grid already leaves room for the doubling check, so
+    # no cutoff scan is thrown away by a re-grid
+    _, spectrum, geometry, tls, train = scenario
+    calls = []
+    real = excitation.certified_tail_cutoff
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(excitation, "certified_tail_cutoff", counted)
+    chi = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, 0.0)
+    assert ps.f_integral(tls, chi, 1.0 / spectrum.spectral_width) > 0.0
+    assert len(calls) == 1

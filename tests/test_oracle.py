@@ -222,3 +222,9 @@ def test_oracle_report_json():
     data = json.loads(rep.to_json())
     assert data["p_e_oracle"] == rep.p_e_oracle
     assert data["relative_deviation"] == rep.relative_deviation
+
+
+def test_oracle_probability_unreachable_floor_raises(physical_run):
+    history, _, _, tls, _ = physical_run
+    with pytest.raises(NumericalConvergenceError, match="cutoff not reached"):
+        ps.oracle_excitation_probability(history, tls, rel_floor=0.0)

@@ -1,10 +1,12 @@
-"""The trapezoid cos/sin transform against the complex-exponential loops
-it replaced, and the lifetime of its shared matrices.
+"""The blocked kernel transform against the loops it replaced, and the
+lifetime of its shared matrices.
 
 The reference loops below are the package's former implementations of
-chi, the time-domain focal field and the inner emission transform. The
-real matrix products sum the same terms in another order, so results
-agree to float64 rounding: 1e-12 of the peak, fixed before comparing.
+chi, the time-domain focal field, the inner emission transform, Filon's
+rule (complex exponentials and einsum) and the rephased focal intensity
+(one trapezoid per radius). The real matrix products sum the same terms
+in another order, so results agree to float64 rounding: 1e-12 of the
+peak, fixed before comparing.
 """
 
 import numpy as np
@@ -19,7 +21,9 @@ from pulsescope.excitation import PulseAreaSynthesis, _chi_evaluator
 from pulsescope.focal import _synthesis_grid
 from pulsescope.quadrature import (
     CosSinMatrices,
+    _filon_weights,
     cos_sin_transform,
+    filon_transform,
     oscillatory_cos_sin,
     trapezoid_weights,
 )
@@ -72,6 +76,31 @@ def reference_oscillatory(t, f, q):
         sl = slice(i0, i0 + chunk)
         phase = np.exp(1j * np.outer(qs[sl], t))
         out[sl] = np.trapezoid(phase * f[None, :], t, axis=1)
+    return out
+
+
+def reference_filon(t, f, q):
+    h = t[1] - t[0]
+    qs = np.atleast_1d(np.asarray(q, dtype=float))
+    P, Q = _filon_weights(qs * h)
+    out = np.empty(qs.shape, dtype=complex)
+    chunk = max(1, int(4e6 // t.size))
+    for i0 in range(0, qs.size, chunk):
+        sl = slice(i0, i0 + chunk)
+        phase = np.exp(1j * np.outer(qs[sl], t[:-1]))
+        weighted = P[sl, None] * f[None, :-1] + Q[sl, None] * f[None, 1:]
+        out[sl] = h * np.einsum("qt,qt->q", phase, weighted)
+    return out
+
+
+def reference_intensity(geometry, spectrum, rhos, n_grid=6001):
+    w = spectrum.frequency_grid(n_grid)
+    phi = spectrum.value(w)
+    a = geometry.numerical_aperture
+    out = np.empty(rhos.shape)
+    for i, r in enumerate(rhos):
+        amp = np.trapezoid(phi * (a * w / C) * j1_over_x(a * w * r / C), w)
+        out[i] = np.abs(amp) ** 2
     return out
 
 
@@ -161,3 +190,34 @@ def test_shared_synthesis_matches_a_fresh_one(scenario):
     for rho in (0.0, 3e-8, 9e-8):
         fresh = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, rho)
         assert np.array_equal(shared.chi(rho)(tau), fresh(tau))
+
+
+def test_filon_transform_matches_complex_exp_loop(monkeypatch):
+    # demodulated emission integrand: a dressing constant plus a pulse
+    t = np.linspace(-1.2, 1.2, 641)
+    f = 0.3 + (np.sin(4.0 * t) + 0.5j * t) * np.exp(-(3.0 * t) ** 2)
+    q = np.concatenate([[0.0, 1e-3], np.linspace(1.0, 900.0, 301)])
+    monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", 17 * t.size)
+    ref = reference_filon(t, f, q)
+    _close_to_peak(filon_transform(t, f, q), ref)
+    for k in (0, 2, 150):
+        scalar = filon_transform(t, f, q[k])
+        assert np.ndim(scalar) == 0
+        assert abs(scalar - ref[k]) <= TOL * np.max(np.abs(ref))
+
+
+def test_focal_intensity_matches_trapezoid_loop(scenario, monkeypatch):
+    spectrum, geometry, _, _ = scenario
+    rho_max = spectrum.mean_wavelength / geometry.numerical_aperture
+    rhos = np.linspace(0.0, rho_max, 33)
+    complex_spectrum = ps.make_spectrum(
+        lambda w: (1.0 + 0.5j) * w * np.exp(-((w - 3e15) / 2e15) ** 2),
+        3e15, 1e15)
+    # blocks of 7 radii, so the chunk seams are covered too
+    monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", 7 * 6001)
+    for s in (spectrum, complex_spectrum):
+        ref = reference_intensity(geometry, s, rhos)
+        _close_to_peak(ps.focal_intensity_rephased(geometry, s, rhos), ref)
+        scalar = ps.focal_intensity_rephased(geometry, s, float(rhos[5]))
+        assert isinstance(scalar, float)
+        assert abs(scalar - ref[5]) <= TOL * np.max(ref)
