@@ -81,20 +81,25 @@ def build_parser() -> argparse.ArgumentParser:
                         help="describe the config dialect and exit")
     sub = parser.add_subparsers(dest="command")
 
-    sub.add_parser("spectrum", help="spectral density curve and statistics")
-    sub.add_parser("focus", help="rephased focal intensity radial curve")
-    sub.add_parser("resolve", help="intensity resolution curve and spot size")
-    sub.add_parser("excite", help="focal excitation probability record")
-    sub.add_parser("scenario", help="full report: eta, p_e, R, spot sizes")
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        return p
 
-    p_fig = sub.add_parser("figure", help="emit figure data as CSV")
+    command("spectrum", _cmd_spectrum, "spectral density curve and statistics")
+    command("focus", _cmd_focus, "rephased focal intensity radial curve")
+    command("resolve", _cmd_resolve, "intensity resolution curve and spot size")
+    command("excite", _cmd_excite, "focal excitation probability record")
+    command("scenario", _cmd_scenario, "full report: eta, p_e, R, spot sizes")
+
+    p_fig = command("figure", _cmd_figure, "emit figure data as CSV")
     p_fig.add_argument("id", choices=FIGURES)
 
-    p_scan = sub.add_parser("scan", help="parameter scan table")
+    p_scan = command("scan", _cmd_scan, "parameter scan table")
     p_scan.add_argument("parameter", choices=SCAN_PARAMETERS)
     p_scan.add_argument("values", nargs="+", type=float)
 
-    p_or = sub.add_parser("oracle", help="oracle-vs-analytic comparison table")
+    p_or = command("oracle", _cmd_oracle, "oracle-vs-analytic comparison table")
     p_or.add_argument("pairs", nargs="*", type=float,
                       help="flat list: ratio1 eta1 ratio2 eta2 ...")
     return parser
@@ -116,7 +121,7 @@ def _load(args) -> ScenarioConfig:
     return cfg
 
 
-def _cmd_spectrum(cfg: ScenarioConfig) -> None:
+def _cmd_spectrum(cfg: ScenarioConfig, args) -> None:
     spectrum = cfg.build()[0]
     outdir = Path(cfg.output_dir)
     w = spectrum.frequency_grid(2001)
@@ -129,18 +134,17 @@ def _cmd_spectrum(cfg: ScenarioConfig) -> None:
           f"mean wavelength {spectrum.mean_wavelength!r} m")
 
 
-def _cmd_focus(cfg: ScenarioConfig) -> None:
+def _cmd_focus(cfg: ScenarioConfig, args) -> None:
     spectrum, geometry, _, _ = cfg.build()
     rho_max = spectrum.mean_wavelength / geometry.numerical_aperture
     radii = np.linspace(0.0, rho_max, 81)
-    vals = focal_intensity_rephased(geometry, spectrum, radii)
-    curve = RadialCurve(radii, vals, "intensity",
-                        {"spectrum": spectrum.serializable()})
+    vals = focal_intensity_rephased(geometry, spectrum, radii, cfg.grid_scale)
+    curve = RadialCurve(radii, vals, "intensity")
     _write(Path(cfg.output_dir), "focal_intensity.csv", curve.to_csv())
     print(f"wrote focal_intensity.csv ({len(radii)} radii)")
 
 
-def _cmd_resolve(cfg: ScenarioConfig) -> None:
+def _cmd_resolve(cfg: ScenarioConfig, args) -> None:
     spectrum, geometry, _, _ = cfg.build()
     curve = intensity_resolution_curve(geometry, spectrum,
                                        grid_scale=cfg.grid_scale)
@@ -149,7 +153,7 @@ def _cmd_resolve(cfg: ScenarioConfig) -> None:
     print(f"intensity spot size {spot!r} m")
 
 
-def _cmd_excite(cfg: ScenarioConfig) -> None:
+def _cmd_excite(cfg: ScenarioConfig, args) -> None:
     spectrum, geometry, tls, train = cfg.build()
     result = excitation_probability(train, tls, geometry, spectrum, 0.0,
                                     cfg.grid_scale)
@@ -158,13 +162,28 @@ def _cmd_excite(cfg: ScenarioConfig) -> None:
     print(f"p_e(0) = {result.p_e!r}, eta = {result.eta!r}, R = {rate!r} Hz")
 
 
-def _cmd_scenario(cfg: ScenarioConfig) -> None:
+def _cmd_scenario(cfg: ScenarioConfig, args) -> None:
     report = run_scenario(cfg)
     print(f"eta = {report.eta!r}")
     print(f"p_e(0) = {report.p_e_focal!r}")
     print(f"imaging rate = {report.imaging_rate_hz!r} Hz")
     print(f"intensity spot = {report.spot_intensity_m!r} m")
     print(f"excitation spot = {report.spot_excitation_m!r} m")
+
+
+def _cmd_figure(cfg: ScenarioConfig, args) -> None:
+    print(f"wrote {emit_figure_data(cfg, args.id)}")
+
+
+def _cmd_scan(cfg: ScenarioConfig, args) -> None:
+    print(f"wrote {scan(cfg, args.parameter, args.values)}")
+
+
+def _cmd_oracle(cfg: ScenarioConfig, args) -> None:
+    if len(args.pairs) % 2:
+        raise ConfigError("oracle expects an even list: ratio eta ...")
+    pairs = list(zip(args.pairs[0::2], args.pairs[1::2]))
+    print(f"wrote {oracle_compare(cfg, pairs)}")
 
 
 def main(argv=None) -> int:
@@ -177,29 +196,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 0
     try:
-        cfg = _load(args)
-        if args.command == "spectrum":
-            _cmd_spectrum(cfg)
-        elif args.command == "focus":
-            _cmd_focus(cfg)
-        elif args.command == "resolve":
-            _cmd_resolve(cfg)
-        elif args.command == "excite":
-            _cmd_excite(cfg)
-        elif args.command == "scenario":
-            _cmd_scenario(cfg)
-        elif args.command == "figure":
-            name = emit_figure_data(cfg, args.id)
-            print(f"wrote {name}")
-        elif args.command == "scan":
-            name = scan(cfg, args.parameter, args.values)
-            print(f"wrote {name}")
-        elif args.command == "oracle":
-            if len(args.pairs) % 2:
-                raise ConfigError("oracle expects an even list: ratio eta ...")
-            pairs = list(zip(args.pairs[0::2], args.pairs[1::2]))
-            name = oracle_compare(cfg, pairs)
-            print(f"wrote {name}")
+        args.handler(_load(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -45,11 +45,15 @@ from .bessel import j1_over_x
 from .constants import C_LIGHT, EPSILON_0, FIELD_CALIBRATION, HBAR
 from .errors import (
     InvalidParameterError,
-    InvalidStateError,
     NumericalConvergenceError,
     RegimeViolationError,
 )
-from .focal import FocusingGeometry, RadialCurve, _amplitude_prefactor
+from .focal import (
+    FocusingGeometry,
+    RadialCurve,
+    _amplitude_prefactor,
+    resolution_curve,
+)
 from .quadrature import (
     CosSinMatrices,
     add_certified_tail,
@@ -175,6 +179,9 @@ class PulseAreaSynthesis:
     def __init__(self, geometry: FocusingGeometry, spectrum: PulseSpectrum,
                  pulse_energy: float, tls: TwoLevelSystem,
                  grid_scale: float = 1.0):
+        self.tls = tls
+        self.pulse_width = 1.0 / spectrum.spectral_width
+        self.grid_scale = grid_scale
         n = int(max(4001, 24.0 * spectrum.max_frequency / spectrum.spectral_width)
                 * max(grid_scale, 0.05)) | 1
         self.frequencies = spectrum.frequency_grid(n)
@@ -201,6 +208,24 @@ class PulseAreaSynthesis:
             return out if np.ndim(tau) else float(out)
 
         return chi
+
+    def probability(self, train: PulseTrainConfig,
+                    rho: float) -> tuple[float, float]:
+        """(p_e, f) at one radius for a train of this synthesis' pulses."""
+        if train.pulse_count == 0:
+            return 0.0, 0.0
+        tls = self.tls
+        f_val = f_integral(tls, self.chi(rho), self.pulse_width,
+                           self.grid_scale, self.matrices)
+        p_e = (
+            f_val * 2.0 * train.pulse_count * tls.spontaneous_rate
+            / (np.pi * tls.transition_frequency**3)
+        )
+        if p_e > 1.0:
+            raise RegimeViolationError(
+                f"p_e = {p_e:.3g} > 1: inputs are outside perturbative validity"
+            )
+        return float(p_e), f_val
 
 
 def _chi_evaluator(
@@ -333,31 +358,6 @@ def validity_flags(
     }
 
 
-def _probability(
-    train: PulseTrainConfig,
-    tls: TwoLevelSystem,
-    spectrum: PulseSpectrum,
-    synthesis: PulseAreaSynthesis,
-    rho: float,
-    grid_scale: float,
-) -> tuple[float, float]:
-    """(p_e, f) at one radius, with chi and the emission transform drawn
-    from a synthesis that other radii may share."""
-    if train.pulse_count == 0:
-        return 0.0, 0.0
-    f_val = f_integral(tls, synthesis.chi(rho), 1.0 / spectrum.spectral_width,
-                       grid_scale, synthesis.matrices)
-    p_e = (
-        f_val * 2.0 * train.pulse_count * tls.spontaneous_rate
-        / (np.pi * tls.transition_frequency**3)
-    )
-    if p_e > 1.0:
-        raise RegimeViolationError(
-            f"p_e = {p_e:.3g} > 1: inputs are outside perturbative validity"
-        )
-    return float(p_e), f_val
-
-
 def excitation_probability(
     train: PulseTrainConfig,
     tls: TwoLevelSystem,
@@ -372,7 +372,7 @@ def excitation_probability(
     flags = validity_flags(train, tls, geometry, spectrum, eta_val)
     synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls,
                                    grid_scale)
-    p_e, f_val = _probability(train, tls, spectrum, synthesis, rho, grid_scale)
+    p_e, f_val = synthesis.probability(train, rho)
     return ExcitationResult(p_e, eta_val, f_val, flags)
 
 
@@ -385,32 +385,9 @@ def excitation_resolution(
     grid_scale: float = 1.0,
 ) -> float:
     """2 p_e(rho) / [p_e(0) + p_e(rho)]; exactly 1 at rho = 0."""
-    return _resolution_evaluator(train, tls, geometry, spectrum, grid_scale)(rho)
-
-
-def _resolution_evaluator(train, tls, geometry, spectrum, grid_scale,
-                          p_focal=None) -> Callable[[float], float]:
-    """rho -> 2 p_e(rho) / [p_e(0) + p_e(rho)], every radius sharing one
-    PulseAreaSynthesis; eta and the flags are not computed."""
-    train.validate_against(spectrum, tls)
-    synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls,
-                                   grid_scale)
-
-    def p_of(r: float) -> float:
-        return _probability(train, tls, spectrum, synthesis, float(r),
-                            grid_scale)[0]
-
-    p0 = p_of(0.0) if p_focal is None else p_focal
-    if p0 == 0.0:
-        raise InvalidStateError("focal excitation probability vanishes")
-
-    def evaluate(r: float) -> float:
-        if r == 0.0:
-            return 1.0
-        pr = p_of(r)
-        return 2.0 * pr / (p0 + pr)
-
-    return evaluate
+    return excitation_resolution_curve(train, tls, geometry, spectrum,
+                                       n_points=1,
+                                       grid_scale=grid_scale).evaluator(rho)
 
 
 def excitation_resolution_curve(
@@ -421,27 +398,20 @@ def excitation_resolution_curve(
     rho_max: float | None = None,
     n_points: int = 33,
     grid_scale: float = 1.0,
-    p_focal: float | None = None,
 ) -> RadialCurve:
     """Sampled excitation-resolution curve with a bisectable evaluator.
 
-    p_focal is p_e(0) when the caller already has it from
-    excitation_probability; it is computed otherwise. The samples and the
-    evaluator share one PulseAreaSynthesis, held by the evaluator.
+    The samples and the evaluator share one PulseAreaSynthesis, held by
+    the evaluator; eta and the flags are not computed.
     """
     if rho_max is None:
         rho_max = spectrum.mean_wavelength / geometry.numerical_aperture
-    evaluate = _resolution_evaluator(train, tls, geometry, spectrum, grid_scale,
-                                     p_focal)
-    radii = np.linspace(0.0, rho_max, n_points)
-    values = np.array([evaluate(float(r)) for r in radii])
-    meta = {
-        "spectrum": spectrum.serializable(),
-        "numerical_aperture": geometry.numerical_aperture,
-        "pulse_count": train.pulse_count,
-        "pulse_energy_J": train.pulse_energy,
-    }
-    return RadialCurve(radii, values, "resolution", meta, evaluate)
+    train.validate_against(spectrum, tls)
+    synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls,
+                                   grid_scale)
+    return resolution_curve(
+        lambda radii: [synthesis.probability(train, float(r))[0] for r in radii],
+        rho_max, n_points)
 
 
 def imaging_rate(train: PulseTrainConfig, tls: TwoLevelSystem,

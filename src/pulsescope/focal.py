@@ -42,7 +42,9 @@ from .spectra import PulseSpectrum
 PARAXIAL_LIMIT = 0.2
 FAR_FIELD_WAVELENGTHS = 50.0
 
-CURVE_KINDS = ("field", "intensity", "probability", "resolution")
+CURVE_KINDS = ("intensity", "resolution")
+# frequency points of the rephased-intensity transform at grid_scale 1
+INTENSITY_GRID_POINTS = 6001
 
 
 @dataclass(frozen=True)
@@ -75,18 +77,17 @@ class FocusingGeometry:
 
 @dataclass
 class RadialCurve:
-    """Sampled radial profile with provenance and an optional evaluator.
+    """Sampled radial profile with an optional evaluator.
 
     radii start at zero and increase strictly; kind tags the unit
-    ("field", "intensity", "probability", "resolution"). The evaluator,
-    when present, recomputes the underlying continuous function at any
-    radius and is what spot_size bisects on.
+    ("intensity", "resolution"). The evaluator, when present, recomputes
+    the underlying continuous function at any radius and is what
+    spot_size bisects on.
     """
 
     radii: np.ndarray
     values: np.ndarray
     kind: str
-    meta: dict = field(default_factory=dict)
     evaluator: Optional[Callable[[float], float]] = field(
         default=None, repr=False, compare=False
     )
@@ -214,7 +215,7 @@ def focal_intensity_rephased(
     geometry: FocusingGeometry,
     spectrum: PulseSpectrum,
     rho,
-    n_grid: int = 6001,
+    grid_scale: float = 1.0,
 ) -> np.ndarray:
     """Rephasing-time intensity |int_0^inf dw phi(w) J1(A w rho/c)/rho|^2
     in arbitrary units (only ratios are meaningful downstream), as one
@@ -222,7 +223,7 @@ def focal_intensity_rephased(
     rhos = np.atleast_1d(np.asarray(rho, dtype=float))
     if np.any(rhos < 0):
         raise InvalidParameterError("radial coordinates must be >= 0")
-    w = spectrum.frequency_grid(n_grid)
+    w = spectrum.frequency_grid(int(INTENSITY_GRID_POINTS * max(grid_scale, 0.05)) | 1)
     scale = geometry.numerical_aperture * w / C_LIGHT
     g = spectrum.value(w) * scale * trapezoid_weights(w)
     halves = np.stack([g.real, g.imag], axis=1)
@@ -232,18 +233,41 @@ def focal_intensity_rephased(
     return out if np.ndim(rho) else float(out[0])
 
 
+def resolution_curve(quantity: Callable, rho_max: float,
+                     n_points: int) -> RadialCurve:
+    """Resolution curve 2 q(rho) / [q(0) + q(rho)] of a radial quantity q.
+
+    quantity maps an array of radii to the sequence of their q. The
+    samples take q(0) from the first radius; the evaluator, exactly 1 at
+    rho = 0, is what spot_size bisects on.
+    """
+    radii = np.linspace(0.0, rho_max, n_points)
+    samples = np.asarray(quantity(radii), dtype=float)
+    q0 = samples[0]
+    if q0 == 0.0:
+        raise InvalidStateError(
+            "focal value vanishes; the resolution ratio is undefined")
+
+    def ratio(q):
+        return 2.0 * q / (q0 + q)
+
+    def evaluate(r: float) -> float:
+        return 1.0 if r == 0.0 else float(ratio(quantity(np.array([r]))[0]))
+
+    values = ratio(samples)
+    values[0] = 1.0
+    return RadialCurve(radii, values, "resolution", evaluate)
+
+
 def intensity_resolution(
     geometry: FocusingGeometry,
     spectrum: PulseSpectrum,
-    rho,
-    n_grid: int = 6001,
-):
+    rho: float,
+    grid_scale: float = 1.0,
+) -> float:
     """2 I(rho) / [I(0) + I(rho)]; exactly 1 at rho = 0."""
-    i_focus = focal_intensity_rephased(geometry, spectrum, 0.0, n_grid)
-    if i_focus == 0.0:
-        raise InvalidStateError("focal intensity vanishes; degenerate spectrum")
-    i_rho = focal_intensity_rephased(geometry, spectrum, rho, n_grid)
-    return 2.0 * i_rho / (i_focus + i_rho)
+    return intensity_resolution_curve(geometry, spectrum, n_points=1,
+                                      grid_scale=grid_scale).evaluator(rho)
 
 
 def intensity_resolution_curve(
@@ -251,31 +275,15 @@ def intensity_resolution_curve(
     spectrum: PulseSpectrum,
     rho_max: Optional[float] = None,
     n_points: int = 81,
-    n_grid: int = 6001,
     grid_scale: float = 1.0,
 ) -> RadialCurve:
     """Sampled intensity-resolution curve with a bisectable evaluator."""
     if rho_max is None:
         # one Airy-scale unit past the expected half crossing
         rho_max = spectrum.mean_wavelength / geometry.numerical_aperture
-    n_grid = int(n_grid * max(grid_scale, 0.05)) | 1
-    radii = np.linspace(0.0, rho_max, n_points)
-    i_focus = focal_intensity_rephased(geometry, spectrum, 0.0, n_grid)
-    if i_focus == 0.0:
-        raise InvalidStateError("focal intensity vanishes; degenerate spectrum")
-    i_vals = focal_intensity_rephased(geometry, spectrum, radii, n_grid)
-    values = 2.0 * i_vals / (i_focus + i_vals)
-    values[0] = 1.0
-
-    def evaluate(r: float) -> float:
-        ir = focal_intensity_rephased(geometry, spectrum, float(r), n_grid)
-        return 2.0 * ir / (i_focus + ir)
-
-    meta = {
-        "spectrum": spectrum.serializable(),
-        "numerical_aperture": geometry.numerical_aperture,
-    }
-    return RadialCurve(radii, values, "resolution", meta, evaluate)
+    return resolution_curve(
+        lambda r: focal_intensity_rephased(geometry, spectrum, r, grid_scale),
+        rho_max, n_points)
 
 
 def spot_size(curve: RadialCurve, threshold: float = 0.5,

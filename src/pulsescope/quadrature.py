@@ -24,10 +24,6 @@ from .errors import NumericalConvergenceError
 CHUNK_ELEMENTS = 4_000_000
 
 
-def trapezoid(y, x):
-    return np.trapezoid(y, x)
-
-
 def refine_until_converged(
     evaluate: Callable[[int], float],
     n_start: int,

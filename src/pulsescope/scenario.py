@@ -19,7 +19,6 @@ from .errors import ConfigError
 from .excitation import (
     PulseAreaSynthesis,
     PulseTrainConfig,
-    _probability,
     eta,
     excitation_probability,
     excitation_resolution_curve,
@@ -61,7 +60,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     spot_e = None
     if train.pulse_count > 0:
         curve_e = excitation_resolution_curve(train, tls, geometry, spectrum,
-                                              grid_scale=gs, p_focal=result.p_e)
+                                              grid_scale=gs)
         spot_e = spot_size(curve_e)
         files["excitation_resolution"] = _write(
             outdir, "excitation_resolution.csv", curve_e.to_csv())
@@ -166,8 +165,7 @@ def scan(cfg: ScenarioConfig, parameter: str, values) -> str:
         eta_val, p_e0, spot_e = result.eta, result.p_e, float("nan")
         if train.pulse_count > 0:
             curve_e = excitation_resolution_curve(
-                train, tls, geometry, spectrum, n_points=17, grid_scale=gs,
-                p_focal=p_e0)
+                train, tls, geometry, spectrum, n_points=17, grid_scale=gs)
             spot_e = spot_size(curve_e)
         rate = imaging_rate(train, tls, p_e0)
         rows.append(
@@ -194,7 +192,7 @@ def _oracle_single(cfg: ScenarioConfig, width_ratio: float, eta_target: float,
     train.validate_against(spectrum, tls)
     eta_row = eta_ref * np.sqrt(u / u_ref)
     synthesis = PulseAreaSynthesis(base, spectrum, u, tls, cfg.grid_scale)
-    p_an, _ = _probability(train, tls, spectrum, synthesis, 0.0, cfg.grid_scale)
+    p_an, _ = synthesis.probability(train, 0.0)
 
     t_rephase = base.reference_sphere_radius / C_LIGHT
     d_over_hbar = tls.dipole_magnitude / HBAR

@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .errors import InvalidParameterError
-from .quadrature import refine_until_converged, trapezoid
+from .quadrature import refine_until_converged
 
 # Gaussian tails beyond carrier + 12 widths are below 1e-30 of the peak,
 # so the positive-frequency support is truncated there.
@@ -103,14 +103,14 @@ def make_spectrum(shape: Callable, carrier: float, width: float,
 
     def norm2(n: int) -> float:
         w = np.linspace(0.0, wmax, n)
-        return trapezoid(np.abs(shape(w)) ** 2, w)
+        return np.trapezoid(np.abs(shape(w)) ** 2, w)
 
     nrm = 1.0 / np.sqrt(refine_until_converged(norm2, 2001, rtol=rtol,
                                                what="spectrum normalization"))
 
     def first_moment(n: int) -> float:
         w = np.linspace(0.0, wmax, n)
-        return trapezoid(w * np.abs(nrm * shape(w)) ** 2, w)
+        return np.trapezoid(w * np.abs(nrm * shape(w)) ** 2, w)
 
     wbar = refine_until_converged(first_moment, 2001, rtol=rtol,
                                   what="mean frequency")
@@ -140,7 +140,7 @@ def mean_frequency(spectrum: PulseSpectrum, rtol: float = 1e-10) -> float:
 
     def first_moment(n: int) -> float:
         w = np.linspace(0.0, wmax, n)
-        return trapezoid(w * np.abs(spectrum.value(w)) ** 2, w)
+        return np.trapezoid(w * np.abs(spectrum.value(w)) ** 2, w)
 
     return refine_until_converged(first_moment, 2001, rtol=rtol,
                                   what="mean frequency")

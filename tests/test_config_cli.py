@@ -218,6 +218,21 @@ def test_cli_focus_figure_scan_oracle(tmp_path, fast_cfg_text):
     assert (out / "scan_N.csv").read_text().count("\n") == 3
 
 
+def test_cli_focus_follows_grid_scale(tmp_path):
+    # --grid-scale sets the density of the focus transform too
+    curves = {}
+    for gs in (0.5, 1.0):
+        out = tmp_path / str(gs)
+        assert main(["--out", str(out), "--grid-scale", str(gs), "focus"]) == 0
+        curves[gs] = ps.RadialCurve.from_csv(
+            (out / "focal_intensity.csv").read_text())
+    assert not np.array_equal(curves[0.5].values, curves[1.0].values)
+    spectrum, geometry, _, _ = ps.ScenarioConfig().build()
+    for gs, curve in curves.items():
+        np.testing.assert_array_equal(curve.values, ps.focal_intensity_rephased(
+            geometry, spectrum, curve.radii, gs))
+
+
 @pytest.mark.parametrize("error, code", [
     (ConfigError, 2), (InvalidParameterError, 2), (InvalidStateError, 2),
     (GridRangeError, 3), (NumericalConvergenceError, 3),

@@ -318,3 +318,12 @@ def test_f_integral_certifies_its_cutoff_once(scenario, monkeypatch):
     chi = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, 0.0)
     assert ps.f_integral(tls, chi, 1.0 / spectrum.spectral_width) > 0.0
     assert len(calls) == 1
+
+
+def test_resolution_curve_without_pulses_is_undefined(scenario):
+    # p_e(0) = 0 for N = 0, so 2 p_e / (p_e(0) + p_e) has no value
+    _, spectrum, geometry, tls, train = scenario
+    idle = ps.PulseTrainConfig(0, train.period, train.pulse_energy)
+    with pytest.raises(InvalidStateError):
+        ps.excitation_resolution_curve(idle, tls, geometry, spectrum,
+                                       n_points=3, grid_scale=0.3)

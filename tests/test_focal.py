@@ -9,6 +9,7 @@ from pulsescope.bessel import J1_FIRST_ZERO
 from pulsescope.errors import (
     GridRangeError,
     InvalidParameterError,
+    InvalidStateError,
     NumericalConvergenceError,
 )
 from pulsescope.focal import (
@@ -19,6 +20,7 @@ from pulsescope.focal import (
     focal_intensity_rephased,
     intensity_resolution,
     intensity_resolution_curve,
+    resolution_curve,
     spot_size,
 )
 from pulsescope.spectra import make_gaussian_spectrum
@@ -304,3 +306,18 @@ def test_filon_transform_exact_for_linear_times_oscillation():
             * mpmath.e ** (1j * q * s), [-1, 2], maxdegree=12)
         np.testing.assert_allclose(got, complex(expect), rtol=1e-10,
                                    atol=1e-13)
+
+
+def test_resolution_curve_of_an_analytic_quantity():
+    # q = exp(-rho^2): 2q/(q0+q) = 1/2 at q = 1/3, i.e. rho = sqrt(ln 3)
+    curve = resolution_curve(lambda r: np.exp(-np.square(r)), 2.0, 9)
+    radii = np.linspace(0.0, 2.0, 9)
+    np.testing.assert_array_equal(curve.radii, radii)
+    q = np.exp(-radii**2)
+    np.testing.assert_allclose(curve.values, 2 * q / (1 + q), rtol=1e-15)
+    assert curve.values[0] == 1.0 and curve.evaluator(0.0) == 1.0
+    for r, v in zip(radii[1:], curve.values[1:]):
+        assert curve.evaluator(float(r)) == v
+    np.testing.assert_allclose(spot_size(curve), np.sqrt(np.log(3.0)), rtol=1e-6)
+    with pytest.raises(InvalidStateError):
+        resolution_curve(np.square, 1.0, 5)

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+from numpy import trapezoid
 
 from pulsescope.errors import InvalidParameterError
-from pulsescope.quadrature import trapezoid
 from pulsescope.spectra import (
     gaussian_normalization_closed_form,
     make_gaussian_spectrum,
