@@ -1,4 +1,6 @@
-"""Command-line front end.
+"""Command-line front end: parses arguments, loads the config, prints
+what `pulsescope.scenario` returns and maps errors to exit codes.
+`scenario` does the work of every subcommand and writes every file.
 
 Subcommands: spectrum, focus, resolve, excite, scenario, figure, scan,
 oracle. Global flags: --config PATH (scenario file; omitted or empty file
@@ -16,13 +18,9 @@ curve that does not reach the requested feature, 4 regime violation.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import fields, replace
-from pathlib import Path
-
-import numpy as np
+from dataclasses import replace
 
 from .config import ScenarioConfig, load_config
 from .errors import (
@@ -32,19 +30,15 @@ from .errors import (
     PulsescopeError,
     RegimeViolationError,
 )
-from .excitation import excitation_probability, imaging_rate
-from .focal import (
-    RadialCurve,
-    focal_intensity_rephased,
-    intensity_resolution_curve,
-    spot_size,
-)
 from .scenario import (
     FIGURES,
     SCAN_PARAMETERS,
-    _write,
     emit_figure_data,
+    emit_spectrum,
+    excite,
+    focus,
     oracle_compare,
+    resolve,
     run_scenario,
     scan,
 )
@@ -55,10 +49,10 @@ EXIT_REGIME = 4
 
 
 def _config_help() -> str:
+    # the defaults as a config file writes them, minus its header line
+    keys = ScenarioConfig().serialize().splitlines()[1:]
     lines = ["Scenario config keys (flat `key = value`, '#' comments):", ""]
-    for f in fields(ScenarioConfig):
-        default = getattr(ScenarioConfig(), f.name)
-        lines.append(f"  {f.name} = {default!r}")
+    lines += ["  " + key for key in keys]
     lines += ["", "Unit suffixes (_m, _s, _J, _rad_per_s) are part of the key;",
               "unknown keys are rejected. An empty file selects the defaults."]
     return "\n".join(lines)
@@ -86,16 +80,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    command("spectrum", _cmd_spectrum, "spectral density curve and statistics")
-    command("focus", _cmd_focus, "rephased focal intensity radial curve")
-    command("resolve", _cmd_resolve, "intensity resolution curve and spot size")
-    command("excite", _cmd_excite, "focal excitation probability record")
+    command("spectrum", lambda cfg, args: emit_spectrum(cfg),
+            "spectral density curve and statistics")
+    command("focus", lambda cfg, args: focus(cfg),
+            "rephased focal intensity radial curve")
+    command("resolve", lambda cfg, args: resolve(cfg),
+            "intensity resolution curve and spot size")
+    command("excite", lambda cfg, args: excite(cfg),
+            "focal excitation probability record")
     command("scenario", _cmd_scenario, "full report: eta, p_e, R, spot sizes")
 
-    p_fig = command("figure", _cmd_figure, "emit figure data as CSV")
+    p_fig = command("figure",
+                    lambda cfg, args: f"wrote {emit_figure_data(cfg, args.id)}",
+                    "emit figure data as CSV")
     p_fig.add_argument("id", choices=FIGURES)
 
-    p_scan = command("scan", _cmd_scan, "parameter scan table")
+    p_scan = command(
+        "scan", lambda cfg, args: f"wrote {scan(cfg, args.parameter, args.values)}",
+        "parameter scan table")
     p_scan.add_argument("parameter", choices=SCAN_PARAMETERS)
     p_scan.add_argument("values", nargs="+", type=float)
 
@@ -106,11 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ScenarioConfig:
-    if args.config is None:
-        cfg = ScenarioConfig()
-        cfg.build()
-    else:
-        cfg = load_config(args.config)
+    cfg = ScenarioConfig() if args.config is None else load_config(args.config)
     out = args.out or os.environ.get("PULSESCOPE_OUT")
     if out:
         cfg = replace(cfg, output_dir=str(out))
@@ -121,69 +119,22 @@ def _load(args) -> ScenarioConfig:
     return cfg
 
 
-def _cmd_spectrum(cfg: ScenarioConfig, args) -> None:
-    spectrum = cfg.build()[0]
-    outdir = Path(cfg.output_dir)
-    w = spectrum.frequency_grid(2001)
-    dens = np.abs(spectrum.value(w)) ** 2
-    rows = "".join(f"{float(wi)!r},{float(di)!r}\n" for wi, di in zip(w, dens))
-    _write(outdir, "spectrum.csv", "omega_rad_per_s,density_s\n" + rows)
-    _write(outdir, "spectrum.json",
-           json.dumps(spectrum.serializable(), indent=2, sort_keys=True) + "\n")
-    print(f"mean frequency {spectrum.mean_frequency!r} rad/s, "
-          f"mean wavelength {spectrum.mean_wavelength!r} m")
-
-
-def _cmd_focus(cfg: ScenarioConfig, args) -> None:
-    spectrum, geometry, _, _ = cfg.build()
-    rho_max = spectrum.mean_wavelength / geometry.numerical_aperture
-    radii = np.linspace(0.0, rho_max, 81)
-    vals = focal_intensity_rephased(geometry, spectrum, radii, cfg.grid_scale)
-    curve = RadialCurve(radii, vals, "intensity")
-    _write(Path(cfg.output_dir), "focal_intensity.csv", curve.to_csv())
-    print(f"wrote focal_intensity.csv ({len(radii)} radii)")
-
-
-def _cmd_resolve(cfg: ScenarioConfig, args) -> None:
-    spectrum, geometry, _, _ = cfg.build()
-    curve = intensity_resolution_curve(geometry, spectrum,
-                                       grid_scale=cfg.grid_scale)
-    spot = spot_size(curve)
-    _write(Path(cfg.output_dir), "intensity_resolution.csv", curve.to_csv())
-    print(f"intensity spot size {spot!r} m")
-
-
-def _cmd_excite(cfg: ScenarioConfig, args) -> None:
-    spectrum, geometry, tls, train = cfg.build()
-    result = excitation_probability(train, tls, geometry, spectrum, 0.0,
-                                    cfg.grid_scale)
-    rate = imaging_rate(train, tls, result.p_e)
-    _write(Path(cfg.output_dir), "excitation.json", result.to_json())
-    print(f"p_e(0) = {result.p_e!r}, eta = {result.eta!r}, R = {rate!r} Hz")
-
-
-def _cmd_scenario(cfg: ScenarioConfig, args) -> None:
+def _cmd_scenario(cfg: ScenarioConfig, args) -> str:
     report = run_scenario(cfg)
-    print(f"eta = {report.eta!r}")
-    print(f"p_e(0) = {report.p_e_focal!r}")
-    print(f"imaging rate = {report.imaging_rate_hz!r} Hz")
-    print(f"intensity spot = {report.spot_intensity_m!r} m")
-    print(f"excitation spot = {report.spot_excitation_m!r} m")
+    return "\n".join([
+        f"eta = {report.eta!r}",
+        f"p_e(0) = {report.p_e_focal!r}",
+        f"imaging rate = {report.imaging_rate_hz!r} Hz",
+        f"intensity spot = {report.spot_intensity_m!r} m",
+        f"excitation spot = {report.spot_excitation_m!r} m",
+    ])
 
 
-def _cmd_figure(cfg: ScenarioConfig, args) -> None:
-    print(f"wrote {emit_figure_data(cfg, args.id)}")
-
-
-def _cmd_scan(cfg: ScenarioConfig, args) -> None:
-    print(f"wrote {scan(cfg, args.parameter, args.values)}")
-
-
-def _cmd_oracle(cfg: ScenarioConfig, args) -> None:
+def _cmd_oracle(cfg: ScenarioConfig, args) -> str:
     if len(args.pairs) % 2:
         raise ConfigError("oracle expects an even list: ratio eta ...")
     pairs = list(zip(args.pairs[0::2], args.pairs[1::2]))
-    print(f"wrote {oracle_compare(cfg, pairs)}")
+    return f"wrote {oracle_compare(cfg, pairs)}"
 
 
 def main(argv=None) -> int:
@@ -196,7 +147,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 0
     try:
-        args.handler(_load(args), args)
+        print(args.handler(_load(args), args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -88,7 +88,10 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from exc
     if not np.isfinite(value):
         raise ConfigError(f"key {key!r}: must be finite, got {raw!r}")
-    if key.endswith(("_m", "_s", "_J", "_rad_per_s")) or key in (
+    if key == "inhomogeneous_broadening_rad_per_s":  # 0: radiative only
+        if value < 0:
+            raise ConfigError(f"key {key!r}: must be >= 0, got {value}")
+    elif key.endswith(("_m", "_s", "_J", "_rad_per_s")) or key in (
             "grid_scale", "figure_window_widths"):
         if value <= 0:
             raise ConfigError(f"key {key!r}: must be positive, got {value}")

@@ -1,8 +1,9 @@
 """Physical constants and the one convention constant of the pipeline."""
 
-from scipy.constants import c as C_LIGHT          # m/s
-from scipy.constants import epsilon_0 as EPSILON_0  # F/m
-from scipy.constants import hbar as HBAR          # J*s
+# CODATA 2022, written out so results do not depend on the scipy release
+C_LIGHT = 299792458.0                 # m/s, exact
+EPSILON_0 = 8.8541878188e-12          # F/m
+HBAR = 1.0545718176461565e-34         # J*s, h / 2 pi with h exact
 
 # Energy-to-amplitude convention constant of the time-domain synthesis
 #   E(rho, t) = (FIELD_CALIBRATION / 2 pi) * int_R dw E(rho, w) e^{-i w t}.

@@ -1,4 +1,4 @@
-"""Scenario runner: reproduces the headline numbers and figure data.
+"""Application layer: the work of every subcommand, and every output file.
 
 Everything here is a thin composition of the physics modules; every
 number in a report is recomputable by calling the underlying operation
@@ -8,6 +8,7 @@ configurations produce byte-identical CSV/JSON.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +26,13 @@ from .excitation import (
     imaging_rate,
     validity_flags,
 )
-from .focal import focal_field_time, intensity_resolution_curve, spot_size
+from .focal import (
+    RadialCurve,
+    focal_field_time,
+    focal_intensity_rephased,
+    intensity_resolution_curve,
+    spot_size,
+)
 from .oracle import (
     OracleReport,
     FIRST_ORDER_TRUST,
@@ -36,25 +43,77 @@ from .oracle import (
 from .spectra import make_gaussian_spectrum
 
 FIGURES = ("1b", "1c", "1c-inset", "1d")
-SCAN_PARAMETERS = ("U", "A", "Gamma", "N", "T")
+# scan parameter -> config key; A sets the waist at the fixed focal radius
+_SCAN_KEYS = {"U": "pulse_energy_J", "A": "waist_m",
+              "Gamma": "spectral_width_rad_per_s", "N": "pulse_count",
+              "T": "pulse_period_s"}
+SCAN_PARAMETERS = tuple(_SCAN_KEYS)
 
 
-def _write(outdir: Path, name: str, text: str) -> str:
+def _write(cfg: ScenarioConfig, name: str, text: str) -> str:
+    """Write one file into the output directory of cfg; returns its name."""
+    outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / name).write_text(text)
     return name
 
 
+def emit_spectrum(cfg: ScenarioConfig) -> str:
+    """Write the spectral density and statistics; returns the means as text."""
+    spectrum = cfg.build()[0]
+    w = spectrum.frequency_grid(2001)
+    dens = np.abs(spectrum.value(w)) ** 2
+    rows = "".join(f"{float(wi)!r},{float(di)!r}\n" for wi, di in zip(w, dens))
+    _write(cfg, "spectrum.csv", "omega_rad_per_s,density_s\n" + rows)
+    _write(cfg, "spectrum.json",
+           json.dumps(spectrum.serializable(), indent=2, sort_keys=True) + "\n")
+    return (f"mean frequency {spectrum.mean_frequency!r} rad/s, "
+            f"mean wavelength {spectrum.mean_wavelength!r} m")
+
+
+def focus(cfg: ScenarioConfig) -> str:
+    """Write the rephased focal intensity out to one mean wavelength over A."""
+    spectrum, geometry, _, _ = cfg.build()
+    rho_max = spectrum.mean_wavelength / geometry.numerical_aperture
+    radii = np.linspace(0.0, rho_max, 81)
+    vals = focal_intensity_rephased(geometry, spectrum, radii, cfg.grid_scale)
+    name = _write(cfg, "focal_intensity.csv",
+                  RadialCurve(radii, vals, "intensity").to_csv())
+    return f"wrote {name} ({len(radii)} radii)"
+
+
+def _intensity_spot(cfg: ScenarioConfig, spectrum, geometry) -> tuple[float, str]:
+    """Intensity spot size; writes the intensity resolution curve."""
+    curve = intensity_resolution_curve(geometry, spectrum,
+                                       grid_scale=cfg.grid_scale)
+    spot = spot_size(curve)
+    return spot, _write(cfg, "intensity_resolution.csv", curve.to_csv())
+
+
+def resolve(cfg: ScenarioConfig) -> str:
+    """Write the intensity resolution curve; returns the spot size as text."""
+    spectrum, geometry, _, _ = cfg.build()
+    spot, _ = _intensity_spot(cfg, spectrum, geometry)
+    return f"intensity spot size {spot!r} m"
+
+
+def excite(cfg: ScenarioConfig) -> str:
+    """Write the focal excitation record; returns p_e(0), eta and R as text."""
+    spectrum, geometry, tls, train = cfg.build()
+    result = excitation_probability(train, tls, geometry, spectrum, 0.0,
+                                    cfg.grid_scale)
+    rate = imaging_rate(train, tls, result.p_e)
+    _write(cfg, "excitation.json", result.to_json())
+    return f"p_e(0) = {result.p_e!r}, eta = {result.eta!r}, R = {rate!r} Hz"
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     """Compute eta, p_e(0), R, both spot sizes; write curves and report."""
     spectrum, geometry, tls, train = cfg.build()
-    outdir = Path(cfg.output_dir)
     gs = cfg.grid_scale
 
-    curve_i = intensity_resolution_curve(geometry, spectrum, grid_scale=gs)
-    spot_i = spot_size(curve_i)
-    files = {"intensity_resolution": _write(outdir, "intensity_resolution.csv",
-                                            curve_i.to_csv())}
+    spot_i, name_i = _intensity_spot(cfg, spectrum, geometry)
+    files = {"intensity_resolution": name_i}
 
     result = excitation_probability(train, tls, geometry, spectrum, 0.0, gs)
     spot_e = None
@@ -63,7 +122,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
                                               grid_scale=gs)
         spot_e = spot_size(curve_e)
         files["excitation_resolution"] = _write(
-            outdir, "excitation_resolution.csv", curve_e.to_csv())
+            cfg, "excitation_resolution.csv", curve_e.to_csv())
     rate = imaging_rate(train, tls, result.p_e)
 
     report = ScenarioReport(
@@ -75,7 +134,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         flags=dict(result.flags),
         curve_files=files,
     )
-    _write(outdir, "scenario_report.json", report.to_json())
+    _write(cfg, "scenario_report.json", report.to_json())
     return report
 
 
@@ -84,7 +143,6 @@ def emit_figure_data(cfg: ScenarioConfig, figure: str) -> str:
     if figure not in FIGURES:
         raise ConfigError(f"unknown figure id {figure!r}; choose from {FIGURES}")
     spectrum, geometry, tls, train = cfg.build()
-    outdir = Path(cfg.output_dir)
     wbar = spectrum.mean_frequency
 
     if figure == "1b":
@@ -96,14 +154,13 @@ def emit_figure_data(cfg: ScenarioConfig, figure: str) -> str:
                              grid_scale=cfg.grid_scale)
         e = e / np.max(np.abs(e))
         rows = "".join(f"{float(wbar * ti)!r},{float(ei)!r}\n" for ti, ei in zip(t, e))
-        return _write(outdir, "figure_1b.csv",
-                      "omega_bar_t,field_arbitrary\n" + rows)
+        return _write(cfg, "figure_1b.csv", "omega_bar_t,field_arbitrary\n" + rows)
 
     if figure == "1c":
         w = spectrum.frequency_grid(2001)
         density = np.abs(spectrum.value(w)) ** 2 * wbar
         rows = "".join(f"{float(wi / wbar)!r},{float(di)!r}\n" for wi, di in zip(w, density))
-        return _write(outdir, "figure_1c.csv",
+        return _write(cfg, "figure_1c.csv",
                       "omega_over_mean,spectral_density_times_mean\n" + rows)
 
     if figure == "1c-inset":
@@ -113,7 +170,7 @@ def emit_figure_data(cfg: ScenarioConfig, figure: str) -> str:
         for r in ratios:
             s = make_gaussian_spectrum(w0, r * w0)
             rows.append(f"{float(r)!r},{float(s.mean_frequency / w0)!r}\n")
-        return _write(outdir, "figure_1c_inset.csv",
+        return _write(cfg, "figure_1c_inset.csv",
                       "width_over_carrier,mean_over_carrier\n" + "".join(rows))
 
     # 1d: both resolution functions against A rho / lambda_bar
@@ -130,24 +187,16 @@ def emit_figure_data(cfg: ScenarioConfig, figure: str) -> str:
         f"{float(x)!r},{float(vi)!r},{float(ve)!r}\n"
         for x, vi, ve in zip(xs, curve_i.values, curve_e.values)
     )
-    return _write(outdir, "figure_1d.csv",
+    return _write(cfg, "figure_1d.csv",
                   "a_rho_over_lambda,intensity_resolution,excitation_resolution\n"
                   + rows)
 
 
 def _apply_parameter(cfg: ScenarioConfig, name: str, value: float) -> ScenarioConfig:
-    if name == "U":
-        return replace(cfg, pulse_energy_J=float(value))
+    value = float(value)
     if name == "A":
-        return replace(cfg, waist_m=float(value) * cfg.focal_radius_m)
-    if name == "Gamma":
-        return replace(cfg, spectral_width_rad_per_s=float(value))
-    if name == "N":
-        return replace(cfg, pulse_count=int(value))
-    if name == "T":
-        return replace(cfg, pulse_period_s=float(value))
-    raise ConfigError(
-        f"unknown scan parameter {name!r}; choose from {SCAN_PARAMETERS}")
+        value *= cfg.focal_radius_m
+    return replace(cfg, **{_SCAN_KEYS[name]: int(value) if name == "N" else value})
 
 
 def scan(cfg: ScenarioConfig, parameter: str, values) -> str:
@@ -171,8 +220,7 @@ def scan(cfg: ScenarioConfig, parameter: str, values) -> str:
         rows.append(
             f"{parameter},{float(value)!r},{float(eta_val)!r},{float(p_e0)!r},"
             f"{float(rate)!r},{float(spot_e)!r}\n")
-    outdir = Path(cfg.output_dir)
-    return _write(outdir, f"scan_{parameter}.csv", header + "".join(rows))
+    return _write(cfg, f"scan_{parameter}.csv", header + "".join(rows))
 
 
 def _oracle_single(cfg: ScenarioConfig, width_ratio: float, eta_target: float,
@@ -248,8 +296,7 @@ def oracle_compare(cfg: ScenarioConfig, pairs) -> str:
         except Exception as exc:  # annotate, do not abort
             rows.append(f"{float(ratio)!r},{float(eta_target)!r},,,,"
                         f"{type(exc).__name__}: {exc}\n")
-    outdir = Path(cfg.output_dir)
-    name = _write(outdir, "oracle_compare.csv", header + "".join(rows))
+    name = _write(cfg, "oracle_compare.csv", header + "".join(rows))
     for i, rep in enumerate(reports):
-        _write(outdir, f"oracle_report_{i}.json", rep.to_json())
+        _write(cfg, f"oracle_report_{i}.json", rep.to_json())
     return name

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,14 @@ def test_round_trip_identity(tmp_path):
 def test_comments_and_blank_lines():
     cfg = loads_config("\n# a comment\npulse_count = 3  # trailing\n\n")
     assert cfg.pulse_count == 3
+
+
+def test_zero_inhomogeneous_broadening_accepted():
+    # a purely radiatively broadened emitter
+    cfg = loads_config("inhomogeneous_broadening_rad_per_s = 0\n")
+    assert cfg.build()[2].inhomogeneous_broadening == 0.0
+    with pytest.raises(ConfigError, match="inhomogeneous_broadening_rad_per_s"):
+        loads_config("inhomogeneous_broadening_rad_per_s = -1\n")
 
 
 def test_parse_errors():
@@ -289,6 +298,17 @@ def test_zero_pulse_scenario_reports_the_same_flags(tmp_path):
     assert idle.flags == driven.flags
     assert idle.eta == driven.eta
     assert idle.p_e_focal == 0.0 and idle.spot_excitation_m is None
+
+
+def test_run_scenario_warns_once(tmp_path):
+    # gamma*N*T = 0.115 exceeds the unitarity budget
+    cfg = loads_config("pulse_count = 520\ngrid_scale = 0.3\noutput_dir = "
+                       + str(tmp_path) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_scenario(cfg)
+    budget = [w for w in caught if "unitarity budget" in str(w.message)]
+    assert len(budget) == 1
 
 
 def test_run_scenario_computes_eta_once(tmp_path, monkeypatch):

@@ -130,6 +130,25 @@ def test_eta_grid_refinement(scenario):
     assert abs(fine - coarse) / fine < 1e-6
 
 
+@pytest.mark.parametrize("width_ratio", [0.3, 10.0, 30.0])
+def test_eta_matches_a_bounded_scalar_maximum(scenario, width_ratio):
+    # reference: scipy's bounded scalar search on the same chi, started
+    # from the bracket of a 4001-point scan of its own
+    from scipy.optimize import minimize_scalar
+
+    _, _, geometry, tls, train = scenario
+    w0 = tls.transition_frequency
+    spectrum = ps.make_gaussian_spectrum(w0, width_ratio * w0)
+    chi = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, 0.0, 0.3)
+    half = 8.0 / spectrum.spectral_width
+    taus = np.linspace(-half, half, 4001)
+    i = int(np.argmax(np.abs(chi(taus))))
+    res = minimize_scalar(lambda s: -abs(chi(s)), bounds=(taus[i - 1], taus[i + 1]),
+                          method="bounded", options={"xatol": 1e-9 * half})
+    got = ps.eta(geometry, spectrum, train.pulse_energy, tls, grid_scale=0.3)
+    np.testing.assert_allclose(got, -res.fun, rtol=1e-12)
+
+
 def test_f_integral_zero_for_zero_area(scenario):
     _, spectrum, _, tls, _ = scenario
     f = ps.f_integral(tls, lambda tau: np.zeros_like(np.asarray(tau)),
