@@ -8,9 +8,10 @@ means the built-in reference scenario), --out DIR (output directory,
 overriding the config and the PULSESCOPE_OUT environment variable), and
 --grid-scale X (multiplies every default grid density).
 
-Config dialect: one `key = value` per line, `#` comments. Numeric keys
-carry their SI unit as a suffix; run `pulsescope --help-config` to list
-all keys with defaults. Exit codes: 0 success, 2 configuration error or
+Config dialect: one `key = value` per line, `#` comments, SI unit suffixes
+on numeric keys (`pulsescope --help-config` lists all keys and defaults).
+Config values, --grid-scale, scan values and oracle targets obey one rule,
+`config.checked_number`. Exit codes: 0 success, 2 configuration error or
 any other invalid input or state, 3 numerical-convergence error or a
 curve that does not reach the requested feature, 4 regime violation.
 """
@@ -109,14 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ScenarioConfig:
     cfg = ScenarioConfig() if args.config is None else load_config(args.config)
-    out = args.out or os.environ.get("PULSESCOPE_OUT")
-    if out:
-        cfg = replace(cfg, output_dir=str(out))
-    if args.grid_scale is not None:
-        if args.grid_scale <= 0:
-            raise ConfigError("--grid-scale must be positive")
-        cfg = replace(cfg, grid_scale=args.grid_scale)
-    return cfg
+    out = args.out or os.environ.get("PULSESCOPE_OUT") or cfg.output_dir
+    scale = cfg.grid_scale if args.grid_scale is None else args.grid_scale
+    return replace(cfg, output_dir=str(out), grid_scale=scale)
 
 
 def _cmd_scenario(cfg: ScenarioConfig, args) -> str:

@@ -3,6 +3,10 @@
 The dialect is one `key = value` pair per line, `#` comments, blank lines
 ignored. Numeric keys carry their SI unit as a suffix (_m, _s, _J,
 _rad_per_s); dimensionless keys carry none. Unknown keys are rejected.
+`ScenarioConfig` checks its values however it is made (file, flag, scan,
+caller) by one rule, `checked_number`: finite, positive except that
+`pulse_count` and `inhomogeneous_broadening_rad_per_s` may be 0, and a
+whole `pulse_count`.
 An empty file yields the reference scenario: a red transition at 719 nm
 with a 1.6 ns lifetime and tenfold inhomogeneous broadening, driven by
 453 Gaussian pulses of width 10 carriers (38 as), period 33.6 fs, and
@@ -24,6 +28,26 @@ from .focal import FocusingGeometry
 from .spectra import make_gaussian_spectrum
 
 _W0_DEFAULT = 2.0 * np.pi * C_LIGHT / 719e-9
+_MAY_BE_ZERO = ("pulse_count", "inhomogeneous_broadening_rad_per_s")
+
+
+def checked_number(name: str, value, integer=False, may_be_zero=False):
+    """value as a finite positive number (nonnegative if may_be_zero; an
+    int if integer), or a ConfigError whose message starts with name."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{name}: expected {kind}, got {value!r}") from None
+    if not np.isfinite(number):
+        raise ConfigError(f"{name}: must be finite, got {value!r}")
+    if integer and not number.is_integer():
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    number = int(number) if integer else number
+    if number < 0 or (number == 0 and not may_be_zero):
+        bound = ">= 0" if may_be_zero else "positive"
+        raise ConfigError(f"{name}: must be {bound}, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -40,7 +64,14 @@ class ScenarioConfig:
     pulse_energy_J: float = 0.7e-9
     output_dir: str = "out"
     grid_scale: float = 1.0
-    figure_window_widths: float = 6.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.name != "output_dir":
+                object.__setattr__(self, f.name, checked_number(
+                    f"key {f.name!r}", getattr(self, f.name),
+                    integer=f.name == "pulse_count",
+                    may_be_zero=f.name in _MAY_BE_ZERO))
 
     def build(self):
         """Construct the validated physics objects of this scenario."""
@@ -71,33 +102,6 @@ class ScenarioConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 
-def _parse_value(key: str, raw: str):
-    if key == "output_dir":
-        return raw.strip().strip("'\"")
-    if key == "pulse_count":
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from exc
-        if value < 0:
-            raise ConfigError(f"key {key!r}: must be >= 0, got {value}")
-        return value
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from exc
-    if not np.isfinite(value):
-        raise ConfigError(f"key {key!r}: must be finite, got {raw!r}")
-    if key == "inhomogeneous_broadening_rad_per_s":  # 0: radiative only
-        if value < 0:
-            raise ConfigError(f"key {key!r}: must be >= 0, got {value}")
-    elif key.endswith(("_m", "_s", "_J", "_rad_per_s")) or key in (
-            "grid_scale", "figure_window_widths"):
-        if value <= 0:
-            raise ConfigError(f"key {key!r}: must be positive, got {value}")
-    return value
-
-
 def loads_config(text: str) -> ScenarioConfig:
     overrides = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -108,19 +112,14 @@ def loads_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _FIELD_TYPES:
-            suffix_hint = ""
-            base = key.rsplit("_", 1)[0]
-            for known in _FIELD_TYPES:
-                if known.startswith(base):
-                    suffix_hint = f" (did you mean {known!r}? unit suffixes are part of the key)"
-                    break
-            raise ConfigError(f"line {lineno}: unknown key {key!r}{suffix_hint}")
+            near = [k for k in _FIELD_TYPES if k.startswith(key.rsplit("_", 1)[0])]
+            hint = (f" (did you mean {near[0]!r}? unit suffixes are part of "
+                    "the key)") if near else ""
+            raise ConfigError(f"line {lineno}: unknown key {key!r}{hint}")
         if key in overrides:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        overrides[key] = _parse_value(key, raw)
-    cfg = ScenarioConfig(**overrides)
-    cfg.build()  # re-validate all cross-type invariants at load
-    return cfg
+        overrides[key] = raw.strip("'\"") if key == "output_dir" else raw
+    return ScenarioConfig(**overrides)
 
 
 def load_config(path) -> ScenarioConfig:

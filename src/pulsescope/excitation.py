@@ -121,9 +121,9 @@ class PulseTrainConfig:
             raise InvalidParameterError("pulse energy must be positive")
 
     def resonance_offset(self, transition_frequency: float) -> float:
-        """Distance of w0 T / (2 pi) from the nearest integer."""
+        """Distance of w0 T / (2 pi) from the nearest integer (nan if w0 T overflows)."""
         cycles = transition_frequency * self.period / (2.0 * np.pi)
-        return abs(cycles - round(cycles))
+        return abs(cycles - round(cycles)) if np.isfinite(cycles) else np.nan
 
     def validate_against(self, spectrum: PulseSpectrum,
                          tls: TwoLevelSystem) -> None:

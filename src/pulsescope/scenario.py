@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, ScenarioReport
+from .config import ScenarioConfig, ScenarioReport, checked_number
 from .constants import C_LIGHT, HBAR
 from .errors import ConfigError
 from .excitation import (
@@ -43,6 +43,7 @@ from .oracle import (
 from .spectra import make_gaussian_spectrum
 
 FIGURES = ("1b", "1c", "1c-inset", "1d")
+FIGURE_1B_HALF_WINDOW = 6.0  # figure 1b spans +-6 pulse widths (1/Gamma)
 # scan parameter -> config key; A sets the waist at the fixed focal radius
 _SCAN_KEYS = {"U": "pulse_energy_J", "A": "waist_m",
               "Gamma": "spectral_width_rad_per_s", "N": "pulse_count",
@@ -146,7 +147,7 @@ def emit_figure_data(cfg: ScenarioConfig, figure: str) -> str:
     wbar = spectrum.mean_frequency
 
     if figure == "1b":
-        half = cfg.figure_window_widths / spectrum.spectral_width
+        half = FIGURE_1B_HALF_WINDOW / spectrum.spectral_width
         t_rephase = geometry.reference_sphere_radius / C_LIGHT
         n = int(max(2001, 32.0 * half * spectrum.max_frequency / np.pi)) | 1
         t = np.linspace(t_rephase - half, t_rephase + half, n)
@@ -193,10 +194,9 @@ def emit_figure_data(cfg: ScenarioConfig, figure: str) -> str:
 
 
 def _apply_parameter(cfg: ScenarioConfig, name: str, value: float) -> ScenarioConfig:
-    value = float(value)
     if name == "A":
-        value *= cfg.focal_radius_m
-    return replace(cfg, **{_SCAN_KEYS[name]: int(value) if name == "N" else value})
+        value = checked_number("scan A", value) * cfg.focal_radius_m
+    return replace(cfg, **{_SCAN_KEYS[name]: value})
 
 
 def scan(cfg: ScenarioConfig, parameter: str, values) -> str:
@@ -205,16 +205,17 @@ def scan(cfg: ScenarioConfig, parameter: str, values) -> str:
         raise ConfigError(
             f"unknown scan parameter {parameter!r}; choose from {SCAN_PARAMETERS}")
     header = "parameter,value,eta,p_e_focal,imaging_rate_hz,spot_excitation_m\n"
+    # every row's config is checked before the first row runs
+    configs = [(value, _apply_parameter(cfg, parameter, value)) for value in values]
     rows = []
-    for value in values:
-        sub = _apply_parameter(cfg, parameter, value)
+    for value, sub in configs:
         spectrum, geometry, tls, train = sub.build()
-        gs = sub.grid_scale
-        result = excitation_probability(train, tls, geometry, spectrum, 0.0, gs)
+        result = excitation_probability(train, tls, geometry, spectrum, 0.0,
+                                        sub.grid_scale)
         eta_val, p_e0, spot_e = result.eta, result.p_e, float("nan")
         if train.pulse_count > 0:
             curve_e = excitation_resolution_curve(
-                train, tls, geometry, spectrum, n_points=17, grid_scale=gs)
+                train, tls, geometry, spectrum, n_points=17, grid_scale=sub.grid_scale)
             spot_e = spot_size(curve_e)
         rate = imaging_rate(train, tls, p_e0)
         rows.append(
@@ -279,22 +280,25 @@ def _oracle_single(cfg: ScenarioConfig, width_ratio: float, eta_target: float,
 def oracle_compare(cfg: ScenarioConfig, pairs) -> str:
     """CSV table of analytic vs oracle p_e over (Gamma/w0, eta) pairs.
 
-    A failing row is annotated with the error instead of aborting the table.
+    Every target is checked before the first row runs (ConfigError, exit 2);
+    a numerical failure of a valid target is written into its row.
     """
+    pairs = [(checked_number("oracle width ratio", ratio),
+              checked_number("oracle eta target", target)) for ratio, target in pairs]
     header = ("width_over_transition,eta,p_e_analytic,p_e_oracle,"
               "relative_deviation,error\n")
     rows = []
     reports = []
     for ratio, eta_target in pairs:
         try:
-            rep = _oracle_single(cfg, float(ratio), float(eta_target))
+            rep = _oracle_single(cfg, ratio, eta_target)
             reports.append(rep)
             rows.append(
                 f"{rep.width_over_transition!r},{rep.eta!r},"
                 f"{rep.p_e_analytic!r},{rep.p_e_oracle!r},"
                 f"{rep.relative_deviation!r},\n")
         except Exception as exc:  # annotate, do not abort
-            rows.append(f"{float(ratio)!r},{float(eta_target)!r},,,,"
+            rows.append(f"{ratio!r},{eta_target!r},,,,"
                         f"{type(exc).__name__}: {exc}\n")
     name = _write(cfg, "oracle_compare.csv", header + "".join(rows))
     for i, rep in enumerate(reports):

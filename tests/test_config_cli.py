@@ -3,6 +3,7 @@
 import json
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -342,3 +343,62 @@ def test_repeated_scenario_repeats_its_work(tmp_path, monkeypatch):
     second = run_scenario(cfg)
     assert n_first > 0 and len(built) == 2 * n_first
     assert first == second
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--grid-scale", "nan", "resolve"], "grid_scale"),
+    (["--grid-scale", "inf", "resolve"], "grid_scale"),
+    (["scan", "N", "2", "2.5"], "pulse_count"),
+    (["scan", "T", "inf"], "pulse_period_s"),
+    (["scan", "U", "nan"], "pulse_energy_J"),
+    (["scan", "A", "inf"], "scan A"),
+    (["oracle", "10", "-0.05"], "oracle eta target"),
+    (["oracle", "nan", "0.05"], "oracle width ratio"),
+])
+def test_invalid_value_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                               argv, named):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on an invalid value")
+
+    for name in ("intensity_resolution_curve", "excitation_probability",
+                 "_oracle_single"):
+        monkeypatch.setattr(scenario, name, no_work)
+    assert main(["--out", str(tmp_path)] + argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "oracle_compare.csv").exists()
+
+
+def test_config_checks_its_values_however_it_is_made():
+    cfg = ps.ScenarioConfig()
+    with pytest.raises(ConfigError, match="grid_scale.*must be finite"):
+        replace(cfg, grid_scale=float("nan"))
+    with pytest.raises(ConfigError, match="pulse_count.*expected an integer"):
+        replace(cfg, pulse_count=2.5)
+    with pytest.raises(ConfigError, match="waist_m.*must be positive"):
+        ps.ScenarioConfig(waist_m=0.0)
+    # a whole number is a pulse count, from a caller or from a file
+    assert type(replace(cfg, pulse_count=3.0).pulse_count) is int
+    assert loads_config("pulse_count = 3.0\n") == replace(cfg, pulse_count=3)
+
+
+def test_command_builds_the_physics_once(tmp_path):
+    # A = 0.3 is beyond the paraxial limit; loading must not warn a second time
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("waist_m = 0.003\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--grid-scale", "0.3", "resolve"]) == 0
+    assert sum("paraxial" in str(w.message) for w in caught) == 1
+
+
+def test_huge_pulse_period_excites_without_traceback(tmp_path):
+    # w0 T / (2 pi) overflows; no resonance can be certified
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text("pulse_period_s = 1e300\ngrid_scale = 0.3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "excite"]) == 0
+    rec = json.loads((tmp_path / "o" / "excitation.json").read_text())
+    assert rec["flags"]["resonant_train"] is False
