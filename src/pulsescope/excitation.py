@@ -33,6 +33,7 @@ is isolated in one function so an alternative convention can be swapped.
 
 from __future__ import annotations
 
+import copy
 import json
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -43,6 +44,7 @@ import numpy as np
 from .bessel import j1_over_x
 from .constants import C_LIGHT, EPSILON_0, FIELD_CALIBRATION, HBAR
 from .errors import (
+    GridRangeError,
     InvalidParameterError,
     NumericalConvergenceError,
     RegimeViolationError,
@@ -66,15 +68,24 @@ from .spectra import PulseSpectrum
 RESONANCE_TOLERANCE = 1e-6
 WEAK_FIELD_MAX_ETA = 0.5
 UNITARITY_BUDGET = 0.1
+# bound on the points of the inner emission transform's tau grid
+MAX_TAU_POINTS = 1_000_000
 
 
 def dipole_from_spontaneous_rate(transition_frequency: float,
                                  spontaneous_rate: float) -> float:
     """|d_eg| in C*m from Gamma0 = d^2 w0^3 / (3 pi eps0 hbar c^3)."""
-    return np.sqrt(
-        3.0 * np.pi * EPSILON_0 * HBAR * C_LIGHT**3 * spontaneous_rate
-        / transition_frequency**3
-    )
+    try:
+        d2 = (3.0 * np.pi * EPSILON_0 * HBAR * C_LIGHT**3 * spontaneous_rate
+              / transition_frequency**3)
+    except (OverflowError, ZeroDivisionError):
+        d2 = 0.0
+    if not 0.0 < d2 < np.inf:
+        raise InvalidParameterError(
+            f"dipole from spontaneous rate {spontaneous_rate!r} rad/s and "
+            f"transition frequency {transition_frequency!r} rad/s is out of "
+            "floating-point range")
+    return np.sqrt(d2)
 
 
 @dataclass(frozen=True)
@@ -171,8 +182,12 @@ class PulseAreaSynthesis:
 
     The frequency grid, the trapezoid-weighted spectrum, the prefactor
     and the cos/sin matrices (`matrices`) do not depend on rho, so one
-    instance serves every radius of an excitation curve; the matrices
-    are freed with the instance.
+    instance serves a whole run: `eta` scans chi(0, tau) on the first tau
+    grid of `f_integral` through it, p_e(0) is computed once and kept,
+    and every radius of the excitation curve reuses the same matrices.
+    `at_energy` gives the same synthesis at another pulse energy sharing
+    this store. The matrices are freed with the last instance holding
+    them.
     """
 
     def __init__(self, geometry: FocusingGeometry, spectrum: PulseSpectrum,
@@ -187,35 +202,52 @@ class PulseAreaSynthesis:
         self.aperture = geometry.numerical_aperture
         self.weighted_spectrum = (spectrum.value(self.frequencies)
                                   * trapezoid_weights(self.frequencies))
-        self.prefactor = (
-            tls.dipole_magnitude / HBAR
-            * FIELD_CALIBRATION / np.pi
-            * _amplitude_prefactor(pulse_energy)
-        )
+        self.prefactor = self._prefactor(pulse_energy)
         self.matrices = CosSinMatrices()
+        self._f_values = {}
 
-    def chi(self, rho: float) -> Callable:
-        """chi(rho, tau) as a function of tau (s, scalar or array)."""
+    def _prefactor(self, pulse_energy: float) -> float:
+        return (self.tls.dipole_magnitude / HBAR
+                * FIELD_CALIBRATION / np.pi
+                * _amplitude_prefactor(pulse_energy))
+
+    def at_energy(self, pulse_energy: float) -> "PulseAreaSynthesis":
+        """This synthesis for pulses of another energy, sharing its store:
+        chi is exactly proportional to sqrt(U), and only the prefactor,
+        applied after the transform, differs."""
+        other = copy.copy(self)
+        other.prefactor = self._prefactor(pulse_energy)
+        other._f_values = {}
+        return other
+
+    def chi(self, rho: float, stored: bool = True) -> Callable:
+        """chi(rho, tau) as a function of tau (s, scalar or array); with
+        stored=False its transforms bypass the store (grids used once)."""
         if rho < 0:
             raise InvalidParameterError(f"radial coordinate must be >= 0, got {rho}")
         w, a = self.frequencies, self.aperture
         g = self.weighted_spectrum * (a / C_LIGHT) * j1_over_x(a * w * rho / C_LIGHT)
         re, im = np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag)
+        matrices = self.matrices if stored else None
 
         def chi(tau):
-            out = cos_sin_transform(w, tau, re, im, self.matrices) * self.prefactor
+            out = cos_sin_transform(w, tau, re, im, matrices) * self.prefactor
             return out if np.ndim(tau) else float(out)
 
         return chi
 
     def probability(self, train: PulseTrainConfig,
                     rho: float) -> tuple[float, float]:
-        """(p_e, f) at one radius for a train of this synthesis' pulses."""
+        """(p_e, f) at one radius for a train of this synthesis' pulses;
+        f is computed once per radius."""
         if train.pulse_count == 0:
             return 0.0, 0.0
         tls = self.tls
-        f_val = f_integral(tls, self.chi(rho), self.pulse_width,
-                           self.grid_scale, self.matrices)
+        f_val = self._f_values.get(rho)
+        if f_val is None:
+            f_val = self._f_values[rho] = f_integral(
+                tls, self.chi(rho), self.pulse_width, self.grid_scale,
+                self.matrices)
         p_e = (
             f_val * 2.0 * train.pulse_count * tls.spontaneous_rate
             / (np.pi * tls.transition_frequency**3)
@@ -261,19 +293,57 @@ def eta(
     pulse_energy: float,
     tls: TwoLevelSystem,
     grid_scale: float = 1.0,
+    synthesis: PulseAreaSynthesis | None = None,
 ) -> float:
-    """Maximum pulse area at the focus: a grid scan, then twelve zooms that
-    each resample the two intervals around the largest sample 4x finer."""
-    chi = _chi_evaluator(geometry, spectrum, pulse_energy, tls, 0.0, grid_scale)
-    half = 8.0 / spectrum.spectral_width
-    n = int(max(801, 16.0 * half * spectrum.max_frequency / (2.0 * np.pi))
-            * max(grid_scale, 0.05)) | 1
-    taus = np.linspace(-half, half, n)
+    """Maximum pulse area at the focus: a scan of the first tau grid of
+    `f_integral`, then twelve zooms that each resample the two intervals
+    around the largest sample 4x finer.
+
+    `synthesis`, built from the same inputs, supplies chi and keeps the
+    scan's sin block in its store, where f_integral at rho = 0 finds it;
+    without it eta builds a synthesis of its own. The 9-point zoom grids
+    are used once and bypass the store.
+    """
+    if synthesis is None:
+        synthesis = PulseAreaSynthesis(geometry, spectrum, pulse_energy, tls,
+                                       grid_scale)
+    w0 = tls.transition_frequency
+    ghat = 1.0 / (w0 * synthesis.pulse_width)
+    taus = _tau_grid(ghat, _inner_band(ghat), synthesis.grid_scale) / w0
+    values = synthesis.chi(0.0)(taus)
+    zoom = synthesis.chi(0.0, stored=False)
     for _zoom in range(12):
-        i = int(np.argmax(np.abs(chi(taus))))
+        i = int(np.argmax(np.abs(values)))
         lo, hi = taus[max(i - 1, 0)], taus[min(i + 1, taus.size - 1)]
         taus = np.linspace(lo, hi, 9)
-    return float(np.max(np.abs(chi(taus))))
+        values = zoom(taus)
+    return float(np.max(np.abs(values)))
+
+
+def _inner_band(ghat: float) -> float:
+    """First photon-frequency band, in carrier units, that f_integral's
+    tau grid resolves."""
+    # the certified cutoff lands at 14 ghat for spectra wider than a few
+    # carriers; 2.5 times that leaves the doubling check inside the band
+    return max(35.0 * ghat, 10.0)
+
+
+def _tau_grid(ghat: float, qmax: float, grid_scale: float) -> np.ndarray:
+    """Uniform tau grid, in 1/w0, of the inner emission transform: +/- 12
+    pulse widths, resolving photon frequencies up to qmax carriers.
+
+    ghat is the spectral width over the transition frequency. A grid of
+    more than MAX_TAU_POINTS points raises GridRangeError.
+    """
+    tau_span = 12.0 / ghat                   # 12 pulse widths, in 1/w0
+    dt = 2.0 * np.pi / (5.0 * (qmax + 1.0)) / max(grid_scale, 0.05)
+    count = 2.0 * tau_span / dt
+    if not count <= MAX_TAU_POINTS:
+        raise GridRangeError(
+            f"emission tau grid needs {count:.3g} points, above the limit of "
+            f"{MAX_TAU_POINTS}, at spectral width / transition frequency "
+            f"= {ghat:.3g}")
+    return np.linspace(-tau_span, tau_span, int(count) | 1)
 
 
 def f_integral(
@@ -291,20 +361,14 @@ def f_integral(
     is cut off where its integrand falls below 1e-12 of the peak, and the
     cutoff is certified by doubling. Calls that share `matrices` reuse
     the inner transform's cos/sin matrices; the value does not depend on
-    it.
+    it. A tau grid of more than MAX_TAU_POINTS raises GridRangeError.
     """
     w0 = tls.transition_frequency
     # dimensionless time/frequency in carrier units
     ghat = 1.0 / (w0 * pulse_width)          # spectral width over carrier
-    tau_span = 12.0 / ghat                   # 12 pulse widths, in 1/w0
-
-    # the certified cutoff lands at 14 ghat for spectra wider than a few
-    # carriers; 2.5 times that leaves the doubling check inside the band
-    qmax = max(35.0 * ghat, 10.0)
+    qmax = _inner_band(ghat)
     for _attempt in range(4):
-        dt = 2.0 * np.pi / (5.0 * (qmax + 1.0)) / max(grid_scale, 0.05)
-        n = int(2.0 * tau_span / dt) | 1
-        taus = np.linspace(-tau_span, tau_span, n)
+        taus = _tau_grid(ghat, qmax, grid_scale)
         chi_vals = np.asarray(chi_fn(taus / w0), dtype=float)
         peak = float(np.max(np.abs(chi_vals)))
         if peak == 0.0:
@@ -363,13 +427,20 @@ def excitation_probability(
     spectrum: PulseSpectrum,
     rho: float,
     grid_scale: float = 1.0,
+    synthesis: PulseAreaSynthesis | None = None,
 ) -> ExcitationResult:
-    """p_e(rho) = f(rho) * 2 N Gamma0 / (pi w0^3) with validity flags."""
+    """p_e(rho) = f(rho) * 2 N Gamma0 / (pi w0^3) with validity flags.
+
+    eta and p_e share `synthesis` (built from these inputs), or one built
+    here when it is not given.
+    """
     train.validate_against(spectrum, tls)
-    eta_val = eta(geometry, spectrum, train.pulse_energy, tls, grid_scale)
+    if synthesis is None:
+        synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy,
+                                       tls, grid_scale)
+    eta_val = eta(geometry, spectrum, train.pulse_energy, tls, grid_scale,
+                  synthesis)
     flags = validity_flags(train, tls, geometry, spectrum, eta_val)
-    synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls,
-                                   grid_scale)
     p_e, f_val = synthesis.probability(train, rho)
     return ExcitationResult(p_e, eta_val, f_val, flags)
 
@@ -396,17 +467,21 @@ def excitation_resolution_curve(
     rho_max: float | None = None,
     n_points: int = 33,
     grid_scale: float = 1.0,
+    synthesis: PulseAreaSynthesis | None = None,
 ) -> RadialCurve:
     """Sampled excitation-resolution curve with a bisectable evaluator.
 
     The samples and the evaluator share one PulseAreaSynthesis, held by
-    the evaluator; eta and the flags are not computed. The train is not
-    checked either: N and T cancel in the ratio.
+    the evaluator: `synthesis` (built from these inputs, whose p_e(0) it
+    may already hold) or one built here. eta and the flags are not
+    computed. The train is not checked either: N and T cancel in the
+    ratio.
     """
     if rho_max is None:
         rho_max = spectrum.mean_wavelength / geometry.numerical_aperture
-    synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls,
-                                   grid_scale)
+    if synthesis is None:
+        synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy,
+                                       tls, grid_scale)
     return resolution_curve(
         lambda radii: [synthesis.probability(train, float(r))[0] for r in radii],
         rho_max, n_points)

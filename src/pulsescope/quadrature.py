@@ -22,6 +22,9 @@ from .errors import NumericalConvergenceError
 
 # bound on the elements of one kernel-matrix block
 CHUNK_ELEMENTS = 4_000_000
+# bound on the block bytes one CosSinMatrices store keeps (the reference
+# scenario's store holds about 60 MB)
+STORE_BYTES = 256 * 2**20
 
 
 def refine_until_converged(
@@ -107,20 +110,28 @@ def trapezoid_weights(x: np.ndarray) -> np.ndarray:
 class CosSinMatrices:
     """cos and sin blocks of outer(y, x), kept per (x-grid, y-grid) pair.
 
-    Pass one store to every transform of one computation (one excitation
-    curve) so repeated grids build their matrices once; the store holds
-    them until it is dropped. Grids are matched by their exact bytes.
+    One store belongs to one pulse-area synthesis. The scan of chi(0, tau)
+    in `eta`, p_e(0) and every radius of the excitation curve pass it to
+    their transforms, as do the eta and p_e of one oracle row, so a
+    repeated grid builds its matrices once. The store holds them until
+    it is dropped. Grids are matched by their exact bytes. A block that
+    would take the held bytes past STORE_BYTES is built, returned and not
+    kept, so every caller of a full store rebuilds it.
     """
 
     def __init__(self):
         self._blocks = {}
+        self.nbytes = 0
 
     def block(self, x, y, i0, trig):
         """trig(outer(y[i0:i0 + chunk], x)) for one chunk of y."""
         key = (x.tobytes(), y.tobytes(), i0, trig.__name__)
         m = self._blocks.get(key)
         if m is None:
-            m = self._blocks[key] = _trig_block(x, y, i0, trig)
+            m = _trig_block(x, y, i0, trig)
+            if self.nbytes + m.nbytes <= STORE_BYTES:
+                self._blocks[key] = m
+                self.nbytes += m.nbytes
         return m
 
 

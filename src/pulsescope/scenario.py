@@ -108,19 +108,35 @@ def excite(cfg: ScenarioConfig) -> str:
     return f"p_e(0) = {result.p_e!r}, eta = {result.eta!r}, R = {rate!r} Hz"
 
 
+def _focal_excitation(physics, grid_scale: float, n_points: int):
+    """(excitation at the focus, excitation-resolution curve or None if
+    there are no pulses) of the built physics objects, from one
+    PulseAreaSynthesis: it computes eta and p_e(0) once and is freed with
+    the curve."""
+    spectrum, geometry, tls, train = physics
+    synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls,
+                                   grid_scale)
+    result = excitation_probability(train, tls, geometry, spectrum, 0.0,
+                                    grid_scale, synthesis)
+    curve = None
+    if train.pulse_count > 0:
+        curve = excitation_resolution_curve(
+            train, tls, geometry, spectrum, n_points=n_points,
+            grid_scale=grid_scale, synthesis=synthesis)
+    return result, curve
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     """Compute eta, p_e(0), R, both spot sizes; write curves and report."""
-    spectrum, geometry, tls, train = cfg.build()
-    gs = cfg.grid_scale
+    physics = cfg.build()
+    spectrum, geometry, tls, train = physics
 
     spot_i, name_i = _intensity_spot(cfg, spectrum, geometry)
     files = {"intensity_resolution": name_i}
 
-    result = excitation_probability(train, tls, geometry, spectrum, 0.0, gs)
+    result, curve_e = _focal_excitation(physics, cfg.grid_scale, n_points=33)
     spot_e = None
-    if train.pulse_count > 0:
-        curve_e = excitation_resolution_curve(train, tls, geometry, spectrum,
-                                              grid_scale=gs)
+    if curve_e is not None:
         spot_e = spot_size(curve_e)
         files["excitation_resolution"] = _write(
             cfg, "excitation_resolution.csv", curve_e.to_csv())
@@ -209,14 +225,12 @@ def scan(cfg: ScenarioConfig, parameter: str, values) -> str:
     configs = [(value, _apply_parameter(cfg, parameter, value)) for value in values]
     rows = []
     for value, sub in configs:
-        spectrum, geometry, tls, train = sub.build()
-        result = excitation_probability(train, tls, geometry, spectrum, 0.0,
-                                        sub.grid_scale)
-        eta_val, p_e0, spot_e = result.eta, result.p_e, float("nan")
-        if train.pulse_count > 0:
-            curve_e = excitation_resolution_curve(
-                train, tls, geometry, spectrum, n_points=17, grid_scale=sub.grid_scale)
-            spot_e = spot_size(curve_e)
+        physics = sub.build()
+        _, _, tls, train = physics
+        result, curve_e = _focal_excitation(physics, sub.grid_scale, n_points=17)
+        eta_val, p_e0 = result.eta, result.p_e
+        spot_e = float("nan") if curve_e is None else spot_size(curve_e)
+        del curve_e  # frees this row's store before the next row builds one
         rate = imaging_rate(train, tls, p_e0)
         rows.append(
             f"{parameter},{float(value)!r},{float(eta_val)!r},{float(p_e0)!r},"
@@ -230,9 +244,11 @@ def _oracle_single(cfg: ScenarioConfig, width_ratio: float, eta_target: float,
     spectrum = make_gaussian_spectrum(w0, width_ratio * w0)
     _, base, tls, _ = cfg.build()
     # pulse energy that realizes the requested focal area; eta ~ sqrt(U)
-    # exactly, so this one eta call also gives the row's eta
+    # exactly, so this one eta call also gives the row's eta, and the p_e
+    # synthesis at that energy shares the eta synthesis' store
     u_ref = cfg.pulse_energy_J
-    eta_ref = eta(base, spectrum, u_ref, tls, cfg.grid_scale)
+    reference = PulseAreaSynthesis(base, spectrum, u_ref, tls, cfg.grid_scale)
+    eta_ref = eta(base, spectrum, u_ref, tls, cfg.grid_scale, reference)
     u = u_ref * (eta_target / eta_ref) ** 2
     # resonant period with T * Gamma >= 10
     m = int(np.ceil(10.0 * w0 / (2.0 * np.pi * spectrum.spectral_width))) + 1
@@ -240,8 +256,7 @@ def _oracle_single(cfg: ScenarioConfig, width_ratio: float, eta_target: float,
     train = PulseTrainConfig(n_pulses, period, u)
     train.validate_against(spectrum, tls)
     eta_row = eta_ref * np.sqrt(u / u_ref)
-    synthesis = PulseAreaSynthesis(base, spectrum, u, tls, cfg.grid_scale)
-    p_an, _ = synthesis.probability(train, 0.0)
+    p_an, _ = reference.at_energy(u).probability(train, 0.0)
 
     t_rephase = base.reference_sphere_radius / C_LIGHT
     d_over_hbar = tls.dipole_magnitude / HBAR

@@ -29,6 +29,9 @@ from .quadrature import refine_until_converged
 # Gaussian tails beyond carrier + 12 widths are below 1e-30 of the peak,
 # so the positive-frequency support is truncated there.
 TAIL_WIDTHS = 12.0
+# widths up to this keep the 4 G^2 of the Gaussian exponent finite
+# (just below sqrt(float max / 4) = 6.7039e153)
+MAX_GAUSSIAN_WIDTH = 6.7e153
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,10 @@ def make_spectrum(shape: Callable, carrier: float, width: float,
 
 def make_gaussian_spectrum(carrier: float, width: float) -> PulseSpectrum:
     """Antisymmetrized Gaussian spectrum phi = i N [l(w) - l(-w)]."""
+    if width > MAX_GAUSSIAN_WIDTH:
+        raise InvalidParameterError(
+            f"spectral width {width!r} rad/s overflows: the Gaussian "
+            "exponent squares it past the floating-point range")
     return make_spectrum(_gaussian_shape(carrier, width), carrier, width)
 
 

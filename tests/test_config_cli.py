@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import warnings
 from dataclasses import replace
 
@@ -402,3 +403,132 @@ def test_huge_pulse_period_excites_without_traceback(tmp_path):
                      "excite"]) == 0
     rec = json.loads((tmp_path / "o" / "excitation.json").read_text())
     assert rec["flags"]["resonant_train"] is False
+
+
+def _watch_blocks(monkeypatch):
+    """(x, y, i0, kernel) of every cos/sin block built from now on."""
+    built = []
+    real_block = quadrature._trig_block
+
+    def counted(x, y, i0, kernel):
+        built.append((x.tobytes(), y.tobytes(), i0, kernel.__name__))
+        return real_block(x, y, i0, kernel)
+
+    monkeypatch.setattr(quadrature, "_trig_block", counted)
+    return built
+
+
+def test_run_scenario_builds_each_block_once(tmp_path, monkeypatch):
+    # eta, p_e(0) and the excitation curve share one synthesis and store
+    built = _watch_blocks(monkeypatch)
+    run_scenario(loads_config("grid_scale = 0.3\noutput_dir = "
+                              + str(tmp_path) + "\n"))
+    assert built and len(set(built)) == len(built)
+
+
+def test_oracle_row_builds_one_chi_block(tmp_path, monkeypatch):
+    # eta scans chi(0, tau) on f_integral's first tau grid, and the row's
+    # p_e synthesis shares the store of its eta synthesis
+    cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
+    _, geometry, tls, _ = cfg.build()
+    w0 = cfg.transition_frequency_rad_per_s
+    spectrum = ps.make_gaussian_spectrum(w0, 10.0 * w0)
+    frequencies = excitation.PulseAreaSynthesis(
+        geometry, spectrum, cfg.pulse_energy_J, tls, cfg.grid_scale).frequencies
+    built = _watch_blocks(monkeypatch)
+    oracle_compare(cfg, [(10.0, 0.05)])
+    # the 9-point zoom grids of eta are left out
+    chi_blocks = [b for b in built if b[0] == frequencies.tobytes()
+                  and b[3] == "sin" and np.frombuffer(b[1]).size > 9]
+    assert len(chi_blocks) == 1
+
+
+def test_run_scenario_computes_focal_f_once(tmp_path, monkeypatch):
+    radii = []
+    real_chi = excitation.PulseAreaSynthesis.chi
+    real_f = excitation.f_integral
+
+    def tagged(self, rho, *args, **kwargs):
+        chi = real_chi(self, rho, *args, **kwargs)
+        chi.rho = rho
+        return chi
+
+    def counted(tls, chi_fn, *args, **kwargs):
+        radii.append(chi_fn.rho)
+        return real_f(tls, chi_fn, *args, **kwargs)
+
+    monkeypatch.setattr(excitation.PulseAreaSynthesis, "chi", tagged)
+    monkeypatch.setattr(excitation, "f_integral", counted)
+    run_scenario(loads_config("grid_scale = 0.3\noutput_dir = "
+                              + str(tmp_path) + "\n"))
+    assert radii.count(0.0) == 1 and len(radii) > 1
+
+
+def test_store_budget_bounds_the_store_not_the_numbers(tmp_path, monkeypatch):
+    text = "grid_scale = 0.3\noutput_dir = " + str(tmp_path / "{}") + "\n"
+    unbounded = run_scenario(loads_config(text.format("free")))
+    held = []
+    real_block = quadrature.CosSinMatrices.block
+
+    def watched(self, *args):
+        m = real_block(self, *args)
+        held.append(sum(b.nbytes for b in self._blocks.values()))
+        return m
+
+    monkeypatch.setattr(quadrature, "STORE_BYTES", 2**20)
+    monkeypatch.setattr(quadrature.CosSinMatrices, "block", watched)
+    bounded = run_scenario(loads_config(text.format("bounded")))
+    assert 0 < max(held) <= 2**20
+    assert bounded == unbounded
+    for name in unbounded.curve_files.values():
+        assert ((tmp_path / "bounded" / name).read_bytes()
+                == (tmp_path / "free" / name).read_bytes())
+
+
+@pytest.mark.parametrize("width_ratio", [0.3, 10.0, 30.0])
+def test_shared_grid_eta_matches_a_bounded_scalar_maximum(width_ratio):
+    # the reference of test_excitation's bounded-scalar eta test, against
+    # eta through a synthesis that p_e then reuses
+    from scipy.optimize import minimize_scalar
+
+    _, geometry, tls, train = ps.ScenarioConfig().build()
+    w0 = tls.transition_frequency
+    spectrum = ps.make_gaussian_spectrum(w0, width_ratio * w0)
+    synthesis = excitation.PulseAreaSynthesis(geometry, spectrum,
+                                              train.pulse_energy, tls, 0.3)
+    chi = synthesis.chi(0.0, stored=False)
+    half = 8.0 / spectrum.spectral_width
+    taus = np.linspace(-half, half, 4001)
+    i = int(np.argmax(np.abs(chi(taus))))
+    res = minimize_scalar(lambda s: -abs(chi(s)), bounds=(taus[i - 1], taus[i + 1]),
+                          method="bounded", options={"xatol": 1e-9 * half})
+    got = ps.eta(geometry, spectrum, train.pulse_energy, tls, 0.3, synthesis)
+    np.testing.assert_allclose(got, -res.fun, rtol=1e-12)
+
+
+@pytest.mark.parametrize("w0, code, message", [
+    ("1e30", 3, "emission tau grid needs .* points"),
+    ("1e100", 3, "emission tau grid needs .* points"),
+    ("1e300", 2, "transition frequency 1e\\+300 rad/s is out of floating-point"),
+])
+def test_huge_transition_frequency_is_a_typed_error(tmp_path, capsys, w0, code,
+                                                    message):
+    cfg = tmp_path / "w0.cfg"
+    cfg.write_text(f"transition_frequency_rad_per_s = {w0}\ngrid_scale = 0.3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "excite"]) == code
+    err = capsys.readouterr().err
+    assert re.search(message, err)
+    if code == 3:
+        assert "spectral width / transition frequency" in err
+
+
+def test_overflowing_spectral_width_names_it(tmp_path, capsys):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("spectral_width_rad_per_s = 1e300\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "spectrum"]) == 2
+    assert re.search("spectral width 1e\\+300 rad/s overflows",
+                     capsys.readouterr().err)
