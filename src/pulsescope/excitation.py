@@ -61,6 +61,7 @@ from .quadrature import (
     certified_tail_cutoff,
     cos_sin_transform,
     oscillatory_cos_sin,
+    symmetric_grid,
     trapezoid_weights,
 )
 from .spectra import PulseSpectrum
@@ -252,6 +253,10 @@ class PulseAreaSynthesis:
             f_val * 2.0 * train.pulse_count * tls.spontaneous_rate
             / (np.pi * tls.transition_frequency**3)
         )
+        if not np.isfinite(p_e):
+            raise InvalidParameterError(
+                f"transition frequency {tls.transition_frequency!r} rad/s is "
+                f"out of floating-point range: p_e = {p_e!r}")
         if p_e > 1.0:
             raise RegimeViolationError(
                 f"p_e = {p_e:.3g} > 1: inputs are outside perturbative validity"
@@ -332,8 +337,12 @@ def _tau_grid(ghat: float, qmax: float, grid_scale: float) -> np.ndarray:
     """Uniform tau grid, in 1/w0, of the inner emission transform: +/- 12
     pulse widths, resolving photon frequencies up to qmax carriers.
 
-    ghat is the spectral width over the transition frequency. A grid of
-    more than MAX_TAU_POINTS points raises GridRangeError.
+    The grid is bit-exactly odd about 0 (`symmetric_grid`), so chi, odd
+    in tau, is synthesised on its half tau >= 0, and the emission
+    kernel sin(tau) chi^2, odd too, is summed over that half with sin
+    blocks only. ghat is the spectral width over the transition
+    frequency. A grid of more than MAX_TAU_POINTS points raises
+    GridRangeError.
     """
     tau_span = 12.0 / ghat                   # 12 pulse widths, in 1/w0
     dt = 2.0 * np.pi / (5.0 * (qmax + 1.0)) / max(grid_scale, 0.05)
@@ -343,7 +352,7 @@ def _tau_grid(ghat: float, qmax: float, grid_scale: float) -> np.ndarray:
             f"emission tau grid needs {count:.3g} points, above the limit of "
             f"{MAX_TAU_POINTS}, at spectral width / transition frequency "
             f"= {ghat:.3g}")
-    return np.linspace(-tau_span, tau_span, int(count) | 1)
+    return symmetric_grid(tau_span, int(count) | 1)
 
 
 def f_integral(

@@ -227,7 +227,6 @@ def focal_intensity_rephased(
     scale = geometry.numerical_aperture * w / C_LIGHT
     g = spectrum.value(w) * scale * trapezoid_weights(w)
     halves = np.stack([g.real, g.imag], axis=1)
-    halves = halves[:, halves.any(axis=0)]
     amp = kernel_transform(scale, rhos, [(j1_over_x, halves)])
     out = np.sum(amp**2, axis=1)
     return out if np.ndim(rho) else float(out[0])

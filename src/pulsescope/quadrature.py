@@ -23,7 +23,7 @@ from .errors import NumericalConvergenceError
 # bound on the elements of one kernel-matrix block
 CHUNK_ELEMENTS = 4_000_000
 # bound on the block bytes one CosSinMatrices store keeps (the reference
-# scenario's store holds about 60 MB)
+# scenario's store holds about 17 MB)
 STORE_BYTES = 256 * 2**20
 
 
@@ -37,21 +37,30 @@ def refine_until_converged(
     """Evaluate(n) on doubling grids until successive results agree.
 
     evaluate(n) must compute the quantity on an n-point grid. Returns the
-    last value; raises NumericalConvergenceError if the relative change
-    never drops below rtol.
+    last value; raises NumericalConvergenceError at the first non-finite
+    value, which no refinement can mend, or if the relative change never
+    drops below rtol.
     """
-    prev = evaluate(n_start)
+    def finite(n: int) -> float:
+        value = evaluate(n)
+        if not np.isfinite(value):
+            raise NumericalConvergenceError(
+                f"{what} is not finite", n=n, value=float(value))
+        return value
+
+    prev = finite(n_start)
     n = n_start
     for _ in range(max_doublings):
         n = 2 * n - 1
-        cur = evaluate(n)
+        cur = finite(n)
         scale = max(abs(cur), abs(prev), 1e-300)
         if abs(cur - prev) <= rtol * scale:
             return cur
+        change = float(abs(cur - prev) / scale)
         prev = cur
     raise NumericalConvergenceError(
         f"{what} did not converge under grid refinement",
-        rtol=rtol, n_final=n, last_change=abs(cur - prev) / scale,
+        rtol=rtol, n_final=n, last_change=change,
     )
 
 
@@ -114,9 +123,12 @@ class CosSinMatrices:
     in `eta`, p_e(0) and every radius of the excitation curve pass it to
     their transforms, as do the eta and p_e of one oracle row, so a
     repeated grid builds its matrices once. The store holds them until
-    it is dropped. Grids are matched by their exact bytes. A block that
-    would take the held bytes past STORE_BYTES is built, returned and not
-    kept, so every caller of a full store rebuilds it.
+    it is dropped. Grids are matched by their exact bytes; a grid that
+    `kernel_transform` folds is kept as its half >= 0, so the tau grid of
+    chi and of the emission integral holds sin blocks over tau >= 0
+    only. A block that would take the held bytes past STORE_BYTES is
+    built, returned and not kept, so every caller of a full store
+    rebuilds it.
     """
 
     def __init__(self):
@@ -154,21 +166,87 @@ def kernel_transform(x, y, terms, matrices: CosSinMatrices | None = None):
     applied: a vector, or a matrix with one column per right-hand side,
     which then share each block of K. Computed as real matrix products
     over blocks of K(outer(y, x)) of at most CHUNK_ELEMENTS; an all-zero
-    c is skipped with its matrix. Blocks come from `matrices` when given
-    and are built and dropped otherwise; the sums are the same either way.
+    c, or column of c, is skipped with its product. Blocks come from
+    `matrices` when given and are built and dropped otherwise; the sums
+    are the same either way.
+
+    When every K is cos or sin, a grid that is bit-exactly odd about 0
+    (`symmetric_grid`) is folded onto its half >= 0. On x the
+    coefficients fold, c(x) + c(-x) for cos and c(x) - c(-x) for sin,
+    with a centre point counted once; an odd c then leaves the cos
+    block unbuilt. On y the sums are computed for y >= 0 and mirrored,
+    cos as even and sin as odd, which gives the bits of computing the
+    negative half directly. Every other kernel or grid is summed as is.
     """
     x = np.asarray(x, dtype=float)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
-    terms = [(kernel, np.ascontiguousarray(c, dtype=float)) for kernel, c in terms]
+    terms = [(kernel, np.ascontiguousarray(c, dtype=float), _PARITY.get(kernel))
+             for kernel, c in terms]
+    folds = all(parity is not None for _, _, parity in terms)
+    if folds and _mirrored(x):
+        x = x[x.size // 2:]
+        terms = [(kernel, _fold(c, parity), parity) for kernel, c, parity in terms]
+    if folds and _mirrored(ys):
+        half = ys.size // 2
+        upper, lower = _blocked_sums(x, ys[half:], terms, matrices, mirror=True)
+        out = np.concatenate([lower[::-1][:half], upper])
+    else:
+        out = _blocked_sums(x, ys, terms, matrices)[0]
+    return out if np.ndim(y) else out[0]
+
+
+# parity of each kernel that kernel_transform folds
+_PARITY = {np.cos: 1.0, np.sin: -1.0}
+
+
+def _mirrored(v: np.ndarray) -> bool:
+    return np.array_equal(v, -v[::-1])
+
+
+def _fold(c: np.ndarray, parity: float) -> np.ndarray:
+    """c on a mirrored grid moved onto its half >= 0: c(x) + parity c(-x),
+    with the centre point of an odd-length grid counted once."""
+    half = c.shape[0] // 2
+    folded = c[half:] + parity * c[::-1][half:]
+    if c.shape[0] % 2:
+        folded[0] = c[half] if parity > 0 else 0.0
+    return folded
+
+
+def _blocked_sums(x, ys, terms, matrices, mirror=False):
+    """(sum over (K, c, parity) terms of K(outer(ys, x)) @ c, and with
+    mirror the same sum at -ys from the same blocks, else None)."""
     out = np.zeros(ys.shape + terms[0][1].shape[1:])
-    terms = [(kernel, c) for kernel, c in terms if c.any()]
+    neg = np.zeros_like(out) if mirror else None
+    live = []
+    for kernel, c, parity in terms:
+        nonzero = c.any(axis=0)
+        if not np.any(nonzero):
+            continue
+        cols = None
+        if not np.all(nonzero):
+            cols = np.flatnonzero(nonzero)
+            c = np.ascontiguousarray(c[:, cols])
+        live.append((kernel, c, cols, parity))
     chunk = _chunk(x)
     for i0 in range(0, ys.size, chunk):
-        for kernel, c in terms:
+        rows = slice(i0, i0 + chunk)
+        for kernel, c, cols, parity in live:
             m = (_trig_block(x, ys, i0, kernel) if matrices is None
                  else matrices.block(x, ys, i0, kernel))
-            out[i0:i0 + chunk] += m @ c
-    return out if np.ndim(y) else out[0]
+            part = m @ c
+            at = rows if cols is None else (rows, cols)
+            out[at] += part
+            if neg is not None:
+                neg[at] += parity * part
+    return out, neg
+
+
+def symmetric_grid(span: float, n: int) -> np.ndarray:
+    """np.linspace(-span, span, n >= 2), with its step, built bit-exactly
+    odd about 0 (t == -t[::-1]) by mirroring its half >= 0."""
+    upper = np.linspace(0.0 if n % 2 else span / (n - 1), span, (n + 1) // 2)
+    return np.concatenate([-upper[::-1][:n // 2], upper])
 
 
 def cos_sin_transform(x, y, a, b, matrices: CosSinMatrices | None = None):

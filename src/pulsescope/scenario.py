@@ -221,11 +221,12 @@ def scan(cfg: ScenarioConfig, parameter: str, values) -> str:
         raise ConfigError(
             f"unknown scan parameter {parameter!r}; choose from {SCAN_PARAMETERS}")
     header = "parameter,value,eta,p_e_focal,imaging_rate_hz,spot_excitation_m\n"
-    # every row's config is checked before the first row runs
+    # every row's config is checked and its physics built before the
+    # first row runs
     configs = [(value, _apply_parameter(cfg, parameter, value)) for value in values]
+    built = [(value, sub, sub.build()) for value, sub in configs]
     rows = []
-    for value, sub in configs:
-        physics = sub.build()
+    for value, sub, physics in built:
         _, _, tls, train = physics
         result, curve_e = _focal_excitation(physics, sub.grid_scale, n_points=17)
         eta_val, p_e0 = result.eta, result.p_e

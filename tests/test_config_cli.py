@@ -355,6 +355,7 @@ def test_repeated_scenario_repeats_its_work(tmp_path, monkeypatch):
     (["scan", "A", "inf"], "scan A"),
     (["oracle", "10", "-0.05"], "oracle eta target"),
     (["oracle", "nan", "0.05"], "oracle width ratio"),
+    (["scan", "Gamma", "1e16", "1e300"], "spectral width"),
 ])
 def test_invalid_value_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
                                                argv, named):
@@ -424,6 +425,34 @@ def test_run_scenario_builds_each_block_once(tmp_path, monkeypatch):
     run_scenario(loads_config("grid_scale = 0.3\noutput_dir = "
                               + str(tmp_path) + "\n"))
     assert built and len(set(built)) == len(built)
+
+
+def test_run_scenario_builds_tau_blocks_on_half_grids(tmp_path, monkeypatch):
+    # chi and the emission kernel are odd in tau, so every block over a
+    # tau grid covers tau >= 0 only, and none is a cos block
+    grids = []
+    real_grid = excitation._tau_grid
+
+    def recorded(*args):
+        taus = real_grid(*args)
+        grids.append(taus)
+        return taus
+
+    monkeypatch.setattr(excitation, "_tau_grid", recorded)
+    built = _watch_blocks(monkeypatch)
+    cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
+    run_scenario(cfg)
+    w0 = cfg.transition_frequency_rad_per_s
+    on_grid = np.concatenate(grids + [g / w0 for g in grids])
+    axes = []
+    for x, y, _, kernel in built:
+        for axis, grid in (("x", x), ("y", y)):
+            values = np.frombuffer(grid)
+            if values.size > 9 and np.isin(values, on_grid).all():
+                axes.append(axis)
+                assert kernel == "sin" and values.min() >= 0.0
+    # the emission transform sums over tau, chi is evaluated at tau
+    assert {"x", "y"} <= set(axes)
 
 
 def test_oracle_row_builds_one_chi_block(tmp_path, monkeypatch):
@@ -523,6 +552,46 @@ def test_huge_transition_frequency_is_a_typed_error(tmp_path, capsys, w0, code,
     assert re.search(message, err)
     if code == 3:
         assert "spectral width / transition frequency" in err
+
+
+@pytest.mark.parametrize("width", ["1e-300", "1e150"])
+def test_non_finite_spectrum_moment_stops_refinement(tmp_path, capsys,
+                                                     monkeypatch, width):
+    evaluated = []
+    real_refine = quadrature.refine_until_converged
+
+    def counted(evaluate, *args, **kwargs):
+        def tally(n):
+            evaluated.append(n)
+            return evaluate(n)
+        return real_refine(tally, *args, **kwargs)
+
+    monkeypatch.setattr("pulsescope.spectra.refine_until_converged", counted)
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text(f"spectral_width_rad_per_s = {width}\ngrid_scale = 0.3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "excite"]) == 2
+    assert "is not finite" in capsys.readouterr().err
+    # a converged normalization takes two grids, the moment stops at one
+    assert 0 < len(evaluated) <= 3 and max(evaluated) <= 4001
+
+
+@pytest.mark.parametrize("key, value, code, message", [
+    ("transition_frequency_rad_per_s", "1e-30", 2,
+     "transition frequency 1e-30 rad/s is out of floating-point range"),
+    ("pulse_energy_J", "4e-6", 4, "regime violation: p_e = .* > 1"),
+])
+def test_non_finite_probability_is_a_range_error(tmp_path, capsys, key, value,
+                                                 code, message):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(f"{key} = {value}\ngrid_scale = 0.3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "excite"]) == code
+    assert re.search(message, capsys.readouterr().err)
 
 
 def test_overflowing_spectral_width_names_it(tmp_path, capsys):

@@ -83,6 +83,23 @@ def test_chi_is_odd_about_rephasing_time(scenario):
     np.testing.assert_allclose(chi(-taus), -chi(taus), rtol=1e-9)
 
 
+@pytest.mark.parametrize("width_ratio", [0.3, 10.0, 30.0])
+def test_tau_grid_is_mirrored_and_chi_exactly_odd_on_it(scenario, width_ratio):
+    _, _, geometry, tls, train = scenario
+    w0 = tls.transition_frequency
+    spectrum = ps.make_gaussian_spectrum(w0, width_ratio * w0)
+    for grid_scale in (0.3, 1.0, 2.0):
+        taus = excitation._tau_grid(width_ratio,
+                                    excitation._inner_band(width_ratio),
+                                    grid_scale)
+        assert np.array_equal(taus, -taus[::-1])
+        synthesis = excitation.PulseAreaSynthesis(
+            geometry, spectrum, train.pulse_energy, tls, grid_scale)
+        for rho in (0.0, 5e-8):
+            chi = synthesis.chi(rho)(taus / w0)
+            assert np.array_equal(chi, -chi[::-1]) and np.any(chi)
+
+
 def test_chi_matches_cumulative_field_integral(scenario):
     # independent route: cumulative trapezoid of the synthesized field
     _, spectrum, geometry, tls, train = scenario

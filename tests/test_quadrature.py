@@ -19,12 +19,16 @@ from pulsescope.bessel import j1_over_x
 from pulsescope.constants import FIELD_CALIBRATION
 from pulsescope.excitation import PulseAreaSynthesis, _chi_evaluator
 from pulsescope.focal import _synthesis_grid
+from pulsescope.errors import NumericalConvergenceError
 from pulsescope.quadrature import (
     CosSinMatrices,
     _filon_weights,
     cos_sin_transform,
     filon_transform,
+    kernel_transform,
     oscillatory_cos_sin,
+    refine_until_converged,
+    symmetric_grid,
     trapezoid_weights,
 )
 
@@ -221,3 +225,108 @@ def test_focal_intensity_matches_trapezoid_loop(scenario, monkeypatch):
         scalar = ps.focal_intensity_rephased(geometry, s, float(rhos[5]))
         assert isinstance(scalar, float)
         assert abs(scalar - ref[5]) <= TOL * np.max(ref)
+
+
+def reference_cos_sin(x, y, a, b):
+    """sum_j a_j cos(y_k x_j) + b_j sin(y_k x_j) as the real part of a
+    complex-exp sum, for vector or matrix a and b."""
+    phase = np.exp(1j * np.outer(y, x))
+    return (phase @ (a - 1j * b)).real
+
+
+def _coefficient_sets(x):
+    """(a, b) pairs on x: odd, even and mixed vectors, and two-column
+    matrices (real and imaginary part of a complex coefficient, one
+    column all zero for a real one)."""
+    odd = np.sin(3.0 * x) * np.exp(-x**2)
+    even = np.cos(2.0 * x) * np.exp(-x**2)
+    cplx = (odd + 0.4j * even) * np.exp(0.7j * x)
+    real_pair = np.stack([odd, np.zeros_like(x)], axis=1)
+    cplx_pair = np.stack([cplx.real, cplx.imag], axis=1)
+    return [(odd, odd), (even, odd), (odd + even, even),
+            (real_pair, real_pair[:, ::-1]), (cplx_pair, -cplx_pair[:, ::-1])]
+
+
+def _watch_grids(monkeypatch):
+    """(kernel name, x, y) of every block built from now on."""
+    built = []
+    real_block = quadrature._trig_block
+
+    def counted(x, y, i0, kernel):
+        built.append((kernel.__name__, x, y))
+        return real_block(x, y, i0, kernel)
+
+    monkeypatch.setattr(quadrature, "_trig_block", counted)
+    return built
+
+
+@pytest.mark.parametrize("n", [353, 354])
+def test_kernel_transform_folds_a_symmetric_sum_axis(monkeypatch, n):
+    x = symmetric_grid(1.2, n)
+    y = np.linspace(0.0, 60.0, 257)
+    # several blocks per call, so the chunk seams are covered too
+    monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", 20 * n)
+    built = _watch_grids(monkeypatch)
+    for a, b in _coefficient_sets(x):
+        ref = reference_cos_sin(x, y, a, b)
+        for store in (None, CosSinMatrices()):
+            _close_to_peak(cos_sin_transform(x, y, a, b, store), ref)
+    # every block covers x >= 0 only, and an odd coefficient builds no cos
+    assert built and all(np.array_equal(bx, x[n // 2:]) for _, bx, _ in built)
+    built.clear()
+    odd = _coefficient_sets(x)[0][0]
+    cos_sin_transform(x, y, odd, odd)
+    assert {name for name, _, _ in built} == {"sin"}
+
+
+@pytest.mark.parametrize("n", [353, 354])
+def test_kernel_transform_mirrors_a_symmetric_output_axis(monkeypatch, n):
+    x = np.linspace(0.0, 3.0, 301)
+    y = symmetric_grid(40.0, n)
+    monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", 20 * x.size)
+    built = _watch_grids(monkeypatch)
+    for a, b in _coefficient_sets(x):
+        ref = reference_cos_sin(x, y, a, b)
+        for store in (None, CosSinMatrices()):
+            _close_to_peak(cos_sin_transform(x, y, a, b, store), ref)
+    assert built and all(np.min(by) >= 0.0 for _, _, by in built)
+
+
+@pytest.mark.parametrize("n", [353, 354])
+def test_mirrored_half_has_the_bits_of_a_direct_evaluation(monkeypatch, n):
+    x = np.linspace(0.0, 3.0, 301)
+    y = symmetric_grid(40.0, n)
+    half = n // 2
+    monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", 20 * x.size)
+    for a, b in _coefficient_sets(x):
+        folded = kernel_transform(x, y, [(np.cos, a), (np.sin, b)])
+        # minus the upper half y[half:], in its row order: a grid that is
+        # not mirrored, so it is summed directly
+        direct = kernel_transform(x, -y[half:], [(np.cos, a), (np.sin, b)])
+        assert np.array_equal(folded[:half], direct[::-1][:half])
+
+
+def test_symmetric_grid_is_linspace_mirrored():
+    for n in (2, 3, 10, 11, 4001):
+        t = symmetric_grid(2.5, n)
+        assert t.size == n and t[0] == -2.5 and t[-1] == 2.5
+        assert np.array_equal(t, -t[::-1])
+        np.testing.assert_allclose(t, np.linspace(-2.5, 2.5, n), rtol=0,
+                                   atol=np.spacing(2.5))
+
+
+def test_refinement_stops_at_the_first_non_finite_value():
+    for values in ([np.nan], [1.0, np.inf], [1.0, 2.0, np.nan]):
+        calls = []
+
+        def evaluate(n):
+            calls.append(n)
+            return values[len(calls) - 1]
+
+        with pytest.raises(NumericalConvergenceError, match="not finite"):
+            refine_until_converged(evaluate, 11, what="moment")
+        assert len(calls) == len(values)
+    with pytest.raises(NumericalConvergenceError,
+                       match=r"last_change=0\.4, n_final=") as err:
+        refine_until_converged(lambda n: float(n), 3, max_doublings=1)
+    assert type(err.value.diagnostics["last_change"]) is float
