@@ -59,7 +59,7 @@ from .quadrature import (
     CosSinMatrices,
     add_certified_tail,
     certified_tail_cutoff,
-    cos_sin_transform,
+    kernel_transform,
     oscillatory_cos_sin,
     symmetric_grid,
     trapezoid_weights,
@@ -71,6 +71,10 @@ WEAK_FIELD_MAX_ETA = 0.5
 UNITARITY_BUDGET = 0.1
 # bound on the points of the inner emission transform's tau grid
 MAX_TAU_POINTS = 1_000_000
+# radii whose f one f_integral call computes together; a block's arrays
+# grow with it (the reference run peaks about 1 MB higher at 8 than at 1,
+# and 4 MB at 33)
+RADII_PER_BLOCK = 8
 
 
 def dipole_from_spontaneous_rate(transition_frequency: float,
@@ -184,8 +188,11 @@ class PulseAreaSynthesis:
     The frequency grid, the trapezoid-weighted spectrum, the prefactor
     and the cos/sin matrices (`matrices`) do not depend on rho, so one
     instance serves a whole run: `eta` scans chi(0, tau) on the first tau
-    grid of `f_integral` through it, p_e(0) is computed once and kept,
-    and every radius of the excitation curve reuses the same matrices.
+    grid of `f_integral` through it, and f is computed once per radius
+    and kept, so `probability` at a radius already computed is a lookup.
+    The radii of an array (the excitation curve's samples) are computed
+    RADII_PER_BLOCK at a time, each block as the columns of one
+    `f_integral` call, so they share every chi and emission transform.
     `at_energy` gives the same synthesis at another pulse energy sharing
     this store. The matrices are freed with the last instance holding
     them.
@@ -201,8 +208,14 @@ class PulseAreaSynthesis:
                 * max(grid_scale, 0.05)) | 1
         self.frequencies = spectrum.frequency_grid(n)
         self.aperture = geometry.numerical_aperture
-        self.weighted_spectrum = (spectrum.value(self.frequencies)
-                                  * trapezoid_weights(self.frequencies))
+        weighted = (spectrum.value(self.frequencies)
+                    * trapezoid_weights(self.frequencies)
+                    * (self.aperture / C_LIGHT))
+        # the real and imaginary parts of the spectrum, each with its kernel
+        # (the built-in spectrum is purely imaginary, so chi needs sin only)
+        self._parts = [(kernel, np.ascontiguousarray(part)) for kernel, part
+                       in ((np.cos, weighted.real), (np.sin, weighted.imag))
+                       if part.any()] or [(np.sin, weighted.imag)]
         self.prefactor = self._prefactor(pulse_energy)
         self.matrices = CosSinMatrices()
         self._f_values = {}
@@ -221,47 +234,62 @@ class PulseAreaSynthesis:
         other._f_values = {}
         return other
 
-    def chi(self, rho: float, stored: bool = True) -> Callable:
-        """chi(rho, tau) as a function of tau (s, scalar or array); with
-        stored=False its transforms bypass the store (grids used once)."""
-        if rho < 0:
+    def chi(self, rho, stored: bool = True) -> Callable:
+        """chi(rho, tau) as a function of tau (s, scalar or array). For an
+        array of radii it returns one column per radius, all from one
+        transform; with stored=False its transforms bypass the store
+        (grids used once)."""
+        radii = np.atleast_1d(np.asarray(rho, dtype=float))
+        if np.any(radii < 0):
             raise InvalidParameterError(f"radial coordinate must be >= 0, got {rho}")
         w, a = self.frequencies, self.aperture
-        g = self.weighted_spectrum * (a / C_LIGHT) * j1_over_x(a * w * rho / C_LIGHT)
-        re, im = np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag)
+        terms = [(kernel, np.empty((w.size, radii.size)))
+                 for kernel, _ in self._parts]
+        for j, r in enumerate(radii):
+            airy = j1_over_x(a * w * r / C_LIGHT)
+            for (_, part), (_, c) in zip(self._parts, terms):
+                c[:, j] = part * airy
         matrices = self.matrices if stored else None
 
         def chi(tau):
-            out = cos_sin_transform(w, tau, re, im, matrices) * self.prefactor
-            return out if np.ndim(tau) else float(out)
+            out = kernel_transform(w, tau, terms, matrices) * self.prefactor
+            out = out.reshape(np.shape(tau) + np.shape(rho))
+            return out if out.ndim else float(out)
 
         return chi
 
-    def probability(self, train: PulseTrainConfig,
-                    rho: float) -> tuple[float, float]:
-        """(p_e, f) at one radius for a train of this synthesis' pulses;
-        f is computed once per radius."""
-        if train.pulse_count == 0:
-            return 0.0, 0.0
+    def probability(self, train: PulseTrainConfig, rho):
+        """(p_e, f) at one radius for a train of this synthesis' pulses, or
+        arrays of both over an array of radii. f is computed once per
+        radius; the radii not yet computed go to `f_integral` in blocks of
+        RADII_PER_BLOCK."""
+        radii = np.asarray(rho, dtype=float)
         tls = self.tls
-        f_val = self._f_values.get(rho)
-        if f_val is None:
-            f_val = self._f_values[rho] = f_integral(
-                tls, self.chi(rho), self.pulse_width, self.grid_scale,
-                self.matrices)
+        f_val = np.zeros(radii.shape)
+        if train.pulse_count > 0:
+            todo = [r for r in dict.fromkeys(radii.ravel().tolist())
+                    if r not in self._f_values]
+            for i in range(0, len(todo), RADII_PER_BLOCK):
+                block = todo[i:i + RADII_PER_BLOCK]
+                self._f_values.update(zip(block, np.atleast_1d(f_integral(
+                    tls, self.chi(np.array(block)), self.pulse_width,
+                    self.grid_scale, self.matrices))))
+            f_val = np.array([self._f_values[r] for r in radii.ravel().tolist()]
+                             ).reshape(radii.shape)
         p_e = (
             f_val * 2.0 * train.pulse_count * tls.spontaneous_rate
             / (np.pi * tls.transition_frequency**3)
         )
-        if not np.isfinite(p_e):
+        if not np.all(np.isfinite(p_e)):
             raise InvalidParameterError(
                 f"transition frequency {tls.transition_frequency!r} rad/s is "
-                f"out of floating-point range: p_e = {p_e!r}")
-        if p_e > 1.0:
+                f"out of floating-point range: "
+                f"p_e = {float(p_e[~np.isfinite(p_e)][0])!r}")
+        if np.any(p_e > 1.0):
             raise RegimeViolationError(
-                f"p_e = {p_e:.3g} > 1: inputs are outside perturbative validity"
+                f"p_e = {np.max(p_e):.3g} > 1: inputs are outside perturbative validity"
             )
-        return float(p_e), f_val
+        return (p_e, f_val) if radii.ndim else (float(p_e), float(f_val))
 
 
 def _chi_evaluator(
@@ -361,54 +389,94 @@ def f_integral(
     pulse_width: float,
     grid_scale: float = 1.0,
     matrices: CosSinMatrices | None = None,
-) -> float:
+):
     """Double integral of the emission kernel, in 1/s^2.
 
     chi_fn(tau) is the single-pulse area with tau from the pulse center in
-    seconds; it must have decayed at +/- 12 pulse widths. The inner
-    transform runs on a uniform grid; the outer photon-frequency integral
-    is cut off where its integrand falls below 1e-12 of the peak, and the
-    cutoff is certified by doubling. Calls that share `matrices` reuse
-    the inner transform's cos/sin matrices; the value does not depend on
-    it. A tau grid of more than MAX_TAU_POINTS raises GridRangeError.
+    seconds; it must have decayed at +/- 12 pulse widths. A chi_fn that
+    returns an (n_tau, k) matrix, one column per radius (as
+    `PulseAreaSynthesis.chi` of k radii does, from one transform), gives
+    the k values of f as an array: the columns share each emission
+    transform, and each column's value is the one it has alone (to
+    rounding, as the shared products sum in another order). A column of
+    zeros gives 0, and one that has not decayed raises
+    InvalidParameterError for the whole call.
+
+    The inner transform runs on a uniform grid; the outer photon-frequency
+    integral is cut off where its integrand falls below 1e-12 of the
+    peak, and the cutoff is certified by doubling; both per column. A
+    column whose doubled cutoff leaves the band its grid resolves is
+    recomputed on a finer grid of its own. Calls that share `matrices`
+    reuse the inner transform's cos/sin matrices; the value does not
+    depend on it. A tau grid of more than MAX_TAU_POINTS raises
+    GridRangeError.
     """
     w0 = tls.transition_frequency
     # dimensionless time/frequency in carrier units
     ghat = 1.0 / (w0 * pulse_width)          # spectral width over carrier
-    qmax = _inner_band(ghat)
+    values = None
+    bands = {_inner_band(ghat): slice(None)}  # resolved band -> its columns
     for _attempt in range(4):
-        taus = _tau_grid(ghat, qmax, grid_scale)
-        chi_vals = np.asarray(chi_fn(taus / w0), dtype=float)
-        peak = float(np.max(np.abs(chi_vals)))
-        if peak == 0.0:
-            return 0.0
-        edge = max(abs(chi_vals[0]), abs(chi_vals[-1]))
-        if edge > 1e-6 * peak:
-            raise InvalidParameterError(
-                "chi does not decay within 12 pulse widths "
-                f"(edge/max = {edge / peak:.2e})"
-            )
-        kernel = np.sin(taus) * chi_vals**2
-
-        def integrand(qhat):
-            inner = oscillatory_cos_sin(taus, kernel, np.asarray(qhat), matrices)
-            return np.asarray(qhat) ** 3 * np.abs(inner) ** 2
-
-        start = max(4.0 * ghat, 2.0)
-        step = max(2.0 * ghat, 1.0)
-        cutoff, value = certified_tail_cutoff(
-            integrand, start, step, rel_floor=1e-12,
-            what="photon-frequency integral",
-        )
-        if 2.0 * cutoff > qmax:
-            # doubling certification would leave the resolved band; re-grid
-            qmax = 2.5 * cutoff
-            continue
-        return float(add_certified_tail(integrand, cutoff, value, 1e-6,
-                                        "photon-frequency integral") * w0**2)
+        regrid = {}
+        for qmax, cols in bands.items():
+            taus = _tau_grid(ghat, qmax, grid_scale)
+            chi = np.asarray(chi_fn(taus / w0), dtype=float)
+            if values is None:
+                shape, values = chi.shape[1:], np.zeros(chi[0].size)
+                columns = np.arange(values.size)
+            f, need = _emission_integral(
+                taus, chi.reshape(taus.size, -1)[:, cols], ghat, qmax, matrices)
+            values[cols] = f * w0**2
+            for j, band in zip(columns[cols], need):
+                if band:
+                    regrid.setdefault(band, []).append(j)
+        if not regrid:
+            values = values.reshape(shape)
+            return values if values.ndim else float(values)
+        bands = regrid
     raise NumericalConvergenceError(
-        "inner grid could not accommodate the certified cutoff", qmax=qmax,
+        "inner grid could not accommodate the certified cutoff",
+        qmax=max(bands),
     )
+
+
+def _emission_integral(taus, chi, ghat, qmax, matrices):
+    """(f in carrier units, band needed) of each column of chi on the tau
+    grid taus (in 1/w0). A column whose doubled cutoff passes qmax is not
+    certified here: its f is 0 and its band the one to re-grid to, 2.5
+    cutoffs. The band is 0 for every other column; a column of zeros has
+    f = 0."""
+    peak = np.max(np.abs(chi), axis=0)
+    edge = np.maximum(np.abs(chi[0]), np.abs(chi[-1]))
+    late = edge > 1e-6 * peak
+    if np.any(late):
+        raise InvalidParameterError(
+            "chi does not decay within 12 pulse widths "
+            f"(edge/max = {np.max(edge[late] / peak[late]):.2e})"
+        )
+    f, need = np.zeros((2, peak.size))
+    live = np.flatnonzero(peak)
+    if live.size == 0:
+        return f, need
+    kernel = np.sin(taus)[:, None] * chi[:, live] ** 2
+
+    def emission(kernel):
+        def integrand(qhat):
+            inner = oscillatory_cos_sin(taus, kernel, qhat, matrices)
+            return qhat[:, None] ** 3 * np.abs(inner) ** 2
+        return integrand
+
+    what = "photon-frequency integral"
+    cutoff, value = certified_tail_cutoff(
+        emission(kernel), max(4.0 * ghat, 2.0), max(2.0 * ghat, 1.0),
+        rel_floor=1e-12, what=what,
+    )
+    # doubling certification would leave the resolved band: re-grid
+    fits = 2.0 * cutoff <= qmax
+    need[live[~fits]] = 2.5 * cutoff[~fits]
+    f[live[fits]] = add_certified_tail(emission(kernel[:, fits]), cutoff[fits],
+                                       value[fits], 1e-6, what)
+    return f, need
 
 
 def validity_flags(
@@ -482,9 +550,11 @@ def excitation_resolution_curve(
 
     The samples and the evaluator share one PulseAreaSynthesis, held by
     the evaluator: `synthesis` (built from these inputs, whose p_e(0) it
-    may already hold) or one built here. eta and the flags are not
-    computed. The train is not checked either: N and T cancel in the
-    ratio.
+    may already hold) or one built here. The whole array of sample radii
+    goes to `PulseAreaSynthesis.probability`, which computes them as
+    column blocks; each bisection step is a block of one radius. eta and
+    the flags are not computed. The train is not checked either: N and T
+    cancel in the ratio.
     """
     if rho_max is None:
         rho_max = spectrum.mean_wavelength / geometry.numerical_aperture
@@ -492,7 +562,7 @@ def excitation_resolution_curve(
         synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy,
                                        tls, grid_scale)
     return resolution_curve(
-        lambda radii: [synthesis.probability(train, float(r))[0] for r in radii],
+        lambda radii: synthesis.probability(train, radii)[0],
         rho_max, n_points)
 
 

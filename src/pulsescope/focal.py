@@ -187,6 +187,13 @@ def focal_field_time(
     using the reality fold phi(w) = conj(phi(-w)); kappa is the package
     field calibration constant. The peak sits at the rephasing time
     t = (f + z)/c.
+
+    When tau = t - (f + z)/c is bit-exactly odd about 0, as it is for
+    t = (f + z)/c + symmetric_grid(half, n), `kernel_transform` builds
+    its cos/sin blocks over tau >= 0 only and mirrors the sums. Where
+    (f + z)/c +/- half straddles a power of two, the two halves round
+    on different grids and tau is not mirrored; the transform then sums
+    over every tau, with the same values to rounding.
     """
     if rho < 0:
         raise InvalidParameterError(f"radial coordinate must be >= 0, got {rho}")

@@ -258,23 +258,34 @@ def cos_sin_transform(x, y, a, b, matrices: CosSinMatrices | None = None):
 
 
 def _fourier_sum(t, q, c, matrices: CosSinMatrices | None = None):
-    """sum_j c_j e^{i q_k t_j} for complex c; each cos/sin block serves
-    both the real and the imaginary part."""
+    """sum_j c_j e^{i q_k t_j} for complex c, a vector or a matrix with one
+    column per right-hand side; each cos/sin block serves both the real
+    and the imaginary part of every column."""
     c = np.asarray(c)
-    s = kernel_transform(t, q, [(np.cos, np.stack([c.real, c.imag], axis=1)),
-                                (np.sin, np.stack([-c.imag, c.real], axis=1))],
+    cols = c.reshape(c.shape[0], -1)
+    k = cols.shape[1]
+    s = kernel_transform(t, q, [(np.cos, np.hstack([cols.real, cols.imag])),
+                                (np.sin, np.hstack([-cols.imag, cols.real]))],
                          matrices)
-    return s[..., 0] + 1j * s[..., 1]
+    out = s[..., :k] + 1j * s[..., k:]
+    return out.reshape(np.shape(q) + c.shape[1:])[()]
 
 
 def oscillatory_cos_sin(t: np.ndarray, f: np.ndarray, q,
                         matrices: CosSinMatrices | None = None) -> np.ndarray:
     """int f(t) e^{i q t} dt by plain trapezoid (smooth, decayed kernels).
 
-    Calls that share `matrices` reuse the cos/sin blocks of a repeated
-    (t, q) pair.
+    f is a vector over t, or a matrix with one column per kernel, all
+    summed against the same cos/sin blocks. Calls that share `matrices`
+    reuse the blocks of a repeated (t, q) pair.
     """
-    return _fourier_sum(t, q, np.asarray(f) * trapezoid_weights(t), matrices)
+    weighted = (np.asarray(f).T * trapezoid_weights(t)).T
+    return _fourier_sum(t, q, weighted, matrices)
+
+
+def _rows(y, n: int) -> np.ndarray:
+    """Integrand values at n points, one contiguous row per column."""
+    return np.ascontiguousarray(np.reshape(y, (n, -1)).T)
 
 
 def certified_tail_cutoff(
@@ -290,33 +301,56 @@ def certified_tail_cutoff(
 
     The value is the trapezoid integral over [0, cutoff] assembled from the
     panel grids. `add_certified_tail` then certifies the cutoff.
+    integrand(x) may return a matrix with one column per integrand (one
+    per radius in `f_integral`). Each column then stops at its own panel,
+    with the cutoff and value it has alone, and cutoff and value are
+    arrays over the columns; panels run until the last column stops.
     """
-    total = 0.0
-    peak = 0.0
+    total = peak = cutoff = None
     lo = 0.0
     hi = start
     for _ in range(max_panels):
         x = np.linspace(lo, hi, 257)
         y = integrand(x)
-        total += np.trapezoid(y, x)
-        peak = max(peak, float(np.max(np.abs(y))))
-        if peak > 0 and float(np.max(np.abs(y[-64:]))) < rel_floor * peak:
-            return hi, total
+        rows = _rows(y, x.size)
+        if total is None:
+            total, peak = np.zeros((2, rows.shape[0]))
+            cutoff = np.full(rows.shape[0], np.nan)
+        live = np.isnan(cutoff)
+        size = np.abs(rows)
+        total[live] += np.trapezoid(rows[live], x)
+        peak[live] = np.maximum(peak[live], size[live].max(axis=1))
+        quiet = size[:, -64:].max(axis=1) < rel_floor * peak
+        cutoff[live & quiet & (peak > 0)] = hi
+        if not np.isnan(cutoff).any():
+            shape = np.shape(y)[1:]
+            return cutoff.reshape(shape)[()], total.reshape(shape)[()]
         lo, hi = hi, hi + step
     raise NumericalConvergenceError(
         f"{what} cutoff not reached", panels=max_panels, last_edge=lo,
     )
 
 
-def add_certified_tail(integrand, cutoff: float, value: float, rtol: float,
-                       what: str) -> float:
+def add_certified_tail(integrand, cutoff, value, rtol: float,
+                       what: str):
     """value plus the integral over [cutoff, 2 cutoff], certified by
-    requiring that doubled tail to stay within rtol of value."""
-    ext = np.linspace(cutoff, 2.0 * cutoff, 513)
-    extra = np.trapezoid(integrand(ext), ext)
-    if abs(extra) > rtol * abs(value):
-        raise NumericalConvergenceError(
-            f"{what} not converged at its cutoff",
-            cutoff=cutoff, relative_tail=float(abs(extra / value)),
-        )
-    return value + extra
+    requiring that doubled tail to stay within rtol of value.
+
+    For an integrand with columns, cutoff and value are arrays over them,
+    as `certified_tail_cutoff` returns them: each column takes its tail
+    over its own cutoff, and the columns that share a cutoff share one
+    integrand call.
+    """
+    cutoff = np.asarray(cutoff, dtype=float)
+    total = np.array(value, dtype=float)
+    for edge in np.unique(cutoff):
+        at = cutoff == edge
+        ext = np.linspace(edge, 2.0 * edge, 513)
+        extra = np.trapezoid(_rows(integrand(ext), ext.size)[at.ravel()], ext)
+        if np.any(np.abs(extra) > rtol * np.abs(total[at])):
+            raise NumericalConvergenceError(
+                f"{what} not converged at its cutoff", cutoff=float(edge),
+                relative_tail=float(np.max(np.abs(extra / total[at]))),
+            )
+        total[at] += extra
+    return total[()]

@@ -40,6 +40,7 @@ from .oracle import (
     oracle_excitation_probability,
     propagate_driven_tls,
 )
+from .quadrature import symmetric_grid
 from .spectra import make_gaussian_spectrum
 
 FIGURES = ("1b", "1c", "1c-inset", "1d")
@@ -166,7 +167,9 @@ def emit_figure_data(cfg: ScenarioConfig, figure: str) -> str:
         half = FIGURE_1B_HALF_WINDOW / spectrum.spectral_width
         t_rephase = geometry.reference_sphere_radius / C_LIGHT
         n = int(max(2001, 32.0 * half * spectrum.max_frequency / np.pi)) | 1
-        t = np.linspace(t_rephase - half, t_rephase + half, n)
+        # tau = t - t_rephase is then mirrored, and the field transform
+        # runs over tau >= 0 only (see focal_field_time)
+        t = t_rephase + symmetric_grid(half, n)
         e = focal_field_time(geometry, spectrum, train.pulse_energy, 0.0, t,
                              grid_scale=cfg.grid_scale)
         e = e / np.max(np.abs(e))

@@ -13,6 +13,7 @@ import pulsescope as ps
 from pulsescope import excitation, quadrature, scenario
 from pulsescope.cli import main
 from pulsescope.config import load_config, loads_config
+from pulsescope.constants import C_LIGHT
 from pulsescope.errors import (
     ConfigError,
     GridRangeError,
@@ -472,8 +473,9 @@ def test_oracle_row_builds_one_chi_block(tmp_path, monkeypatch):
     assert len(chi_blocks) == 1
 
 
-def test_run_scenario_computes_focal_f_once(tmp_path, monkeypatch):
-    radii = []
+def _f_calls(monkeypatch):
+    """The radii of every f_integral call from now on, one list per call."""
+    calls = []
     real_chi = excitation.PulseAreaSynthesis.chi
     real_f = excitation.f_integral
 
@@ -483,14 +485,57 @@ def test_run_scenario_computes_focal_f_once(tmp_path, monkeypatch):
         return chi
 
     def counted(tls, chi_fn, *args, **kwargs):
-        radii.append(chi_fn.rho)
+        # chi_fn.rho is one radius or a block of them
+        calls.append(np.atleast_1d(chi_fn.rho).tolist())
         return real_f(tls, chi_fn, *args, **kwargs)
 
     monkeypatch.setattr(excitation.PulseAreaSynthesis, "chi", tagged)
     monkeypatch.setattr(excitation, "f_integral", counted)
+    return calls
+
+
+def test_run_scenario_computes_focal_f_once(tmp_path, monkeypatch):
+    calls = _f_calls(monkeypatch)
     run_scenario(loads_config("grid_scale = 0.3\noutput_dir = "
                               + str(tmp_path) + "\n"))
+    radii = [r for call in calls for r in call]
     assert radii.count(0.0) == 1 and len(radii) > 1
+
+
+def test_curve_samples_share_few_f_calls(tmp_path, monkeypatch):
+    # the 32 nonzero sample radii of the excitation curve run as column
+    # blocks; bisection then calls f with one radius at a time
+    calls = _f_calls(monkeypatch)
+    cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
+    run_scenario(cfg)
+    curve = ps.RadialCurve.from_csv(
+        (tmp_path / "excitation_resolution.csv").read_text())
+    samples = set(curve.radii[1:].tolist())
+    sample_calls = [call for call in calls if samples & set(call)]
+    assert len(samples) == 32 and len(sample_calls) <= 4
+    assert set().union(*sample_calls) == samples
+    assert all(len(call) == 1 for call in calls if call not in sample_calls)
+
+
+def test_figure_1b_sums_over_half_its_window(tmp_path, monkeypatch):
+    # the time axis is t_rephase + symmetric_grid, so tau = t - t_rephase
+    # is mirrored and no block over tau < 0 is built
+    times = []
+    real_field = scenario.focal_field_time
+
+    def recorded(geometry, spectrum, pulse_energy, rho, t, *args, **kwargs):
+        times.append(np.array(t))
+        return real_field(geometry, spectrum, pulse_energy, rho, t, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "focal_field_time", recorded)
+    built = _watch_blocks(monkeypatch)
+    cfg = loads_config("output_dir = " + str(tmp_path) + "\n")
+    emit_figure_data(cfg, "1b")
+    tau = times[0] - cfg.build()[1].reference_sphere_radius / C_LIGHT
+    assert len(times) == 1 and tau.size == 2001
+    assert np.array_equal(tau, -tau[::-1])
+    assert built and all(np.frombuffer(y).min() >= 0.0 for _, y, _, _ in built)
+    assert {np.frombuffer(y).size for _, y, _, _ in built} == {1001}
 
 
 def test_store_budget_bounds_the_store_not_the_numbers(tmp_path, monkeypatch):

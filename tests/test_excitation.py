@@ -16,6 +16,7 @@ from pulsescope.errors import (
 )
 from pulsescope import excitation
 from pulsescope.excitation import (
+    PulseAreaSynthesis,
     _chi_evaluator,
     dipole_from_spontaneous_rate,
 )
@@ -354,6 +355,100 @@ def test_f_integral_certifies_its_cutoff_once(scenario, monkeypatch):
     chi = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, 0.0)
     assert ps.f_integral(tls, chi, 1.0 / spectrum.spectral_width) > 0.0
     assert len(calls) == 1
+
+
+def _curve_radii(spectrum, geometry):
+    return np.linspace(0.0, spectrum.mean_wavelength / geometry.numerical_aperture,
+                       33)
+
+
+def _f_alone_and_in_one_block(scenario, grid_scale, monkeypatch):
+    """(f of each curve radius alone, f of all in one block, the cutoffs
+    of the radii alone, the certified_tail_cutoff calls of the block)."""
+    _, spectrum, geometry, tls, train = scenario
+    synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy,
+                                   tls, grid_scale)
+    radii = _curve_radii(spectrum, geometry)
+    calls = []
+    real = excitation.certified_tail_cutoff
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(np.ravel(out[0]).tolist())
+        return out
+
+    monkeypatch.setattr(excitation, "certified_tail_cutoff", recorded)
+
+    def f(rho):
+        return ps.f_integral(tls, synthesis.chi(rho), synthesis.pulse_width,
+                             grid_scale, synthesis.matrices)
+
+    alone = np.array([f(float(r)) for r in radii])
+    cutoffs = [c for call in calls for c in call]
+    calls.clear()
+    return alone, f(radii), cutoffs, calls
+
+
+@pytest.mark.parametrize("grid_scale", [0.3, 1.0])
+def test_f_block_equals_each_radius_alone(scenario, grid_scale, monkeypatch):
+    alone, block, cutoffs, block_calls = _f_alone_and_in_one_block(
+        scenario, grid_scale, monkeypatch)
+    assert len(set(cutoffs)) > 1  # the columns stop at different panels
+    assert len(block_calls) == 1 and block.shape == alone.shape
+    np.testing.assert_allclose(block, alone, rtol=1e-13, atol=0)
+
+
+def test_f_block_regrids_only_the_columns_that_need_it(scenario, monkeypatch):
+    # a first band of 260 carriers holds the doubled cutoff of 120 but
+    # not that of 140: those radii, and only they, move to a finer grid
+    monkeypatch.setattr(excitation, "_inner_band", lambda ghat: 260.0)
+    alone, block, cutoffs, block_calls = _f_alone_and_in_one_block(
+        scenario, 0.3, monkeypatch)
+    first = block_calls[0]
+    assert 0 < sum(2.0 * c > 260.0 for c in first) < len(first)
+    assert len(block_calls) > 1 and len(cutoffs) > len(first)
+    np.testing.assert_allclose(block, alone, rtol=1e-13, atol=0)
+
+
+def test_f_block_zero_column_gives_zero(scenario):
+    _, spectrum, geometry, tls, train = scenario
+    chi = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, 0.0, 0.3)
+
+    def block(tau):
+        c = chi(tau)
+        return np.stack([c, np.zeros_like(c), 2.0 * c], axis=1)
+
+    pw = 1.0 / spectrum.spectral_width
+    f = ps.f_integral(tls, block, pw, 0.3)
+    assert f[1] == 0.0 and f[0] > 0.0
+    np.testing.assert_allclose(f[0], ps.f_integral(tls, chi, pw, 0.3), rtol=1e-13)
+    np.testing.assert_allclose(f[2], 16.0 * f[0], rtol=1e-12)  # chi^4
+
+
+def test_f_block_rejects_one_nondecaying_column(scenario):
+    _, spectrum, geometry, tls, train = scenario
+    chi = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, 0.0, 0.3)
+
+    def block(tau):
+        c = chi(tau)
+        return np.stack([c, np.full_like(c, np.max(np.abs(c)))], axis=1)
+
+    with pytest.raises(InvalidParameterError, match="does not decay"):
+        ps.f_integral(tls, block, 1.0 / spectrum.spectral_width, 0.3)
+
+
+def test_probability_over_radii_is_each_radius_alone(scenario):
+    # the array path fills the same per-radius cache as single radii
+    _, spectrum, geometry, tls, train = scenario
+    radii = _curve_radii(spectrum, geometry)[::4]
+    shared = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls, 0.3)
+    p_e, f = shared.probability(train, radii)
+    assert p_e.shape == f.shape == radii.shape
+    for r, p in zip(radii, p_e):
+        assert shared.probability(train, float(r))[0] == p
+        fresh = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls, 0.3)
+        np.testing.assert_allclose(fresh.probability(train, float(r))[0], p,
+                                   rtol=1e-13)
 
 
 def test_resolution_curve_without_pulses_is_undefined(scenario):

@@ -23,6 +23,8 @@ from pulsescope.errors import NumericalConvergenceError
 from pulsescope.quadrature import (
     CosSinMatrices,
     _filon_weights,
+    add_certified_tail,
+    certified_tail_cutoff,
     cos_sin_transform,
     filon_transform,
     kernel_transform,
@@ -330,3 +332,24 @@ def test_refinement_stops_at_the_first_non_finite_value():
                        match=r"last_change=0\.4, n_final=") as err:
         refine_until_converged(lambda n: float(n), 3, max_doublings=1)
     assert type(err.value.diagnostics["last_change"]) is float
+
+
+def test_cutoff_columns_stop_where_each_stops_alone():
+    # each column of a matrix integrand stops, and takes its doubled tail,
+    # at its own panel, with the bits it has alone
+    rates = np.array([1.0, 0.3, 2.0, 0.3])
+
+    def columns(x):
+        return x[:, None] ** 3 * np.exp(-np.outer(x, rates))
+
+    cutoff, value = certified_tail_cutoff(columns, 2.0, 4.0)
+    total = add_certified_tail(columns, cutoff, value, 1e-6, "test integral")
+    assert len(set(cutoff.tolist())) == 3
+    for j, rate in enumerate(rates):
+        def alone(x, rate=rate):
+            return x**3 * np.exp(-rate * x)
+
+        c, v = certified_tail_cutoff(alone, 2.0, 4.0)
+        assert np.ndim(c) == 0 and np.ndim(v) == 0
+        assert cutoff[j] == c and value[j] == v
+        assert total[j] == add_certified_tail(alone, c, v, 1e-6, "test integral")
