@@ -56,7 +56,6 @@ from .focal import (
     resolution_curve,
 )
 from .quadrature import (
-    CosSinMatrices,
     add_certified_tail,
     certified_tail_cutoff,
     kernel_transform,
@@ -185,17 +184,16 @@ class PulseAreaSynthesis:
     rephasing time. Exact for every tau, so no cumulative quadrature
     error enters the area.
 
-    The frequency grid, the trapezoid-weighted spectrum, the prefactor
-    and the cos/sin matrices (`matrices`) do not depend on rho, so one
-    instance serves a whole run: `eta` scans chi(0, tau) on the first tau
-    grid of `f_integral` through it, and f is computed once per radius
-    and kept, so `probability` at a radius already computed is a lookup.
-    The radii of an array (the excitation curve's samples) are computed
-    RADII_PER_BLOCK at a time, each block as the columns of one
+    The frequency grid, the trapezoid-weighted spectrum and the
+    prefactor do not depend on rho, so one instance serves a whole run:
+    `eta` scans chi(0, tau) on the first tau grid of `f_integral` through
+    it, and f is computed once per radius and kept, so `probability` at a
+    radius already computed is a lookup. Each chi evaluation is one
+    chirp z-transform of the spectrum (`kernel_transform`); nothing else
+    is kept. The radii of an array (the excitation curve's samples) are
+    computed RADII_PER_BLOCK at a time, each block as the columns of one
     `f_integral` call, so they share every chi and emission transform.
-    `at_energy` gives the same synthesis at another pulse energy sharing
-    this store. The matrices are freed with the last instance holding
-    them.
+    `at_energy` gives the same synthesis at another pulse energy.
     """
 
     def __init__(self, geometry: FocusingGeometry, spectrum: PulseSpectrum,
@@ -217,7 +215,6 @@ class PulseAreaSynthesis:
                        in ((np.cos, weighted.real), (np.sin, weighted.imag))
                        if part.any()] or [(np.sin, weighted.imag)]
         self.prefactor = self._prefactor(pulse_energy)
-        self.matrices = CosSinMatrices()
         self._f_values = {}
 
     def _prefactor(self, pulse_energy: float) -> float:
@@ -226,19 +223,18 @@ class PulseAreaSynthesis:
                 * _amplitude_prefactor(pulse_energy))
 
     def at_energy(self, pulse_energy: float) -> "PulseAreaSynthesis":
-        """This synthesis for pulses of another energy, sharing its store:
-        chi is exactly proportional to sqrt(U), and only the prefactor,
-        applied after the transform, differs."""
+        """This synthesis for pulses of another energy, sharing its grid
+        and spectrum: chi is exactly proportional to sqrt(U), and only the
+        prefactor, applied after the transform, differs."""
         other = copy.copy(self)
         other.prefactor = self._prefactor(pulse_energy)
         other._f_values = {}
         return other
 
-    def chi(self, rho, stored: bool = True) -> Callable:
+    def chi(self, rho) -> Callable:
         """chi(rho, tau) as a function of tau (s, scalar or array). For an
         array of radii it returns one column per radius, all from one
-        transform; with stored=False its transforms bypass the store
-        (grids used once)."""
+        transform."""
         radii = np.atleast_1d(np.asarray(rho, dtype=float))
         if np.any(radii < 0):
             raise InvalidParameterError(f"radial coordinate must be >= 0, got {rho}")
@@ -249,10 +245,9 @@ class PulseAreaSynthesis:
             airy = j1_over_x(a * w * r / C_LIGHT)
             for (_, part), (_, c) in zip(self._parts, terms):
                 c[:, j] = part * airy
-        matrices = self.matrices if stored else None
 
         def chi(tau):
-            out = kernel_transform(w, tau, terms, matrices) * self.prefactor
+            out = kernel_transform(w, tau, terms) * self.prefactor
             out = out.reshape(np.shape(tau) + np.shape(rho))
             return out if out.ndim else float(out)
 
@@ -273,7 +268,7 @@ class PulseAreaSynthesis:
                 block = todo[i:i + RADII_PER_BLOCK]
                 self._f_values.update(zip(block, np.atleast_1d(f_integral(
                     tls, self.chi(np.array(block)), self.pulse_width,
-                    self.grid_scale, self.matrices))))
+                    self.grid_scale))))
             f_val = np.array([self._f_values[r] for r in radii.ravel().tolist()]
                              ).reshape(radii.shape)
         p_e = (
@@ -332,10 +327,9 @@ def eta(
     `f_integral`, then twelve zooms that each resample the two intervals
     around the largest sample 4x finer.
 
-    `synthesis`, built from the same inputs, supplies chi and keeps the
-    scan's sin block in its store, where f_integral at rho = 0 finds it;
-    without it eta builds a synthesis of its own. The 9-point zoom grids
-    are used once and bypass the store.
+    `synthesis`, built from the same inputs, supplies chi; without it eta
+    builds a synthesis of its own. The scan is one chirp z-transform; a
+    9-point zoom, too short for one, is a 9-row sin block.
     """
     if synthesis is None:
         synthesis = PulseAreaSynthesis(geometry, spectrum, pulse_energy, tls,
@@ -343,13 +337,13 @@ def eta(
     w0 = tls.transition_frequency
     ghat = 1.0 / (w0 * synthesis.pulse_width)
     taus = _tau_grid(ghat, _inner_band(ghat), synthesis.grid_scale) / w0
-    values = synthesis.chi(0.0)(taus)
-    zoom = synthesis.chi(0.0, stored=False)
+    chi = synthesis.chi(0.0)
+    values = chi(taus)
     for _zoom in range(12):
         i = int(np.argmax(np.abs(values)))
         lo, hi = taus[max(i - 1, 0)], taus[min(i + 1, taus.size - 1)]
         taus = np.linspace(lo, hi, 9)
-        values = zoom(taus)
+        values = chi(taus)
     return float(np.max(np.abs(values)))
 
 
@@ -367,8 +361,8 @@ def _tau_grid(ghat: float, qmax: float, grid_scale: float) -> np.ndarray:
 
     The grid is bit-exactly odd about 0 (`symmetric_grid`), so chi, odd
     in tau, is synthesised on its half tau >= 0, and the emission
-    kernel sin(tau) chi^2, odd too, is summed over that half with sin
-    blocks only. ghat is the spectral width over the transition
+    kernel sin(tau) chi^2, odd too, is summed over that half by its sin
+    transform only. ghat is the spectral width over the transition
     frequency. A grid of more than MAX_TAU_POINTS points raises
     GridRangeError.
     """
@@ -388,7 +382,6 @@ def f_integral(
     chi_fn: Callable,
     pulse_width: float,
     grid_scale: float = 1.0,
-    matrices: CosSinMatrices | None = None,
 ):
     """Double integral of the emission kernel, in 1/s^2.
 
@@ -402,14 +395,13 @@ def f_integral(
     zeros gives 0, and one that has not decayed raises
     InvalidParameterError for the whole call.
 
-    The inner transform runs on a uniform grid; the outer photon-frequency
+    The inner transform runs on a uniform grid, one chirp z-transform per
+    photon-frequency panel for all columns; the outer photon-frequency
     integral is cut off where its integrand falls below 1e-12 of the
     peak, and the cutoff is certified by doubling; both per column. A
     column whose doubled cutoff leaves the band its grid resolves is
-    recomputed on a finer grid of its own. Calls that share `matrices`
-    reuse the inner transform's cos/sin matrices; the value does not
-    depend on it. A tau grid of more than MAX_TAU_POINTS raises
-    GridRangeError.
+    recomputed on a finer grid of its own. A tau grid of more than
+    MAX_TAU_POINTS raises GridRangeError.
     """
     w0 = tls.transition_frequency
     # dimensionless time/frequency in carrier units
@@ -425,7 +417,7 @@ def f_integral(
                 shape, values = chi.shape[1:], np.zeros(chi[0].size)
                 columns = np.arange(values.size)
             f, need = _emission_integral(
-                taus, chi.reshape(taus.size, -1)[:, cols], ghat, qmax, matrices)
+                taus, chi.reshape(taus.size, -1)[:, cols], ghat, qmax)
             values[cols] = f * w0**2
             for j, band in zip(columns[cols], need):
                 if band:
@@ -440,7 +432,7 @@ def f_integral(
     )
 
 
-def _emission_integral(taus, chi, ghat, qmax, matrices):
+def _emission_integral(taus, chi, ghat, qmax):
     """(f in carrier units, band needed) of each column of chi on the tau
     grid taus (in 1/w0). A column whose doubled cutoff passes qmax is not
     certified here: its f is 0 and its band the one to re-grid to, 2.5
@@ -462,7 +454,7 @@ def _emission_integral(taus, chi, ghat, qmax, matrices):
 
     def emission(kernel):
         def integrand(qhat):
-            inner = oscillatory_cos_sin(taus, kernel, qhat, matrices)
+            inner = oscillatory_cos_sin(taus, kernel, qhat)
             return qhat[:, None] ** 3 * np.abs(inner) ** 2
         return integrand
 

@@ -36,7 +36,7 @@ from .errors import (
     InvalidStateError,
     NumericalConvergenceError,
 )
-from .quadrature import cos_sin_transform, kernel_transform, trapezoid_weights
+from .quadrature import kernel_transform, trapezoid_weights
 from .spectra import PulseSpectrum
 
 PARAXIAL_LIMIT = 0.2
@@ -188,12 +188,13 @@ def focal_field_time(
     field calibration constant. The peak sits at the rephasing time
     t = (f + z)/c.
 
-    When tau = t - (f + z)/c is bit-exactly odd about 0, as it is for
-    t = (f + z)/c + symmetric_grid(half, n), `kernel_transform` builds
-    its cos/sin blocks over tau >= 0 only and mirrors the sums. Where
-    (f + z)/c +/- half straddles a power of two, the two halves round
-    on different grids and tau is not mirrored; the transform then sums
-    over every tau, with the same values to rounding.
+    On a uniform t the field is one chirp z-transform (`kernel_transform`),
+    which corrects to first order the jitter tau = t - (f + z)/c takes
+    from rounding (f + z)/c. A tau bit-exactly odd about 0, as from
+    t = (f + z)/c + symmetric_grid(half, n), is transformed over tau >= 0
+    and mirrored; the package's purely imaginary spectra then give a field
+    exactly even in tau. Where (f + z)/c +/- half straddles a power of
+    two, tau is not mirrored and every tau is transformed.
     """
     if rho < 0:
         raise InvalidParameterError(f"radial coordinate must be >= 0, got {rho}")
@@ -213,7 +214,7 @@ def focal_field_time(
     w = _synthesis_grid(spectrum, float(np.max(np.abs(tau))) + 1.0 / spectrum.spectral_width,
                         grid_scale)
     kern = 1j * spectrum.value(w) * _airy_kernel(geometry, w, rho) * trapezoid_weights(w)
-    out = cos_sin_transform(w, tau, kern.real, kern.imag)
+    out = kernel_transform(w, tau, [(np.cos, kern.real), (np.sin, kern.imag)])
     out *= _amplitude_prefactor(pulse_energy) * FIELD_CALIBRATION / np.pi
     return float(out[0]) if scalar else out
 

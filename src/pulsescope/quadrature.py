@@ -1,30 +1,30 @@
-"""Quadrature helpers: certified trapezoid refinement, one blocked kernel
+"""Quadrature helpers: certified trapezoid refinement, one kernel
 transform, Filon transforms, certified outer cutoffs.
 
 Spectral moments integrate smooth Gaussian-tailed kernels, where
 composite trapezoid converges fast but must be *certified* by grid
 refinement. Every sum_j c_j K(y_k x_j) in the package - chi, the field
 and the inner emission transform (K = cos, sin), the tau = 0 focal
-intensity (K = J1(x)/x) and Filon's rule - is a `kernel_transform`, the
-one place that builds K(outer(y, x)) blocks. Filon-type weights treat an
-e^{i q t} oscillation far above the grid Nyquist scale exactly; they need
-only the plain Fourier sum plus two endpoint terms. Outer integrals are
-cut off panel by panel and their tail certified by doubling the cutoff.
+intensity (K = J1(x)/x) and Filon's rule - is a `kernel_transform`: a
+chirp z-transform on numpy.fft between uniform grids, else blocks of
+K(outer(y, x)). Filon-type weights treat an e^{i q t} oscillation far
+above the grid Nyquist scale exactly; they need only the plain Fourier
+sum plus two endpoint terms. Outer integrals are cut off panel by panel
+and their tail certified by doubling the cutoff.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalConvergenceError
+from .errors import InvalidParameterError, NumericalConvergenceError
 
 # bound on the elements of one kernel-matrix block
 CHUNK_ELEMENTS = 4_000_000
-# bound on the block bytes one CosSinMatrices store keeps (the reference
-# scenario's store holds about 17 MB)
-STORE_BYTES = 256 * 2**20
 
 
 def refine_until_converged(
@@ -93,10 +93,13 @@ def filon_transform(t: np.ndarray, f: np.ndarray, q) -> np.ndarray:
     f is interpolated piecewise-linearly; q may be a scalar or 1-D array.
     With the Fourier sum S = sum_j f_j e^{i q t_j} over all n points, the
     panel sums are h [P (S - f_{n-1} e^{i q t_{n-1}})
-    + Q e^{-i q h} (S - f_0 e^{i q t_0})].
+    + Q e^{-i q h} (S - f_0 e^{i q t_0})]. A t that is not uniform to
+    UNIFORM_ULPS raises InvalidParameterError.
     """
     t = np.asarray(t, dtype=float)
     f = np.asarray(f)
+    if t.ndim != 1 or t.size < 2 or not _line(t)[3]:
+        raise InvalidParameterError("Filon's rule needs a uniform time grid")
     h = t[1] - t[0]
     qs = np.atleast_1d(np.asarray(q, dtype=float))
     P, Q = _filon_weights(qs * h)
@@ -116,37 +119,6 @@ def trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-class CosSinMatrices:
-    """cos and sin blocks of outer(y, x), kept per (x-grid, y-grid) pair.
-
-    One store belongs to one pulse-area synthesis. The scan of chi(0, tau)
-    in `eta`, p_e(0) and every radius of the excitation curve pass it to
-    their transforms, as do the eta and p_e of one oracle row, so a
-    repeated grid builds its matrices once. The store holds them until
-    it is dropped. Grids are matched by their exact bytes; a grid that
-    `kernel_transform` folds is kept as its half >= 0, so the tau grid of
-    chi and of the emission integral holds sin blocks over tau >= 0
-    only. A block that would take the held bytes past STORE_BYTES is
-    built, returned and not kept, so every caller of a full store
-    rebuilds it.
-    """
-
-    def __init__(self):
-        self._blocks = {}
-        self.nbytes = 0
-
-    def block(self, x, y, i0, trig):
-        """trig(outer(y[i0:i0 + chunk], x)) for one chunk of y."""
-        key = (x.tobytes(), y.tobytes(), i0, trig.__name__)
-        m = self._blocks.get(key)
-        if m is None:
-            m = _trig_block(x, y, i0, trig)
-            if self.nbytes + m.nbytes <= STORE_BYTES:
-                self._blocks[key] = m
-                self.nbytes += m.nbytes
-        return m
-
-
 def _chunk(x: np.ndarray) -> int:
     return max(1, int(CHUNK_ELEMENTS // max(x.size, 1)))
 
@@ -158,40 +130,31 @@ def _trig_block(x, y, i0, kernel):
     return kernel(m, out=m) if isinstance(kernel, np.ufunc) else kernel(m)
 
 
-def kernel_transform(x, y, terms, matrices: CosSinMatrices | None = None):
+def kernel_transform(x, y, terms):
     """sum_j c_j K(y_k x_j), summed over the (K, c) pairs of terms, for
-    every y_k.
-
-    Each c is real on the grid x with any quadrature weights already
-    applied: a vector, or a matrix with one column per right-hand side,
-    which then share each block of K. Computed as real matrix products
-    over blocks of K(outer(y, x)) of at most CHUNK_ELEMENTS; an all-zero
-    c, or column of c, is skipped with its product. Blocks come from
-    `matrices` when given and are built and dropped otherwise; the sums
-    are the same either way.
-
-    When every K is cos or sin, a grid that is bit-exactly odd about 0
-    (`symmetric_grid`) is folded onto its half >= 0. On x the
-    coefficients fold, c(x) + c(-x) for cos and c(x) - c(-x) for sin,
-    with a centre point counted once; an odd c then leaves the cos
-    block unbuilt. On y the sums are computed for y >= 0 and mirrored,
-    cos as even and sin as odd, which gives the bits of computing the
-    negative half directly. Every other kernel or grid is summed as is.
+    every y_k. Each c is real on the grid x, quadrature weights applied:
+    a vector, or a matrix with one column per right-hand side; an
+    all-zero c, or column of c, is skipped. When every K is cos or sin
+    and `_chirp_z` takes both grids, all columns go through one chirp
+    z-transform, whose real part is the cos sum and imaginary part the
+    sin sum; otherwise through blocks of K(outer(y, x)) of at most
+    CHUNK_ELEMENTS. For cos and sin a grid bit-exactly odd about 0
+    (`symmetric_grid`) is folded onto its half >= 0: on x, c(x) + c(-x)
+    for cos and c(x) - c(-x) for sin (an odd c leaves its cos sum
+    uncomputed); on y, the sums for y >= 0 are mirrored bit-exactly, cos
+    as even and sin as odd (sin is 0 at y = 0).
     """
     x = np.asarray(x, dtype=float)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
-    terms = [(kernel, np.ascontiguousarray(c, dtype=float), _PARITY.get(kernel))
+    terms = [(kernel, np.ascontiguousarray(c, dtype=float), _PARITY.get(kernel, 0.0))
              for kernel, c in terms]
-    folds = all(parity is not None for _, _, parity in terms)
-    if folds and _mirrored(x):
+    trig = all(parity for _, _, parity in terms)
+    if trig and _mirrored(x):
         x = x[x.size // 2:]
         terms = [(kernel, _fold(c, parity), parity) for kernel, c, parity in terms]
-    if folds and _mirrored(ys):
-        half = ys.size // 2
-        upper, lower = _blocked_sums(x, ys[half:], terms, matrices, mirror=True)
-        out = np.concatenate([lower[::-1][:half], upper])
-    else:
-        out = _blocked_sums(x, ys, terms, matrices)[0]
+    half = ys.size // 2 if trig and _mirrored(ys) else 0
+    upper, lower = _sums(x, ys[half:], terms, trig)
+    out = np.concatenate([lower[::-1][:half], upper])
     return out if np.ndim(y) else out[0]
 
 
@@ -213,33 +176,103 @@ def _fold(c: np.ndarray, parity: float) -> np.ndarray:
     return folded
 
 
-def _blocked_sums(x, ys, terms, matrices, mirror=False):
-    """(sum over (K, c, parity) terms of K(outer(ys, x)) @ c, and with
-    mirror the same sum at -ys from the same blocks, else None)."""
-    out = np.zeros(ys.shape + terms[0][1].shape[1:])
-    neg = np.zeros_like(out) if mirror else None
+def _sums(x, ys, terms, trig):
+    """(sum over (K, c, parity) terms of K(outer(ys, x)) @ c, the same sum
+    at -ys), by one chirp z-transform when trig (every K cos or sin) and
+    `_chirp_z` takes the grids, else by blocks of rows."""
+    out, neg = np.zeros((2,) + ys.shape + terms[0][1].shape[1:])
     live = []
     for kernel, c, parity in terms:
         nonzero = c.any(axis=0)
-        if not np.any(nonzero):
-            continue
-        cols = None
-        if not np.all(nonzero):
-            cols = np.flatnonzero(nonzero)
-            c = np.ascontiguousarray(c[:, cols])
-        live.append((kernel, c, cols, parity))
-    chunk = _chunk(x)
+        if np.any(nonzero):
+            cols = None if np.all(nonzero) else np.flatnonzero(nonzero)
+            live.append((kernel, c if cols is None else c[:, cols], cols, parity))
+    z = None
+    if trig and live:
+        z = _chirp_z(x, ys, np.hstack([c.reshape(x.size, -1) for _, c, _, _ in live]))
+    chunk = ys.size if z is not None else _chunk(x)
     for i0 in range(0, ys.size, chunk):
         rows = slice(i0, i0 + chunk)
         for kernel, c, cols, parity in live:
-            m = (_trig_block(x, ys, i0, kernel) if matrices is None
-                 else matrices.block(x, ys, i0, kernel))
-            part = m @ c
+            if z is None:
+                part = _trig_block(x, ys, i0, kernel) @ c
+            else:
+                part, z = np.hsplit(z, [c[0].size])
+                part = (part.imag if kernel is np.sin else part.real).reshape(
+                    ys.shape + c.shape[1:])
+                if kernel is np.sin:
+                    part[ys == 0.0] = 0.0
             at = rows if cols is None else (rows, cols)
             out[at] += part
-            if neg is not None:
-                neg[at] += parity * part
+            neg[at] += parity * part
     return out, neg
+
+
+# a grid is uniform within this many ulps of max|grid| of its end-point line
+UNIFORM_ULPS = 8
+# max|jitter| * max|x| corrected to first order (the second order < 5e-15)
+MAX_JITTER_PHASE = 1e-7
+# fewer points, and a block beats three FFTs (9 x 4001: 0.32 against 0.56 ms)
+MIN_CHIRP_POINTS = 12
+
+
+def _line(v: np.ndarray):
+    """(v[0], step, v minus the line from v[0] to v[-1], whether that
+    deviation stays within UNIFORM_ULPS of max|v|)."""
+    step = (v[-1] - v[0]) / (v.size - 1) if v.size > 1 else 0.0
+    deviation = v - (v[0] + step * np.arange(v.size))
+    return v[0], step, deviation, bool(
+        np.abs(deviation).max() <= UNIFORM_ULPS * np.spacing(np.abs(v).max()))
+
+
+@functools.lru_cache(maxsize=4)
+def _chirp(a: float, m: int, size: int):
+    """(w, FFT of conj(w)), read-only, w = e^{i a lag^2 / 2} on the lags of
+    a length-size convolution with m outputs, its phase exact to rounding:
+    a = head + tail, head * lag^2 / 2 exact and the tail 2^-s of a. Kept
+    for the few (a, m, size) every emission panel and chi of a run repeat."""
+    lag = np.arange(size)
+    lag[m:] -= size
+    half_lag2 = 0.5 * (lag * lag)
+    mantissa, exponent = math.frexp(a)
+    s = 53 - (max(m - 1, size - m) ** 2).bit_length()
+    head = math.ldexp(round(math.ldexp(mantissa, s)), exponent - s)
+    w = np.exp(1j * (head * half_lag2)) * np.exp(1j * ((a - head) * half_lag2))
+    kernel = np.fft.fft(w.conj())
+    w.flags.writeable = kernel.flags.writeable = False
+    return w, kernel
+
+
+def _chirp_z(x, y, c):
+    """sum_j c_j e^{i y_k x_j} for every column of c (n x columns), by
+    Bluestein's chirp z-transform (Rabiner, Schafer & Rader 1969): with
+    x_j = x0 + j dx, y_k = y0 + k dy and a = dx dy, y_k x_j = y0 x_j
+    + k dy x0 + a (k^2 + j^2 - (k - j)^2) / 2, so the sum is one
+    convolution, by numpy.fft along the last axis of all columns at once.
+    x must be uniform to UNIFORM_ULPS; y may leave its line by a jitter
+    delta, as tau = t - t_rephase does, which up to MAX_JITTER_PHASE
+    enters to first order: Z(c) + i delta Z(x c). Other grids, or fewer
+    than MIN_CHIRP_POINTS points, give None."""
+    if min(x.size, y.size) < MIN_CHIRP_POINTS:
+        return None
+    x0, dx, _, uniform = _line(x)
+    y0, dy, jitter, exact = _line(y)
+    if not (uniform and np.isfinite(dx * dy)
+            and np.abs(jitter).max() * np.abs(x).max() <= MAX_JITTER_PHASE):
+        return None
+    cols = c.T if exact else np.concatenate([c.T, c.T * x])
+    n, m = x.size, y.size
+    # the shortest 5-smooth FFT length >= n + m - 1, to a few per cent
+    size = min(f << ((n + m - 2) // f).bit_length()
+               for f in (1, 3, 5, 9, 15, 25, 27, 45, 75, 81, 125))
+    w, kernel = _chirp(float(dx * dy), m, size)
+    u = np.zeros((cols.shape[0], size), dtype=complex)
+    pre = w[-np.arange(n)]
+    u[:, :n] = cols * (pre if y0 == 0 else np.exp(1j * y0 * x) * pre)
+    z = np.fft.ifft(np.fft.fft(u) * kernel)[:, :m] * w[:m]
+    if x0 != 0:
+        z *= np.exp(1j * (dy * x0) * np.arange(m))
+    return z.T if exact else (z[:c.shape[1]] + 1j * jitter * z[c.shape[1]:]).T
 
 
 def symmetric_grid(span: float, n: int) -> np.ndarray:
@@ -249,38 +282,32 @@ def symmetric_grid(span: float, n: int) -> np.ndarray:
     return np.concatenate([-upper[::-1][:n // 2], upper])
 
 
-def cos_sin_transform(x, y, a, b, matrices: CosSinMatrices | None = None):
-    """sum_j a_j cos(y_k x_j) + b_j sin(y_k x_j) for every y_k.
-
-    With a + ib = f * trapezoid_weights(x) this is Re int f(x) e^{-i y x} dx.
-    """
-    return kernel_transform(x, y, [(np.cos, a), (np.sin, b)], matrices)
-
-
-def _fourier_sum(t, q, c, matrices: CosSinMatrices | None = None):
-    """sum_j c_j e^{i q_k t_j} for complex c, a vector or a matrix with one
-    column per right-hand side; each cos/sin block serves both the real
-    and the imaginary part of every column."""
-    c = np.asarray(c)
-    cols = c.reshape(c.shape[0], -1)
-    k = cols.shape[1]
-    s = kernel_transform(t, q, [(np.cos, np.hstack([cols.real, cols.imag])),
-                                (np.sin, np.hstack([-cols.imag, cols.real]))],
-                         matrices)
-    out = s[..., :k] + 1j * s[..., k:]
-    return out.reshape(np.shape(q) + c.shape[1:])[()]
+def _fourier_sum(t, q, c):
+    """sum_j c_j e^{i q_k t_j} for real or complex c (a vector, or one
+    column per right-hand side): one chirp z-transform of c, or, for a
+    real c on a grid bit-exactly odd about 0 (folded: an odd c is a sin
+    sum over t >= 0) or grids `_chirp_z` does not take, `kernel_transform`."""
+    t, c = np.asarray(t, dtype=float), np.asarray(c)
+    cols = c.reshape(t.size, -1)
+    z = None if np.isrealobj(c) and _mirrored(t) else _chirp_z(
+        t, np.atleast_1d(np.asarray(q, dtype=float)), cols)
+    if z is None:
+        # real and imaginary part as cos and sin columns (zero ones skipped)
+        k = cols.shape[1]
+        s = kernel_transform(t, q, [(np.cos, np.hstack([cols.real, cols.imag])),
+                                    (np.sin, np.hstack([-cols.imag, cols.real]))])
+        z = s[..., :k] + 1j * s[..., k:]
+    return z.reshape(np.shape(q) + c.shape[1:])[()]
 
 
-def oscillatory_cos_sin(t: np.ndarray, f: np.ndarray, q,
-                        matrices: CosSinMatrices | None = None) -> np.ndarray:
+def oscillatory_cos_sin(t: np.ndarray, f: np.ndarray, q) -> np.ndarray:
     """int f(t) e^{i q t} dt by plain trapezoid (smooth, decayed kernels).
 
     f is a vector over t, or a matrix with one column per kernel, all
-    summed against the same cos/sin blocks. Calls that share `matrices`
-    reuse the blocks of a repeated (t, q) pair.
+    summed in one transform.
     """
     weighted = (np.asarray(f).T * trapezoid_weights(t)).T
-    return _fourier_sum(t, q, weighted, matrices)
+    return _fourier_sum(t, q, weighted)
 
 
 def _rows(y, n: int) -> np.ndarray:

@@ -234,7 +234,6 @@ def scan(cfg: ScenarioConfig, parameter: str, values) -> str:
         result, curve_e = _focal_excitation(physics, sub.grid_scale, n_points=17)
         eta_val, p_e0 = result.eta, result.p_e
         spot_e = float("nan") if curve_e is None else spot_size(curve_e)
-        del curve_e  # frees this row's store before the next row builds one
         rate = imaging_rate(train, tls, p_e0)
         rows.append(
             f"{parameter},{float(value)!r},{float(eta_val)!r},{float(p_e0)!r},"
@@ -249,7 +248,7 @@ def _oracle_single(cfg: ScenarioConfig, width_ratio: float, eta_target: float,
     _, base, tls, _ = cfg.build()
     # pulse energy that realizes the requested focal area; eta ~ sqrt(U)
     # exactly, so this one eta call also gives the row's eta, and the p_e
-    # synthesis at that energy shares the eta synthesis' store
+    # synthesis at that energy shares the eta synthesis' grid and spectrum
     u_ref = cfg.pulse_energy_J
     reference = PulseAreaSynthesis(base, spectrum, u_ref, tls, cfg.grid_scale)
     eta_ref = eta(base, spectrum, u_ref, tls, cfg.grid_scale, reference)

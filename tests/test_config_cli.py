@@ -330,20 +330,14 @@ def test_run_scenario_computes_eta_once(tmp_path, monkeypatch):
 
 
 def test_repeated_scenario_repeats_its_work(tmp_path, monkeypatch):
-    # no transform matrix outlives the run that built it
-    built = []
-    real_block = quadrature._trig_block
-
-    def counted(*args):
-        built.append(args[3].__name__)
-        return real_block(*args)
-
-    monkeypatch.setattr(quadrature, "_trig_block", counted)
+    # no sum outlives the run that computed it (only the few chirps of
+    # quadrature._chirp are kept)
+    done = _watch_sums(monkeypatch)
     cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
     first = run_scenario(cfg)
-    n_first = len(built)
+    n_first = len(done)
     second = run_scenario(cfg)
-    assert n_first > 0 and len(built) == 2 * n_first
+    assert n_first > 0 and len(done) == 2 * n_first
     assert first == second
 
 
@@ -408,7 +402,7 @@ def test_huge_pulse_period_excites_without_traceback(tmp_path):
 
 
 def _watch_blocks(monkeypatch):
-    """(x, y, i0, kernel) of every cos/sin block built from now on."""
+    """(x, y, i0, kernel) of every kernel block built from now on."""
     built = []
     real_block = quadrature._trig_block
 
@@ -420,17 +414,43 @@ def _watch_blocks(monkeypatch):
     return built
 
 
+def _watch_sums(monkeypatch):
+    """(x, y, kernel names) of every set of kernel sums with a nonzero
+    term from now on."""
+    done = []
+    real_sums = quadrature._sums
+
+    def recorded(x, ys, terms, trig):
+        names = [kernel.__name__ for kernel, c, _ in terms if c.any()]
+        if names:
+            done.append((x, ys, names))
+        return real_sums(x, ys, terms, trig)
+
+    monkeypatch.setattr(quadrature, "_sums", recorded)
+    return done
+
+
+def _zoom_block(block):
+    """Whether a block is one of eta's 9-point zooms, which stay block
+    products (fewer than MIN_CHIRP_POINTS outputs)."""
+    return block[3] == "sin" and np.frombuffer(block[1]).size == 9
+
+
 def test_run_scenario_builds_each_block_once(tmp_path, monkeypatch):
-    # eta, p_e(0) and the excitation curve share one synthesis and store
+    # cos/sin sums are chirp z-transforms but for eta's 9-point zooms; the
+    # other blocks are the J1(x)/x blocks of the focal intensity; none is
+    # built twice
     built = _watch_blocks(monkeypatch)
     run_scenario(loads_config("grid_scale = 0.3\noutput_dir = "
                               + str(tmp_path) + "\n"))
     assert built and len(set(built)) == len(built)
+    assert {b[3] for b in built if not _zoom_block(b)} == {"j1_over_x"}
 
 
-def test_run_scenario_builds_tau_blocks_on_half_grids(tmp_path, monkeypatch):
-    # chi and the emission kernel are odd in tau, so every block over a
-    # tau grid covers tau >= 0 only, and none is a cos block
+def test_run_scenario_transforms_tau_grids_over_half(tmp_path, monkeypatch):
+    # chi and the emission kernel are odd in tau, so every transform over
+    # a tau grid covers tau >= 0 only, and none takes a cos sum; all are
+    # chirp z-transforms, none a block
     grids = []
     real_grid = excitation._tau_grid
 
@@ -440,37 +460,42 @@ def test_run_scenario_builds_tau_blocks_on_half_grids(tmp_path, monkeypatch):
         return taus
 
     monkeypatch.setattr(excitation, "_tau_grid", recorded)
+    done = _watch_sums(monkeypatch)
     built = _watch_blocks(monkeypatch)
     cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
     run_scenario(cfg)
     w0 = cfg.transition_frequency_rad_per_s
     on_grid = np.concatenate(grids + [g / w0 for g in grids])
     axes = []
-    for x, y, _, kernel in built:
-        for axis, grid in (("x", x), ("y", y)):
-            values = np.frombuffer(grid)
+    for x, y, kernels in done:
+        for axis, values in (("x", x), ("y", y)):
             if values.size > 9 and np.isin(values, on_grid).all():
                 axes.append(axis)
-                assert kernel == "sin" and values.min() >= 0.0
+                assert kernels == ["sin"] and values.min() >= 0.0
     # the emission transform sums over tau, chi is evaluated at tau
     assert {"x", "y"} <= set(axes)
+    assert all(_zoom_block(b) for b in built if b[3] in ("cos", "sin"))
 
 
-def test_oracle_row_builds_one_chi_block(tmp_path, monkeypatch):
-    # eta scans chi(0, tau) on f_integral's first tau grid, and the row's
-    # p_e synthesis shares the store of its eta synthesis
+def test_oracle_row_builds_no_trig_block(tmp_path, monkeypatch):
+    # chi, the drive and Filon's rule of an oracle row are chirp
+    # z-transforms: the row builds no cos/sin block but eta's zooms
     cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
-    _, geometry, tls, _ = cfg.build()
-    w0 = cfg.transition_frequency_rad_per_s
-    spectrum = ps.make_gaussian_spectrum(w0, 10.0 * w0)
-    frequencies = excitation.PulseAreaSynthesis(
-        geometry, spectrum, cfg.pulse_energy_J, tls, cfg.grid_scale).frequencies
     built = _watch_blocks(monkeypatch)
+    transforms = []
+    real_chirp = quadrature._chirp_z
+
+    def counted(x, y, c):
+        z = real_chirp(x, y, c)
+        transforms.append(z is not None or y.size < quadrature.MIN_CHIRP_POINTS)
+        return z
+
+    monkeypatch.setattr(quadrature, "_chirp_z", counted)
     oracle_compare(cfg, [(10.0, 0.05)])
-    # the 9-point zoom grids of eta are left out
-    chi_blocks = [b for b in built if b[0] == frequencies.tobytes()
-                  and b[3] == "sin" and np.frombuffer(b[1]).size > 9]
-    assert len(chi_blocks) == 1
+    row = (tmp_path / "oracle_compare.csv").read_text().splitlines()[1]
+    assert row.endswith(",")  # no error
+    assert transforms and all(transforms)
+    assert all(_zoom_block(b) for b in built if b[3] in ("cos", "sin"))
 
 
 def _f_calls(monkeypatch):
@@ -519,7 +544,8 @@ def test_curve_samples_share_few_f_calls(tmp_path, monkeypatch):
 
 def test_figure_1b_sums_over_half_its_window(tmp_path, monkeypatch):
     # the time axis is t_rephase + symmetric_grid, so tau = t - t_rephase
-    # is mirrored and no block over tau < 0 is built
+    # is mirrored: the field is summed for tau >= 0 only and written
+    # exactly even in tau
     times = []
     real_field = scenario.focal_field_time
 
@@ -528,35 +554,30 @@ def test_figure_1b_sums_over_half_its_window(tmp_path, monkeypatch):
         return real_field(geometry, spectrum, pulse_energy, rho, t, *args, **kwargs)
 
     monkeypatch.setattr(scenario, "focal_field_time", recorded)
+    done = _watch_sums(monkeypatch)
     built = _watch_blocks(monkeypatch)
     cfg = loads_config("output_dir = " + str(tmp_path) + "\n")
-    emit_figure_data(cfg, "1b")
+    name = emit_figure_data(cfg, "1b")
     tau = times[0] - cfg.build()[1].reference_sphere_radius / C_LIGHT
     assert len(times) == 1 and tau.size == 2001
     assert np.array_equal(tau, -tau[::-1])
-    assert built and all(np.frombuffer(y).min() >= 0.0 for _, y, _, _ in built)
-    assert {np.frombuffer(y).size for _, y, _, _ in built} == {1001}
+    assert done and all(y.min() >= 0.0 for _, y, _ in done)
+    assert {y.size for _, y, _ in done} == {1001} and not built
+    field = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)[:, 1]
+    assert np.array_equal(field, field[::-1])
 
 
-def test_store_budget_bounds_the_store_not_the_numbers(tmp_path, monkeypatch):
+def test_two_runs_write_identical_bytes(tmp_path):
+    # nothing a run computes is kept for the next one
     text = "grid_scale = 0.3\noutput_dir = " + str(tmp_path / "{}") + "\n"
-    unbounded = run_scenario(loads_config(text.format("free")))
-    held = []
-    real_block = quadrature.CosSinMatrices.block
-
-    def watched(self, *args):
-        m = real_block(self, *args)
-        held.append(sum(b.nbytes for b in self._blocks.values()))
-        return m
-
-    monkeypatch.setattr(quadrature, "STORE_BYTES", 2**20)
-    monkeypatch.setattr(quadrature.CosSinMatrices, "block", watched)
-    bounded = run_scenario(loads_config(text.format("bounded")))
-    assert 0 < max(held) <= 2**20
-    assert bounded == unbounded
-    for name in unbounded.curve_files.values():
-        assert ((tmp_path / "bounded" / name).read_bytes()
-                == (tmp_path / "free" / name).read_bytes())
+    first = run_scenario(loads_config(text.format("first")))
+    second = run_scenario(loads_config(text.format("second")))
+    assert first == second
+    names = sorted(os.listdir(tmp_path / "first"))
+    assert names == sorted(os.listdir(tmp_path / "second"))
+    for name in names:
+        assert ((tmp_path / "first" / name).read_bytes()
+                == (tmp_path / "second" / name).read_bytes())
 
 
 @pytest.mark.parametrize("width_ratio", [0.3, 10.0, 30.0])
@@ -570,7 +591,7 @@ def test_shared_grid_eta_matches_a_bounded_scalar_maximum(width_ratio):
     spectrum = ps.make_gaussian_spectrum(w0, width_ratio * w0)
     synthesis = excitation.PulseAreaSynthesis(geometry, spectrum,
                                               train.pulse_energy, tls, 0.3)
-    chi = synthesis.chi(0.0, stored=False)
+    chi = synthesis.chi(0.0)
     half = 8.0 / spectrum.spectral_width
     taus = np.linspace(-half, half, 4001)
     i = int(np.argmax(np.abs(chi(taus))))

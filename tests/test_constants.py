@@ -25,7 +25,8 @@ def test_constants_are_codata_2022():
 def test_import_loads_only_scipy_special():
     src = os.path.dirname(os.path.dirname(pulsescope.__file__))
     code = ("import sys, pulsescope; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.constants') "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.constants', "
+            "'scipy.fft', 'scipy.signal') "
             "if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -381,7 +381,7 @@ def _f_alone_and_in_one_block(scenario, grid_scale, monkeypatch):
 
     def f(rho):
         return ps.f_integral(tls, synthesis.chi(rho), synthesis.pulse_width,
-                             grid_scale, synthesis.matrices)
+                             grid_scale)
 
     alone = np.array([f(float(r)) for r in radii])
     cutoffs = [c for call in calls for c in call]

@@ -1,11 +1,12 @@
-"""The blocked kernel transform against the loops it replaced, and the
-lifetime of its shared matrices.
+"""The kernel transform - chirp z-transforms for cos/sin sums, blocked
+products for J1(x)/x and for grids that are not uniform - against the
+loops it replaced.
 
 The reference loops below are the package's former implementations of
 chi, the time-domain focal field, the inner emission transform, Filon's
 rule (complex exponentials and einsum) and the rephased focal intensity
-(one trapezoid per radius). The real matrix products sum the same terms
-in another order, so results agree to float64 rounding: 1e-12 of the
+(one trapezoid per radius). The transforms sum the same terms in
+another order, so results agree to float64 rounding: 1e-12 of the
 peak, fixed before comparing.
 """
 
@@ -19,13 +20,12 @@ from pulsescope.bessel import j1_over_x
 from pulsescope.constants import FIELD_CALIBRATION
 from pulsescope.excitation import PulseAreaSynthesis, _chi_evaluator
 from pulsescope.focal import _synthesis_grid
-from pulsescope.errors import NumericalConvergenceError
+from pulsescope.errors import InvalidParameterError, NumericalConvergenceError
 from pulsescope.quadrature import (
-    CosSinMatrices,
     _filon_weights,
+    _fourier_sum,
     add_certified_tail,
     certified_tail_cutoff,
-    cos_sin_transform,
     filon_transform,
     kernel_transform,
     oscillatory_cos_sin,
@@ -140,17 +140,16 @@ def test_focal_field_time_matches_complex_exp_loop(scenario, rho):
                                         rho, t))
 
 
-def test_oscillatory_cos_sin_matches_complex_exp_loop(monkeypatch):
+def test_oscillatory_cos_sin_matches_complex_exp_loop():
     t = np.linspace(-1.2, 1.2, 353)
     real = np.sin(t) * np.exp(-(3.0 * t) ** 2)
     cplx = real * np.exp(0.7j * t)
     q = np.linspace(0.0, 60.0, 257)
-    # several blocks per call, so the chunk seams are covered too
-    monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", 20 * t.size)
     for f in (real, cplx):
         ref = reference_oscillatory(t, f, q)
         _close_to_peak(oscillatory_cos_sin(t, f, q), ref)
-        _close_to_peak(oscillatory_cos_sin(t, f, q, CosSinMatrices()), ref)
+        _close_to_peak(oscillatory_cos_sin(t, np.stack([f, 2.0 * f], axis=1), q),
+                       np.stack([ref, 2.0 * ref], axis=1))
         scalar = oscillatory_cos_sin(t, f, 7.5)
         assert np.ndim(scalar) == 0
         assert abs(scalar - reference_oscillatory(t, f, 7.5)[0]) <= TOL * np.max(np.abs(ref))
@@ -163,28 +162,25 @@ def test_trapezoid_weights_reproduce_numpy():
                                np.trapezoid(y, x), rtol=1e-14)
 
 
-def test_shared_matrices_give_identical_sums_and_are_built_once(monkeypatch):
+def test_repeated_transforms_give_identical_sums(monkeypatch):
     x = np.linspace(0.0, 5.0, 301)
     y = np.linspace(-2.0, 2.0, 97)
     a, b = np.cos(3 * x), np.exp(-x)
-    built = []
-    real_block = quadrature._trig_block
-
-    def counted(*args):
-        built.append(args[3].__name__)
-        return real_block(*args)
-
-    monkeypatch.setattr(quadrature, "_trig_block", counted)
-    fresh = cos_sin_transform(x, y, a, b)
-    store = CosSinMatrices()
-    first = cos_sin_transform(x, y, a, b, store)
-    again = cos_sin_transform(x, y, a, b, store)
-    assert np.array_equal(fresh, first) and np.array_equal(first, again)
-    assert built == ["cos", "sin", "cos", "sin"]  # the repeat built nothing
-    # an all-zero coefficient skips its matrix
-    built.clear()
-    cos_sin_transform(x, y, a, np.zeros_like(x))
-    assert built == ["cos"]
+    calls = _watch_chirps(monkeypatch)
+    first = kernel_transform(x, y, [(np.cos, a), (np.sin, b)])
+    again = kernel_transform(x, y, [(np.cos, a), (np.sin, b)])
+    assert np.array_equal(first, again)
+    # both terms go through one transform, of one column each
+    assert [k for _, _, k in calls] == [2, 2]
+    # an all-zero coefficient skips its column
+    calls.clear()
+    kernel_transform(x, y, [(np.cos, a), (np.sin, np.zeros_like(x))])
+    assert [k for _, _, k in calls] == [1]
+    # the kept chirps are read-only and give the bits of fresh ones
+    w, kernel = quadrature._chirp(0.25, y.size, 400)
+    assert not (w.flags.writeable or kernel.flags.writeable)
+    quadrature._chirp.cache_clear()
+    assert np.array_equal(kernel_transform(x, y, [(np.cos, a), (np.sin, b)]), first)
 
 
 def test_shared_synthesis_matches_a_fresh_one(scenario):
@@ -198,12 +194,11 @@ def test_shared_synthesis_matches_a_fresh_one(scenario):
         assert np.array_equal(shared.chi(rho)(tau), fresh(tau))
 
 
-def test_filon_transform_matches_complex_exp_loop(monkeypatch):
+def test_filon_transform_matches_complex_exp_loop():
     # demodulated emission integrand: a dressing constant plus a pulse
     t = np.linspace(-1.2, 1.2, 641)
     f = 0.3 + (np.sin(4.0 * t) + 0.5j * t) * np.exp(-(3.0 * t) ** 2)
     q = np.concatenate([[0.0, 1e-3], np.linspace(1.0, 900.0, 301)])
-    monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", 17 * t.size)
     ref = reference_filon(t, f, q)
     _close_to_peak(filon_transform(t, f, q), ref)
     for k in (0, 2, 150):
@@ -249,63 +244,154 @@ def _coefficient_sets(x):
             (real_pair, real_pair[:, ::-1]), (cplx_pair, -cplx_pair[:, ::-1])]
 
 
-def _watch_grids(monkeypatch):
-    """(kernel name, x, y) of every block built from now on."""
-    built = []
-    real_block = quadrature._trig_block
+def _watch_chirps(monkeypatch):
+    """(x, y, column count) of every chirp z-transform from now on."""
+    calls = []
+    real_chirp = quadrature._chirp_z
 
-    def counted(x, y, i0, kernel):
-        built.append((kernel.__name__, x, y))
-        return real_block(x, y, i0, kernel)
+    def counted(x, y, c):
+        calls.append((x, y, c.shape[1]))
+        return real_chirp(x, y, c)
 
-    monkeypatch.setattr(quadrature, "_trig_block", counted)
-    return built
+    monkeypatch.setattr(quadrature, "_chirp_z", counted)
+    return calls
+
+
+def cos_sin(x, y, a, b):
+    return kernel_transform(x, y, [(np.cos, a), (np.sin, b)])
 
 
 @pytest.mark.parametrize("n", [353, 354])
 def test_kernel_transform_folds_a_symmetric_sum_axis(monkeypatch, n):
     x = symmetric_grid(1.2, n)
     y = np.linspace(0.0, 60.0, 257)
-    # several blocks per call, so the chunk seams are covered too
-    monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", 20 * n)
-    built = _watch_grids(monkeypatch)
+    calls = _watch_chirps(monkeypatch)
     for a, b in _coefficient_sets(x):
-        ref = reference_cos_sin(x, y, a, b)
-        for store in (None, CosSinMatrices()):
-            _close_to_peak(cos_sin_transform(x, y, a, b, store), ref)
-    # every block covers x >= 0 only, and an odd coefficient builds no cos
-    assert built and all(np.array_equal(bx, x[n // 2:]) for _, bx, _ in built)
-    built.clear()
+        _close_to_peak(cos_sin(x, y, a, b), reference_cos_sin(x, y, a, b))
+    # every transform covers x >= 0 only, and an odd coefficient leaves
+    # its cos sum uncomputed
+    assert calls and all(np.array_equal(gx, x[n // 2:]) for gx, _, _ in calls)
+    calls.clear()
     odd = _coefficient_sets(x)[0][0]
-    cos_sin_transform(x, y, odd, odd)
-    assert {name for name, _, _ in built} == {"sin"}
+    cos_sin(x, y, odd, odd)
+    assert [k for _, _, k in calls] == [1]
 
 
 @pytest.mark.parametrize("n", [353, 354])
 def test_kernel_transform_mirrors_a_symmetric_output_axis(monkeypatch, n):
     x = np.linspace(0.0, 3.0, 301)
     y = symmetric_grid(40.0, n)
-    monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", 20 * x.size)
-    built = _watch_grids(monkeypatch)
+    calls = _watch_chirps(monkeypatch)
     for a, b in _coefficient_sets(x):
-        ref = reference_cos_sin(x, y, a, b)
-        for store in (None, CosSinMatrices()):
-            _close_to_peak(cos_sin_transform(x, y, a, b, store), ref)
-    assert built and all(np.min(by) >= 0.0 for _, _, by in built)
+        _close_to_peak(cos_sin(x, y, a, b), reference_cos_sin(x, y, a, b))
+    assert calls and all(np.min(gy) >= 0.0 for _, gy, _ in calls)
 
 
 @pytest.mark.parametrize("n", [353, 354])
-def test_mirrored_half_has_the_bits_of_a_direct_evaluation(monkeypatch, n):
+def test_mirrored_half_has_the_bits_of_a_direct_evaluation(n):
+    # the half y >= 0 has the bits of evaluating it alone, and the half
+    # y < 0 its bits mirrored: cos sums exactly even, sin sums exactly
+    # odd, with sin exactly 0 at y = 0
     x = np.linspace(0.0, 3.0, 301)
     y = symmetric_grid(40.0, n)
     half = n // 2
-    monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", 20 * x.size)
     for a, b in _coefficient_sets(x):
-        folded = kernel_transform(x, y, [(np.cos, a), (np.sin, b)])
-        # minus the upper half y[half:], in its row order: a grid that is
-        # not mirrored, so it is summed directly
-        direct = kernel_transform(x, -y[half:], [(np.cos, a), (np.sin, b)])
-        assert np.array_equal(folded[:half], direct[::-1][:half])
+        for kernel, c, parity in ((np.cos, a, 1.0), (np.sin, b, -1.0)):
+            folded = kernel_transform(x, y, [(kernel, c)])
+            direct = kernel_transform(x, y[half:], [(kernel, c)])
+            assert np.array_equal(folded[half:], direct)
+            assert np.array_equal(folded, parity * folded[::-1])
+            _close_to_peak(folded, reference_cos_sin(x, y, *(
+                (c, 0.0 * c) if kernel is np.cos else (0.0 * c, c))))
+
+
+def reference_fourier(x, y, c):
+    """sum_j c_j e^{i y_k x_j} by complex exponentials."""
+    return np.exp(1j * np.outer(np.atleast_1d(y), x)) @ c
+
+
+def _columns(x, y):
+    """A complex column with its content inside y's range, a zero column
+    and a real one."""
+    centre, span = 0.5 * (x[0] + x[-1]), abs(x[-1] - x[0])
+    pulse = np.exp(-((x - centre) / (0.2 * span)) ** 2 - 1j * np.median(y) * x)
+    return np.stack([pulse, np.zeros_like(x), pulse.real], axis=1)
+
+
+@pytest.mark.parametrize("x, y", [
+    # m = 1 and n = 2: fewer than MIN_CHIRP_POINTS, summed as blocks
+    (np.linspace(-1.2, 1.2, 353), np.array([7.5])),
+    (np.array([0.3, 0.9]), np.linspace(-5.0, 5.0, 11)),
+    (np.linspace(-1.2, 1.2, 353), np.linspace(5.0, 9.0, 12)),  # m = 12
+    (np.linspace(1.2, -1.2, 353), np.linspace(60.0, -3.0, 200)),  # descending
+    (np.linspace(3.0, 5.0, 401), np.linspace(100.0, 160.0, 301)),  # offsets
+    # phases y x up to 2500 rad, 30 times figure 1b's
+    (np.linspace(0.0, 1.0, 4001), np.linspace(0.0, 2500.0, 1001)),
+    # chirp phases a k^2 / 2 up to 7.5e5 rad on grids of unlike length
+    (np.linspace(0.0, 1.0, 20001), np.linspace(0.0, 300.0, 5)),
+    (np.linspace(0.0, 300.0, 5), np.linspace(0.0, 1.0, 20001)),
+])
+def test_chirp_z_matches_complex_exp_sums(x, y):
+    c = _columns(x, y)
+    chirp = min(x.size, y.size) >= quadrature.MIN_CHIRP_POINTS
+    assert (quadrature._chirp_z(x, y, c) is not None) == chirp
+    got = _fourier_sum(x, y, c)
+    _close_to_peak(got, reference_fourier(x, y, c))
+    assert not got[:, 1].any()  # a zero column stays exactly zero
+    for k in (0, 2):
+        scalar = _fourier_sum(x, float(y[-1]), c[:, k])
+        assert np.ndim(scalar) == 0
+        assert abs(scalar - reference_fourier(x, y[-1], c[:, k])[0]) <= (
+            TOL * np.max(np.abs(reference_fourier(x, y, c))))
+
+
+def test_chirp_z_corrects_a_jittered_output_grid():
+    # tau = (t_r + s) - t_r, as focal_field_time forms it, leaves its line
+    # by about 1e-8 of a step; uncorrected that moves the sums by ~1e-8
+    t_r = 3.3356409519815204e-09
+    tau = (t_r + np.linspace(-2e-14, 2e-14, 1201)) - t_r
+    w = np.linspace(0.0, 2e16, 4001)
+    c = w * np.exp(-((w - 1e16) / 3e15) ** 2)
+    assert not quadrature._line(tau)[3]
+    _close_to_peak(_fourier_sum(w, tau, c), reference_fourier(w, tau, c))
+    _close_to_peak(kernel_transform(w, tau, [(np.cos, c)]),
+                   reference_cos_sin(w, tau, c, 0.0 * c))
+
+
+def test_grids_that_are_not_uniform_fall_back_to_blocks(monkeypatch):
+    uniform = np.linspace(0.0, 3.0, 101)
+    y = np.linspace(0.0, 20.0, 257)
+    # a bent grid, and a jitter 30 times past what is corrected
+    cases = [(uniform**2 / 3.0, y), (uniform, y + 1e-6 * np.sin(y))]
+    # several blocks per call, so the chunk seams are covered too
+    monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", 20 * uniform.size)
+    built = []
+    real_block = quadrature._trig_block
+
+    def counted(x, ys, i0, kernel):
+        built.append(kernel.__name__)
+        return real_block(x, ys, i0, kernel)
+
+    monkeypatch.setattr(quadrature, "_trig_block", counted)
+    for x, ys in cases:
+        c = _columns(x, ys)
+        assert quadrature._chirp_z(x, ys, c) is None
+        _close_to_peak(_fourier_sum(x, ys, c), reference_fourier(x, ys, c))
+        real = c[:, 2].real
+        _close_to_peak(cos_sin(x, ys, real, real),
+                       reference_cos_sin(x, ys, real, real))
+    assert {"cos", "sin"} <= set(built)
+
+
+def test_filon_transform_rejects_a_grid_that_is_not_uniform():
+    t = np.linspace(-1.2, 1.2, 641)
+    f = 0.3 + np.sin(4.0 * t) * np.exp(-(3.0 * t) ** 2)
+    bent = t + 0.05 * t**3          # still increasing
+    with pytest.raises(InvalidParameterError, match="uniform"):
+        filon_transform(bent, f, 5.0)
+    # a grid uniform to rounding is accepted
+    _close_to_peak(filon_transform(symmetric_grid(1.2, 641), f, 5.0),
+                   reference_filon(t, f, 5.0))
 
 
 def test_symmetric_grid_is_linspace_mirrored():
