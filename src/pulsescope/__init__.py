@@ -6,7 +6,6 @@ from .excitation import (
     ExcitationResult,
     PulseTrainConfig,
     TwoLevelSystem,
-    chi_of_time,
     eta,
     excitation_probability,
     excitation_resolution,
@@ -17,15 +16,12 @@ from .excitation import (
 from .focal import (
     FocusingGeometry,
     RadialCurve,
-    focal_field_spectral,
     focal_field_time,
     focal_intensity_rephased,
-    intensity_resolution,
     intensity_resolution_curve,
     spot_size,
 )
 from .oracle import (
-    EmissionSpectrumSample,
     OracleReport,
     PropagatorHistory,
     default_time_grid,
@@ -35,28 +31,20 @@ from .oracle import (
     propagate_driven_tls,
     second_order_emission_amplitude,
 )
-from .spectra import (
-    PulseSpectrum,
-    make_gaussian_spectrum,
-    make_spectrum,
-    mean_frequency,
-    spectrum_value,
-)
+from .spectra import PulseSpectrum, make_gaussian_spectrum, make_spectrum
 
 __all__ = [
     "ScenarioConfig", "ScenarioReport", "load_config", "loads_config",
     "ExcitationResult", "PulseTrainConfig", "TwoLevelSystem",
-    "chi_of_time", "eta", "excitation_probability", "excitation_resolution",
+    "eta", "excitation_probability", "excitation_resolution",
     "excitation_resolution_curve", "f_integral", "imaging_rate",
-    "FocusingGeometry", "RadialCurve", "focal_field_spectral",
-    "focal_field_time", "focal_intensity_rephased", "intensity_resolution",
-    "intensity_resolution_curve", "spot_size",
-    "EmissionSpectrumSample", "OracleReport", "PropagatorHistory",
+    "FocusingGeometry", "RadialCurve", "focal_field_time",
+    "focal_intensity_rephased", "intensity_resolution_curve", "spot_size",
+    "OracleReport", "PropagatorHistory",
     "default_time_grid", "oracle_c0", "oracle_emission_amplitude",
     "oracle_excitation_probability", "propagate_driven_tls",
     "second_order_emission_amplitude",
     "PulseSpectrum", "make_gaussian_spectrum", "make_spectrum",
-    "mean_frequency", "spectrum_value",
 ]
 
 __version__ = "0.1.0"

@@ -287,34 +287,6 @@ class PulseAreaSynthesis:
         return (p_e, f_val) if radii.ndim else (float(p_e), float(f_val))
 
 
-def _chi_evaluator(
-    geometry: FocusingGeometry,
-    spectrum: PulseSpectrum,
-    pulse_energy: float,
-    tls: TwoLevelSystem,
-    rho: float,
-    grid_scale: float = 1.0,
-) -> Callable:
-    """chi(rho, tau) from a synthesis of its own (see PulseAreaSynthesis)."""
-    return PulseAreaSynthesis(geometry, spectrum, pulse_energy, tls,
-                              grid_scale).chi(rho)
-
-
-def chi_of_time(
-    geometry: FocusingGeometry,
-    spectrum: PulseSpectrum,
-    pulse_energy: float,
-    tls: TwoLevelSystem,
-    rho: float,
-    t,
-    grid_scale: float = 1.0,
-):
-    """Accumulated single-pulse area at absolute lab time t (z = 0)."""
-    chi = _chi_evaluator(geometry, spectrum, pulse_energy, tls, rho, grid_scale)
-    t_rephase = geometry.reference_sphere_radius / C_LIGHT
-    return chi(np.asarray(t) - t_rephase)
-
-
 def eta(
     geometry: FocusingGeometry,
     spectrum: PulseSpectrum,

@@ -3,13 +3,14 @@
 The focusing model is a thin nondispersive reference sphere of radius f
 illuminated by a waist-sigma beam, valid in the paraxial regime
 A = sigma/f << 1 with the focus in the far field of every retained
-frequency. Each spectral component focuses to an Airy disk whose scale
-is set by its own frequency,
+frequency. The model is the focal plane z = 0, where each spectral
+component focuses to an Airy disk whose scale is set by its own
+frequency,
 
-    E(rho, z, w) = i e^{i w (f+z)/c} sqrt(2 U / (eps0 c)) phi(w)
-                   * J1(A w rho / c) / rho,
+    E(rho, w) = i e^{i w f/c} sqrt(2 U / (eps0 c)) phi(w)
+                * J1(A w rho / c) / rho,
 
-so the coherent superposition at the rephasing time t = (f+z)/c is
+so the coherent superposition at the rephasing time t = f/c is
 narrower than any single-color spot when the spectrum is broad. The
 radial dependence enters only through A*w*rho/c; resolution curves are
 therefore exactly scale invariant in the product A*rho.
@@ -113,19 +114,6 @@ class RadialCurve:
             buf.write(f"{float(r)!r},{float(v)!r},{self.kind}\n")
         return buf.getvalue()
 
-    @classmethod
-    def from_csv(cls, text: str) -> "RadialCurve":
-        lines = text.strip().split("\n")
-        if lines[0] != "rho_m,value,kind":
-            raise InvalidParameterError(f"unexpected CSV header {lines[0]!r}")
-        radii, values, kind = [], [], None
-        for line in lines[1:]:
-            r, v, k = line.split(",")
-            radii.append(float(r))
-            values.append(float(v))
-            kind = k
-        return cls(np.array(radii), np.array(values), kind)
-
 
 def _amplitude_prefactor(pulse_energy: float) -> float:
     if pulse_energy <= 0:
@@ -138,29 +126,6 @@ def _airy_kernel(geometry: FocusingGeometry, omega, rho: float):
     a = geometry.numerical_aperture
     x = a * np.asarray(omega, dtype=float) * rho / C_LIGHT
     return (a * np.asarray(omega, dtype=float) / C_LIGHT) * j1_over_x(x)
-
-
-def focal_field_spectral(
-    geometry: FocusingGeometry,
-    spectrum: PulseSpectrum,
-    pulse_energy: float,
-    rho: float,
-    z: float,
-    omega,
-):
-    """Complex focused spectral amplitude near the focal point (V/m per
-    sqrt(rad/s)), x-polarized scalar component."""
-    if rho < 0:
-        raise InvalidParameterError(f"radial coordinate must be >= 0, got {rho}")
-    omega = np.asarray(omega, dtype=float)
-    phase = np.exp(1j * omega * (geometry.reference_sphere_radius + z) / C_LIGHT)
-    return (
-        1j
-        * phase
-        * _amplitude_prefactor(pulse_energy)
-        * spectrum.value(omega)
-        * _airy_kernel(geometry, omega, rho)
-    )
 
 
 def _synthesis_grid(spectrum: PulseSpectrum, tau_span: float, grid_scale: float = 1.0) -> np.ndarray:
@@ -178,30 +143,29 @@ def focal_field_time(
     pulse_energy: float,
     rho: float,
     t,
-    z: float = 0.0,
     grid_scale: float = 1.0,
 ):
-    """Real time-domain field at radius rho in the plane z (V/m).
+    """Real time-domain field at radius rho in the focal plane (V/m).
 
-    Synthesized as (kappa / pi) * Re int_0^inf E(rho, z, w) e^{-i w t} dw
+    Synthesized as (kappa / pi) * Re int_0^inf E(rho, w) e^{-i w t} dw
     using the reality fold phi(w) = conj(phi(-w)); kappa is the package
     field calibration constant. The peak sits at the rephasing time
-    t = (f + z)/c.
+    t = f/c.
 
     On a uniform t the field is one chirp z-transform (`kernel_transform`),
-    which corrects to first order the jitter tau = t - (f + z)/c takes
-    from rounding (f + z)/c. A tau bit-exactly odd about 0, as from
-    t = (f + z)/c + symmetric_grid(half, n), is transformed over tau >= 0
-    and mirrored; the package's purely imaginary spectra then give a field
-    exactly even in tau. Where (f + z)/c +/- half straddles a power of
-    two, tau is not mirrored and every tau is transformed.
+    which corrects to first order the jitter tau = t - f/c takes from
+    rounding f/c. A tau bit-exactly odd about 0, as from
+    t = f/c + symmetric_grid(half, n), is transformed over tau >= 0 and
+    mirrored; the package's purely imaginary spectra then give a field
+    exactly even in tau. Where f/c +/- half straddles a power of two, tau
+    is not mirrored and every tau is transformed.
     """
     if rho < 0:
         raise InvalidParameterError(f"radial coordinate must be >= 0, got {rho}")
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    t_rephase = (geometry.reference_sphere_radius + z) / C_LIGHT
+    t_rephase = geometry.reference_sphere_radius / C_LIGHT
     tau = t - t_rephase
     if t.size > 1:
         dt = np.diff(t)
@@ -235,7 +199,8 @@ def focal_intensity_rephased(
     scale = geometry.numerical_aperture * w / C_LIGHT
     g = spectrum.value(w) * scale * trapezoid_weights(w)
     halves = np.stack([g.real, g.imag], axis=1)
-    amp = kernel_transform(scale, rhos, [(j1_over_x, halves)])
+    # only the nonzero halves: the package's spectra are purely imaginary
+    amp = kernel_transform(scale, rhos, [(j1_over_x, halves[:, halves.any(axis=0)])])
     out = np.sum(amp**2, axis=1)
     return out if np.ndim(rho) else float(out[0])
 
@@ -266,17 +231,6 @@ def resolution_curve(quantity: Callable, rho_max: float,
     return RadialCurve(radii, values, "resolution", evaluate)
 
 
-def intensity_resolution(
-    geometry: FocusingGeometry,
-    spectrum: PulseSpectrum,
-    rho: float,
-    grid_scale: float = 1.0,
-) -> float:
-    """2 I(rho) / [I(0) + I(rho)]; exactly 1 at rho = 0."""
-    return intensity_resolution_curve(geometry, spectrum, n_points=1,
-                                      grid_scale=grid_scale).evaluator(rho)
-
-
 def intensity_resolution_curve(
     geometry: FocusingGeometry,
     spectrum: PulseSpectrum,
@@ -298,10 +252,14 @@ def spot_size(curve: RadialCurve, threshold: float = 0.5,
     """Smallest radius where a resolution curve crosses the threshold.
 
     Brackets on the stored samples, then bisects the curve's continuous
-    evaluator to relative tolerance rtol.
+    evaluator to relative tolerance rtol; a curve without an evaluator
+    raises InvalidParameterError.
     """
     if curve.kind != "resolution":
         raise InvalidParameterError("spot size is defined on resolution curves")
+    if curve.evaluator is None:
+        raise InvalidParameterError(
+            "spot size bisects the curve's evaluator; this curve has none")
     if not 0.0 < threshold <= 1.0:
         raise InvalidParameterError(f"threshold must lie in (0, 1], got {threshold}")
     if threshold == 1.0:
@@ -316,14 +274,9 @@ def spot_size(curve: RadialCurve, threshold: float = 0.5,
     if hi_idx == 0:
         return 0.0
     lo, hi = curve.radii[hi_idx - 1], curve.radii[hi_idx]
-    f = curve.evaluator
-    if f is None:
-        # no evaluator: secant on the sampled points
-        v_lo, v_hi = curve.values[hi_idx - 1], curve.values[hi_idx]
-        return float(lo + (v_lo - threshold) * (hi - lo) / (v_lo - v_hi))
     while (hi - lo) > rtol * hi:
         mid = 0.5 * (lo + hi)
-        if f(mid) > threshold:
+        if curve.evaluator(mid) > threshold:
             lo = mid
         else:
             hi = mid

@@ -173,24 +173,6 @@ def _window_plus_tails(history: PropagatorHistory, n, e0, gg, qs):
     return out - gg * np.exp(1j * qs * t[-1]) / (1j * (qs + w0))
 
 
-@dataclass(frozen=True)
-class EmissionSpectrumSample:
-    """One photon frequency with |M|^2 and its w_k^3 measure weight."""
-
-    omega_k: float
-    amplitude_sq: float
-    weight: float
-
-
-def emission_spectrum(history: PropagatorHistory, omega_k) -> list:
-    qs = np.atleast_1d(np.asarray(omega_k, dtype=float))
-    m2 = np.abs(oracle_emission_amplitude(history, qs)) ** 2
-    return [
-        EmissionSpectrumSample(float(q), float(a), float(q**3))
-        for q, a in zip(qs, m2)
-    ]
-
-
 def oracle_excitation_probability(
     history: PropagatorHistory,
     tls: TwoLevelSystem,

@@ -134,15 +134,15 @@ def kernel_transform(x, y, terms):
     """sum_j c_j K(y_k x_j), summed over the (K, c) pairs of terms, for
     every y_k. Each c is real on the grid x, quadrature weights applied:
     a vector, or a matrix with one column per right-hand side; an
-    all-zero c, or column of c, is skipped. When every K is cos or sin
-    and `_chirp_z` takes both grids, all columns go through one chirp
-    z-transform, whose real part is the cos sum and imaginary part the
-    sin sum; otherwise through blocks of K(outer(y, x)) of at most
-    CHUNK_ELEMENTS. For cos and sin a grid bit-exactly odd about 0
-    (`symmetric_grid`) is folded onto its half >= 0: on x, c(x) + c(-x)
-    for cos and c(x) - c(-x) for sin (an odd c leaves its cos sum
-    uncomputed); on y, the sums for y >= 0 are mirrored bit-exactly, cos
-    as even and sin as odd (sin is 0 at y = 0).
+    all-zero c is skipped. When every K is cos or sin and `_chirp_z`
+    takes both grids, all columns go through one chirp z-transform,
+    whose real part is the cos sum and imaginary part the sin sum;
+    otherwise through blocks of K(outer(y, x)) of at most CHUNK_ELEMENTS.
+    For cos and sin a grid bit-exactly odd about 0 (`symmetric_grid`) is
+    folded onto its half >= 0: on x, c(x) + c(-x) for cos and
+    c(x) - c(-x) for sin (an odd c leaves its cos sum uncomputed); on y,
+    the sums for y >= 0 are mirrored bit-exactly, cos as even and sin as
+    odd (sin is 0 at y = 0).
     """
     x = np.asarray(x, dtype=float)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
@@ -181,19 +181,14 @@ def _sums(x, ys, terms, trig):
     at -ys), by one chirp z-transform when trig (every K cos or sin) and
     `_chirp_z` takes the grids, else by blocks of rows."""
     out, neg = np.zeros((2,) + ys.shape + terms[0][1].shape[1:])
-    live = []
-    for kernel, c, parity in terms:
-        nonzero = c.any(axis=0)
-        if np.any(nonzero):
-            cols = None if np.all(nonzero) else np.flatnonzero(nonzero)
-            live.append((kernel, c if cols is None else c[:, cols], cols, parity))
+    live = [term for term in terms if term[1].any()]
     z = None
     if trig and live:
-        z = _chirp_z(x, ys, np.hstack([c.reshape(x.size, -1) for _, c, _, _ in live]))
+        z = _chirp_z(x, ys, np.hstack([c.reshape(x.size, -1) for _, c, _ in live]))
     chunk = ys.size if z is not None else _chunk(x)
     for i0 in range(0, ys.size, chunk):
         rows = slice(i0, i0 + chunk)
-        for kernel, c, cols, parity in live:
+        for kernel, c, parity in live:
             if z is None:
                 part = _trig_block(x, ys, i0, kernel) @ c
             else:
@@ -202,9 +197,8 @@ def _sums(x, ys, terms, trig):
                     ys.shape + c.shape[1:])
                 if kernel is np.sin:
                     part[ys == 0.0] = 0.0
-            at = rows if cols is None else (rows, cols)
-            out[at] += part
-            neg[at] += parity * part
+            out[rows] += part
+            neg[rows] += parity * part
     return out, neg
 
 
@@ -292,11 +286,10 @@ def _fourier_sum(t, q, c):
     z = None if np.isrealobj(c) and _mirrored(t) else _chirp_z(
         t, np.atleast_1d(np.asarray(q, dtype=float)), cols)
     if z is None:
-        # real and imaginary part as cos and sin columns (zero ones skipped)
-        k = cols.shape[1]
-        s = kernel_transform(t, q, [(np.cos, np.hstack([cols.real, cols.imag])),
-                                    (np.sin, np.hstack([-cols.imag, cols.real]))])
-        z = s[..., :k] + 1j * s[..., k:]
+        # real and imaginary part as cos and sin terms (zero ones skipped)
+        re, im = cols.real, cols.imag
+        z = (kernel_transform(t, q, [(np.cos, re), (np.sin, -im)])
+             + 1j * kernel_transform(t, q, [(np.cos, im), (np.sin, re)]))
     return z.reshape(np.shape(q) + c.shape[1:])[()]
 
 

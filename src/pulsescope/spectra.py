@@ -135,26 +135,3 @@ def make_gaussian_spectrum(carrier: float, width: float) -> PulseSpectrum:
             "exponent squares it past the floating-point range")
     return make_spectrum(_gaussian_shape(carrier, width), carrier, width)
 
-
-def spectrum_value(spectrum: PulseSpectrum, omega):
-    """phi(omega); total on the real line, including negative frequencies."""
-    return spectrum.value(omega)
-
-
-def mean_frequency(spectrum: PulseSpectrum, rtol: float = 1e-10) -> float:
-    """Recompute w_bar by certified quadrature (must match the cache)."""
-    wmax = spectrum.max_frequency
-
-    def first_moment(n: int) -> float:
-        w = np.linspace(0.0, wmax, n)
-        return np.trapezoid(w * np.abs(spectrum.value(w)) ** 2, w)
-
-    return refine_until_converged(first_moment, 2001, rtol=rtol,
-                                  what="mean frequency")
-
-
-def gaussian_normalization_closed_form(carrier: float, width: float) -> float:
-    """Closed-form N for the Gaussian family (test oracle only):
-    1 / sqrt(G sqrt(2 pi) (1 - exp(-w_c^2 / (2 G^2))))."""
-    n2 = width * np.sqrt(2.0 * np.pi) * (1.0 - np.exp(-(carrier**2) / (2.0 * width**2)))
-    return 1.0 / np.sqrt(n2)

@@ -32,3 +32,15 @@ def test_import_loads_only_scipy_special():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition is gone breaks `import *`
+    assert len(set(pulsescope.__all__)) == len(pulsescope.__all__)
+    assert [n for n in pulsescope.__all__ if not hasattr(pulsescope, n)] == []
+
+
+def test_star_import_binds_the_export_list():
+    namespace = {}
+    exec("from pulsescope import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(pulsescope.__all__)

@@ -15,11 +15,7 @@ from pulsescope.errors import (
     RegimeViolationError,
 )
 from pulsescope import excitation
-from pulsescope.excitation import (
-    PulseAreaSynthesis,
-    _chi_evaluator,
-    dipole_from_spontaneous_rate,
-)
+from pulsescope.excitation import PulseAreaSynthesis, dipole_from_spontaneous_rate
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +63,8 @@ def test_train_validation_and_resonance(scenario):
 
 def test_chi_decays_and_scales_with_sqrt_energy(scenario):
     _, spectrum, geometry, tls, train = scenario
-    chi1 = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, 0.0)
-    chi2 = _chi_evaluator(geometry, spectrum, 2 * train.pulse_energy, tls, 0.0)
+    chi1 = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls).chi(0.0)
+    chi2 = PulseAreaSynthesis(geometry, spectrum, 2 * train.pulse_energy, tls).chi(0.0)
     taus = np.linspace(-12, 12, 1501) / spectrum.spectral_width
     v1 = chi1(taus)
     peak = np.max(np.abs(v1))
@@ -79,7 +75,7 @@ def test_chi_decays_and_scales_with_sqrt_energy(scenario):
 
 def test_chi_is_odd_about_rephasing_time(scenario):
     _, spectrum, geometry, tls, train = scenario
-    chi = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, 0.0)
+    chi = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls).chi(0.0)
     taus = np.linspace(1e-18, 3e-17, 40)
     np.testing.assert_allclose(chi(-taus), -chi(taus), rtol=1e-9)
 
@@ -111,7 +107,8 @@ def test_chi_matches_cumulative_field_integral(scenario):
     d = tls.dipole_magnitude
     cum = -d / hbar * np.concatenate(
         ([0.0], np.cumsum(0.5 * (e[1:] + e[:-1]) * np.diff(t))))
-    direct = ps.chi_of_time(geometry, spectrum, train.pulse_energy, tls, 0.0, t)
+    chi = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls).chi(0.0)
+    direct = chi(t - t_r)
     peak = np.max(np.abs(direct))
     assert np.max(np.abs(cum - direct)) < 2e-3 * peak
 
@@ -157,7 +154,7 @@ def test_eta_matches_a_bounded_scalar_maximum(scenario, width_ratio):
     _, _, geometry, tls, train = scenario
     w0 = tls.transition_frequency
     spectrum = ps.make_gaussian_spectrum(w0, width_ratio * w0)
-    chi = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, 0.0, 0.3)
+    chi = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls, 0.3).chi(0.0)
     half = 8.0 / spectrum.spectral_width
     taus = np.linspace(-half, half, 4001)
     i = int(np.argmax(np.abs(chi(taus))))
@@ -176,8 +173,8 @@ def test_f_integral_zero_for_zero_area(scenario):
 
 def test_f_integral_quartic_in_energy(scenario):
     _, spectrum, geometry, tls, train = scenario
-    chi1 = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, 0.0)
-    chi2 = _chi_evaluator(geometry, spectrum, 2 * train.pulse_energy, tls, 0.0)
+    chi1 = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls).chi(0.0)
+    chi2 = PulseAreaSynthesis(geometry, spectrum, 2 * train.pulse_energy, tls).chi(0.0)
     pw = 1.0 / spectrum.spectral_width
     f1 = ps.f_integral(tls, chi1, pw)
     f2 = ps.f_integral(tls, chi2, pw)
@@ -195,7 +192,7 @@ def test_f_integral_dense_quadrature_oracle(scenario):
     # independent: direct oscillatory integration, 10x oversampling, no
     # shared transform helper
     _, spectrum, geometry, tls, train = scenario
-    chi = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, 0.0)
+    chi = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls).chi(0.0)
     pw = 1.0 / spectrum.spectral_width
     got = ps.f_integral(tls, chi, pw)
     w0 = tls.transition_frequency
@@ -352,7 +349,7 @@ def test_f_integral_certifies_its_cutoff_once(scenario, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(excitation, "certified_tail_cutoff", counted)
-    chi = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, 0.0)
+    chi = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls).chi(0.0)
     assert ps.f_integral(tls, chi, 1.0 / spectrum.spectral_width) > 0.0
     assert len(calls) == 1
 
@@ -412,7 +409,7 @@ def test_f_block_regrids_only_the_columns_that_need_it(scenario, monkeypatch):
 
 def test_f_block_zero_column_gives_zero(scenario):
     _, spectrum, geometry, tls, train = scenario
-    chi = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, 0.0, 0.3)
+    chi = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls, 0.3).chi(0.0)
 
     def block(tau):
         c = chi(tau)
@@ -427,7 +424,7 @@ def test_f_block_zero_column_gives_zero(scenario):
 
 def test_f_block_rejects_one_nondecaying_column(scenario):
     _, spectrum, geometry, tls, train = scenario
-    chi = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, 0.0, 0.3)
+    chi = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls, 0.3).chi(0.0)
 
     def block(tau):
         c = chi(tau)

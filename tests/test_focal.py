@@ -12,13 +12,14 @@ from pulsescope.errors import (
     InvalidStateError,
     NumericalConvergenceError,
 )
+from pulsescope.excitation import PulseAreaSynthesis, TwoLevelSystem
 from pulsescope.focal import (
     FocusingGeometry,
     RadialCurve,
-    focal_field_spectral,
+    _airy_kernel,
+    _amplitude_prefactor,
     focal_field_time,
     focal_intensity_rephased,
-    intensity_resolution,
     intensity_resolution_curve,
     resolution_curve,
     spot_size,
@@ -53,16 +54,22 @@ def test_far_field_flag(ultrafast):
     assert not tight.far_field_valid(ultrafast)
 
 
+def spectral_field(spectrum, rho, w):
+    """E(rho, w) e^{-i w f / c}, the focal spectral amplitude, from the
+    factors focal_field_time, chi and the intensity transform share."""
+    return (1j * _amplitude_prefactor(U) * spectrum.value(w)
+            * _airy_kernel(GEO, w, rho))
+
+
 def test_spectral_field_removable_singularity(ultrafast):
     w = ultrafast.mean_frequency
     lam = ultrafast.mean_wavelength
-    at_zero = focal_field_spectral(GEO, ultrafast, U, 0.0, 0.0, w)
-    near = focal_field_spectral(GEO, ultrafast, U, 1e-9 * lam, 0.0, w)
+    at_zero = spectral_field(ultrafast, 0.0, w)
+    near = spectral_field(ultrafast, 1e-9 * lam, w)
     np.testing.assert_allclose(near, at_zero, rtol=1e-6)
     # limit value A w / (2 c) times the spectral amplitude
     a = GEO.numerical_aperture
-    expect = 1j * np.exp(1j * w * GEO.reference_sphere_radius / C) \
-        * np.sqrt(2 * U / (8.8541878128e-12 * C)) * ultrafast.value(w) \
+    expect = 1j * np.sqrt(2 * U / (8.8541878128e-12 * C)) * ultrafast.value(w) \
         * a * w / (2 * C)
     np.testing.assert_allclose(at_zero, expect, rtol=1e-6)
 
@@ -71,18 +78,19 @@ def test_spectral_field_against_mpmath_bessel(ultrafast):
     mpmath.mp.dps = 30
     w = ultrafast.mean_frequency
     rho = ultrafast.mean_wavelength / GEO.numerical_aperture
-    got = focal_field_spectral(GEO, ultrafast, U, rho, 0.0, w)
     x = GEO.numerical_aperture * w * rho / C
     kernel = float(mpmath.besselj(1, x)) / rho
-    from pulsescope.focal import _amplitude_prefactor
-    expect = (1j * np.exp(1j * w * GEO.reference_sphere_radius / C)
-              * _amplitude_prefactor(U) * ultrafast.value(w) * kernel)
-    np.testing.assert_allclose(got, expect, rtol=1e-8)
+    np.testing.assert_allclose(_airy_kernel(GEO, w, rho), kernel, rtol=1e-8)
 
 
-def test_spectral_field_rejects_negative_rho(ultrafast):
-    with pytest.raises(InvalidParameterError):
-        focal_field_spectral(GEO, ultrafast, U, -1e-9, 0.0, W0)
+def test_fields_reject_negative_rho(ultrafast):
+    t_r = GEO.reference_sphere_radius / C
+    tls = TwoLevelSystem(W0, 1e8)
+    for call in (lambda: focal_field_time(GEO, ultrafast, U, -1e-9, t_r),
+                 lambda: focal_intensity_rephased(GEO, ultrafast, [0.0, -1e-9]),
+                 lambda: PulseAreaSynthesis(GEO, ultrafast, U, tls).chi(-1e-9)):
+        with pytest.raises(InvalidParameterError):
+            call()
 
 
 def test_monochromatic_first_zero(narrowband):
@@ -124,7 +132,7 @@ def test_parseval(ultrafast):
     e = focal_field_time(GEO, ultrafast, U, 0.0, t)
     lhs = np.trapezoid(e**2, t)
     w = ultrafast.frequency_grid(60001)
-    ew = focal_field_spectral(GEO, ultrafast, U, 0.0, 0.0, w)
+    ew = spectral_field(ultrafast, 0.0, w)
     rhs = FIELD_CALIBRATION**2 / np.pi * np.trapezoid(np.abs(ew) ** 2, w)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-6)
 
@@ -159,32 +167,28 @@ def test_intensity_dense_double_quadrature_oracle(ultrafast):
 
 
 def test_resolution_bounds_and_value_at_zero(ultrafast):
-    assert intensity_resolution(GEO, ultrafast, 0.0) == 1.0
     lam = ultrafast.mean_wavelength
-    vals = np.array([
-        intensity_resolution(GEO, ultrafast, r)
-        for r in np.linspace(0.0, lam / GEO.numerical_aperture, 12)
-    ])
-    assert np.all((vals >= 0) & (vals <= 1))
+    curve = intensity_resolution_curve(
+        GEO, ultrafast, rho_max=lam / GEO.numerical_aperture, n_points=12)
+    assert curve.values[0] == 1.0 and curve.evaluator(0.0) == 1.0
+    assert np.all((curve.values >= 0) & (curve.values <= 1))
 
 
 def test_scale_invariance_in_a_rho(ultrafast):
     # (A, rho) and (2A, rho/2) give identical resolution values
     geo2 = FocusingGeometry(0.01, 0.002)
-    lam = ultrafast.mean_wavelength
-    rhos = np.linspace(0.05, 1.0, 7) * lam / GEO.numerical_aperture
-    v1 = np.array([intensity_resolution(GEO, ultrafast, r) for r in rhos])
-    v2 = np.array([intensity_resolution(geo2, ultrafast, r / 2) for r in rhos])
+    rho_max = ultrafast.mean_wavelength / GEO.numerical_aperture
+    v1 = intensity_resolution_curve(GEO, ultrafast, rho_max, 21).values
+    v2 = intensity_resolution_curve(geo2, ultrafast, rho_max / 2, 21).values
     np.testing.assert_allclose(v1, v2, rtol=1e-9)
 
 
 def test_wavelength_rescale_invariance():
     s1 = make_gaussian_spectrum(W0, 10 * W0)
     s2 = make_gaussian_spectrum(3 * W0, 30 * W0)
-    lam1 = s1.mean_wavelength
-    rhos = np.linspace(0.05, 0.8, 5) * lam1 / GEO.numerical_aperture
-    v1 = np.array([intensity_resolution(GEO, s1, r) for r in rhos])
-    v2 = np.array([intensity_resolution(GEO, s2, r / 3) for r in rhos])
+    rho_max = 0.8 * s1.mean_wavelength / GEO.numerical_aperture
+    v1 = intensity_resolution_curve(GEO, s1, rho_max, 17).values
+    v2 = intensity_resolution_curve(GEO, s2, rho_max / 3, 17).values
     np.testing.assert_allclose(v1, v2, rtol=1e-9)
 
 
@@ -225,11 +229,11 @@ def test_spot_size_no_crossing_raises(ultrafast):
 def test_radial_curve_csv_round_trip(ultrafast):
     curve = intensity_resolution_curve(GEO, ultrafast, n_points=17)
     text = curve.to_csv()
-    assert text.splitlines()[0] == "rho_m,value,kind"
-    back = RadialCurve.from_csv(text)
-    np.testing.assert_array_equal(back.radii, curve.radii)
-    np.testing.assert_array_equal(back.values, curve.values)
-    assert back.kind == "resolution"
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    assert header == ["rho_m", "value", "kind"]
+    np.testing.assert_array_equal([float(r) for r, _, _ in rows], curve.radii)
+    np.testing.assert_array_equal([float(v) for _, v, _ in rows], curve.values)
+    assert {k for _, _, k in rows} == {"resolution"}
 
 
 def test_radial_curve_invariants():
@@ -243,15 +247,6 @@ def test_radial_curve_invariants():
         RadialCurve(np.array([0.0, 1.0]), np.zeros(2), "banana")
 
 
-def test_spectral_field_z_is_pure_phase(ultrafast):
-    w = ultrafast.mean_frequency
-    rho = 0.3 * ultrafast.mean_wavelength / GEO.numerical_aperture
-    e0 = focal_field_spectral(GEO, ultrafast, U, rho, 0.0, w)
-    ez = focal_field_spectral(GEO, ultrafast, U, rho, 1e-6, w)
-    np.testing.assert_allclose(abs(ez), abs(e0), rtol=1e-14)
-    np.testing.assert_allclose(ez / e0, np.exp(1j * w * 1e-6 / C), rtol=1e-9)
-
-
 def test_degenerate_spectrum_invalid_state():
     # identically vanishing amplitude: the resolution ratio is undefined
     from pulsescope.errors import InvalidStateError
@@ -262,7 +257,7 @@ def test_degenerate_spectrum_invalid_state():
         mean_frequency=W0, mean_wavelength=2 * np.pi * C / W0,
         _shape=lambda w: np.zeros_like(np.asarray(w, dtype=complex)))
     with pytest.raises(InvalidStateError):
-        intensity_resolution(GEO, dead, 1e-9)
+        intensity_resolution_curve(GEO, dead)
 
 
 def test_resolution_curve_monotone_through_crossing(ultrafast):
@@ -273,11 +268,13 @@ def test_resolution_curve_monotone_through_crossing(ultrafast):
     assert curve.values[-1] < 0.02
 
 
-def test_spot_size_secant_fallback_without_evaluator(ultrafast):
-    curve = intensity_resolution_curve(GEO, ultrafast, n_points=201)
-    bare = RadialCurve.from_csv(curve.to_csv())
+def test_spot_size_without_evaluator_raises():
+    # spot_size bisects the evaluator; bare samples are not enough
+    bare = RadialCurve(np.linspace(0.0, 2.0, 5), [1.0, 0.8, 0.6, 0.4, 0.2],
+                       "resolution")
     assert bare.evaluator is None
-    np.testing.assert_allclose(spot_size(bare), spot_size(curve), rtol=1e-3)
+    with pytest.raises(InvalidParameterError, match="evaluator"):
+        spot_size(bare)
 
 
 def test_filon_weights_match_arbitrary_precision():

@@ -17,7 +17,6 @@ from pulsescope.errors import (
     InvalidParameterError,
     NumericalConvergenceError,
 )
-from pulsescope.oracle import emission_spectrum
 from pulsescope.scenario import _oracle_single
 
 W0 = 2.0e15
@@ -251,15 +250,6 @@ def test_oracle_train_linearity():
     np.testing.assert_allclose(r2.p_e_oracle / r1.p_e_oracle, 2.0, rtol=5e-2)
     np.testing.assert_allclose(r2.p_e_analytic / r1.p_e_analytic, 2.0,
                                rtol=1e-9)
-
-
-def test_emission_spectrum_samples(physical_run):
-    history, *_ , tls, s = physical_run
-    qs = np.array([1.0, 2.0]) * s.spectral_width
-    samples = emission_spectrum(history, qs)
-    assert [x.omega_k for x in samples] == list(qs)
-    assert all(x.amplitude_sq >= 0 for x in samples)
-    np.testing.assert_allclose([x.weight for x in samples], qs**3)
 
 
 def test_oracle_report_json():

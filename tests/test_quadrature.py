@@ -18,7 +18,7 @@ import pulsescope as ps
 from pulsescope import quadrature
 from pulsescope.bessel import j1_over_x
 from pulsescope.constants import FIELD_CALIBRATION
-from pulsescope.excitation import PulseAreaSynthesis, _chi_evaluator
+from pulsescope.excitation import PulseAreaSynthesis
 from pulsescope.focal import _synthesis_grid
 from pulsescope.errors import InvalidParameterError, NumericalConvergenceError
 from pulsescope.quadrature import (
@@ -122,7 +122,7 @@ def test_chi_matches_complex_exp_loop(scenario, x_units):
     rho = x_units * spectrum.mean_wavelength / geometry.numerical_aperture
     # the tau grid f_integral samples: 353 points over 12 pulse widths
     tau = np.linspace(-12.0, 12.0, 353) / spectrum.spectral_width
-    chi = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, rho)
+    chi = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls).chi(rho)
     ref = reference_chi(geometry, spectrum, train.pulse_energy, tls, rho, tau)
     _close_to_peak(chi(tau), ref)
     assert isinstance(chi(float(tau[100])), float)
@@ -190,7 +190,7 @@ def test_shared_synthesis_matches_a_fresh_one(scenario):
     tau = np.linspace(-12.0, 12.0, 353) / spectrum.spectral_width
     shared = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls)
     for rho in (0.0, 3e-8, 9e-8):
-        fresh = _chi_evaluator(geometry, spectrum, train.pulse_energy, tls, rho)
+        fresh = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls).chi(rho)
         assert np.array_equal(shared.chi(rho)(tau), fresh(tau))
 
 
