@@ -510,15 +510,15 @@ def excitation_resolution_curve(
     grid_scale: float = 1.0,
     synthesis: PulseAreaSynthesis | None = None,
 ) -> RadialCurve:
-    """Sampled excitation-resolution curve with a bisectable evaluator.
+    """Sampled excitation-resolution curve with a one-radius evaluator.
 
     The samples and the evaluator share one PulseAreaSynthesis, held by
     the evaluator: `synthesis` (built from these inputs, whose p_e(0) it
     may already hold) or one built here. The whole array of sample radii
     goes to `PulseAreaSynthesis.probability`, which computes them as
-    column blocks; each bisection step is a block of one radius. eta and
-    the flags are not computed. The train is not checked either: N and T
-    cancel in the ratio.
+    column blocks; each evaluation spot_size makes (about five per
+    curve) is a block of one radius. eta and the flags are not computed.
+    The train is not checked either: N and T cancel in the ratio.
     """
     if rho_max is None:
         rho_max = spectrum.mean_wavelength / geometry.numerical_aperture

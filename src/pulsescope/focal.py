@@ -23,6 +23,7 @@ the excitation chain needs absolute pulse areas.
 from __future__ import annotations
 
 import io
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -46,6 +47,11 @@ FAR_FIELD_WAVELENGTHS = 50.0
 CURVE_KINDS = ("intensity", "resolution")
 # frequency points of the rephased-intensity transform at grid_scale 1
 INTENSITY_GRID_POINTS = 6001
+# spot_size's regula falsi keeps its steps SECANT_MARGIN * hi inside its
+# bracket, far above any evaluator's rounding, and stops after
+# SECANT_BUDGET evaluations
+SECANT_MARGIN = 1e-9
+SECANT_BUDGET = 8
 
 
 @dataclass(frozen=True)
@@ -82,8 +88,9 @@ class RadialCurve:
 
     radii start at zero and increase strictly; kind tags the unit
     ("intensity", "resolution"). The evaluator, when present, recomputes
-    the underlying continuous function at any radius and is what
-    spot_size bisects on.
+    the underlying continuous function at any radius. spot_size brackets
+    the crossing on the stored values and evaluates it only inside that
+    bracket, a few times per curve.
     """
 
     radii: np.ndarray
@@ -209,10 +216,15 @@ def resolution_curve(quantity: Callable, rho_max: float,
                      n_points: int) -> RadialCurve:
     """Resolution curve 2 q(rho) / [q(0) + q(rho)] of a radial quantity q.
 
-    quantity maps an array of radii to the sequence of their q. The
-    samples take q(0) from the first radius; the evaluator, exactly 1 at
-    rho = 0, is what spot_size bisects on.
+    quantity maps an array of radii to the sequence of their q, and is
+    called once for the n_points samples (an integer >= 1; 1 keeps only
+    rho = 0). The samples take q(0) from the first radius. The
+    evaluator, exactly 1 at rho = 0, calls quantity with one radius; it
+    is what spot_size searches, starting from the stored samples.
     """
+    if (isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer))
+            or n_points < 1):
+        raise InvalidParameterError(f"n_points must be an integer >= 1, got {n_points!r}")
     radii = np.linspace(0.0, rho_max, n_points)
     samples = np.asarray(quantity(radii), dtype=float)
     q0 = samples[0]
@@ -238,7 +250,7 @@ def intensity_resolution_curve(
     n_points: int = 81,
     grid_scale: float = 1.0,
 ) -> RadialCurve:
-    """Sampled intensity-resolution curve with a bisectable evaluator."""
+    """Sampled intensity-resolution curve with a one-radius evaluator."""
     if rho_max is None:
         # one Airy-scale unit past the expected half crossing
         rho_max = spectrum.mean_wavelength / geometry.numerical_aperture
@@ -251,17 +263,31 @@ def spot_size(curve: RadialCurve, threshold: float = 0.5,
               rtol: float = 1e-6) -> float:
     """Smallest radius where a resolution curve crosses the threshold.
 
-    Brackets on the stored samples, then bisects the curve's continuous
-    evaluator to relative tolerance rtol; a curve without an evaluator
-    raises InvalidParameterError.
+    Brackets on the stored samples [lo, hi], then returns bit for bit
+    what bisecting the curve's evaluator to relative tolerance rtol
+    returns, in fewer evaluations. Illinois regula falsi, started from
+    the two samples' stored values, first narrows an evaluated bracket
+    [a, b] to half the bisection's last width, or stops after
+    SECANT_BUDGET evaluations. The bisection then runs unchanged on
+    [lo, hi], except that a midpoint more than SECANT_MARGIN * hi below
+    a counts as above the threshold, and one as far above b as below it,
+    without an evaluation; each other midpoint is evaluated once. That
+    is the bisection's own answer whenever the evaluator crosses the
+    threshold once within the sample bracket, as the bisection assumes.
+
+    rtol must be a finite number in [4 eps, 1). A curve without an
+    evaluator raises InvalidParameterError.
     """
     if curve.kind != "resolution":
         raise InvalidParameterError("spot size is defined on resolution curves")
     if curve.evaluator is None:
         raise InvalidParameterError(
-            "spot size bisects the curve's evaluator; this curve has none")
+            "spot size searches the curve's evaluator; this curve has none")
     if not 0.0 < threshold <= 1.0:
         raise InvalidParameterError(f"threshold must lie in (0, 1], got {threshold}")
+    # below 4 eps, hi - lo cannot shrink under rtol * hi and bisection never ends
+    if not (isinstance(rtol, numbers.Real) and 4.0 * np.finfo(float).eps <= rtol < 1.0):
+        raise InvalidParameterError(f"rtol must lie in [4 eps, 1), got {rtol!r}")
     if threshold == 1.0:
         return 0.0
     below = np.nonzero(curve.values <= threshold)[0]
@@ -274,9 +300,39 @@ def spot_size(curve: RadialCurve, threshold: float = 0.5,
     if hi_idx == 0:
         return 0.0
     lo, hi = curve.radii[hi_idx - 1], curve.radii[hi_idx]
+    seen = {}
+
+    def above(r) -> bool:
+        if r not in seen:
+            seen[r] = curve.evaluator(r)
+        return seen[r] > threshold
+
+    # phase 1: the stored samples start the bracket, so it costs nothing
+    # until the first step; a steps up on "above", b down on "not above"
+    margin = SECANT_MARGIN * hi
+    a, b = lo, hi
+    ga, gb = curve.values[hi_idx - 1] - threshold, curve.values[hi_idx] - threshold
+    moved = 0
+    # half the bisection's last width; the floor above 2 margins keeps
+    # each clamped step strictly inside the bracket
+    width = max(0.5 * rtol * hi, 4.0 * margin)
+    for _ in range(SECANT_BUDGET):
+        if b - a <= width:
+            break
+        x = b - gb * (b - a) / (gb - ga)
+        x = min(max(x, a + margin), b - margin) if np.isfinite(x) else 0.5 * (a + b)
+        if above(x):
+            a, ga = x, seen[x] - threshold
+            gb = 0.5 * gb if moved > 0 else gb  # Illinois: b kept twice
+            moved = 1
+        else:
+            b, gb = x, seen[x] - threshold
+            ga = 0.5 * ga if moved < 0 else ga
+            moved = -1
+    # phase 2: the plain bisection, answered outside [a - margin, b + margin]
     while (hi - lo) > rtol * hi:
         mid = 0.5 * (lo + hi)
-        if curve.evaluator(mid) > threshold:
+        if mid < a - margin or (mid <= b + margin and above(mid)):
             lo = mid
         else:
             hi = mid

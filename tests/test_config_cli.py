@@ -536,7 +536,7 @@ def test_run_scenario_computes_focal_f_once(tmp_path, monkeypatch):
 
 def test_curve_samples_share_few_f_calls(tmp_path, monkeypatch):
     # the 32 nonzero sample radii of the excitation curve run as column
-    # blocks; bisection then calls f with one radius at a time
+    # blocks; spot_size then calls f with one radius at a time, a few times
     calls = _f_calls(monkeypatch)
     cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
     run_scenario(cfg)
@@ -545,7 +545,32 @@ def test_curve_samples_share_few_f_calls(tmp_path, monkeypatch):
     sample_calls = [call for call in calls if samples & set(call)]
     assert len(samples) == 32 and len(sample_calls) <= 4
     assert set().union(*sample_calls) == samples
-    assert all(len(call) == 1 for call in calls if call not in sample_calls)
+    others = [call for call in calls if call not in sample_calls]
+    assert all(len(call) == 1 for call in others)
+    # p_e(0) is one of them
+    assert len([call for call in others if call != [0.0]]) <= 6
+
+
+def test_spot_sizes_replay_the_plain_bisection(tmp_path, monkeypatch):
+    # both spot sizes of a run are the plain bisection's bits, each found
+    # in a few evaluations of its curve
+    from test_focal import counted, plain_bisection
+    found = []
+    real_spot_size = scenario.spot_size
+
+    def recorded(curve):
+        calls = counted(curve)
+        found.append((curve, real_spot_size(curve), calls[0]))
+        return found[-1][1]
+
+    monkeypatch.setattr(scenario, "spot_size", recorded)
+    report = run_scenario(loads_config("grid_scale = 0.3\noutput_dir = "
+                                       + str(tmp_path) + "\n"))
+    assert [spot for _, spot, _ in found] == [report.spot_intensity_m,
+                                               report.spot_excitation_m]
+    for curve, spot, made in found:
+        assert made <= 6
+        assert spot == plain_bisection(curve)[0]
 
 
 def test_figure_1b_sums_over_half_its_window(tmp_path, monkeypatch):

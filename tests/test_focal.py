@@ -1,8 +1,12 @@
 """Focused fields, rephased intensity, resolution curves, spot sizes."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import c as C
 
 from pulsescope.bessel import J1_FIRST_ZERO
@@ -14,6 +18,7 @@ from pulsescope.errors import (
 )
 from pulsescope.excitation import PulseAreaSynthesis, TwoLevelSystem
 from pulsescope.focal import (
+    SECANT_BUDGET,
     FocusingGeometry,
     RadialCurve,
     _airy_kernel,
@@ -318,3 +323,119 @@ def test_resolution_curve_of_an_analytic_quantity():
     np.testing.assert_allclose(spot_size(curve), np.sqrt(np.log(3.0)), rtol=1e-6)
     with pytest.raises(InvalidStateError):
         resolution_curve(np.square, 1.0, 5)
+
+
+def plain_bisection(curve, threshold=0.5, rtol=1e-6):
+    """(spot, evaluations) of the plain bisection spot_size replays: the
+    reference its answers must equal bit for bit."""
+    hi_idx = np.nonzero(curve.values <= threshold)[0][0]
+    lo, hi = curve.radii[hi_idx - 1], curve.radii[hi_idx]
+    evaluations = 0
+    while (hi - lo) > rtol * hi:
+        mid = 0.5 * (lo + hi)
+        evaluations += 1
+        if curve.evaluator(mid) > threshold:
+            lo = mid
+        else:
+            hi = mid
+    return float(0.5 * (lo + hi)), evaluations
+
+
+def counted(curve):
+    """curve with its evaluator wrapped to count calls into calls[0]."""
+    calls = [0]
+    evaluate = curve.evaluator
+
+    def wrapped(r):
+        calls[0] += 1
+        return evaluate(r)
+
+    curve.evaluator = wrapped
+    return calls
+
+
+def _gaussian_curve():
+    # q = exp(-rho^2): the resolution crosses 1/2 at rho = sqrt(ln 3) = 1.0481
+    return resolution_curve(lambda r: np.exp(-np.square(r)), 2.0, 9)
+
+
+@pytest.mark.parametrize("rtol", [1e-17, 0.0, -1e-6, math.nan, math.inf, 1.0,
+                                  2.0, "1e-6", None])
+def test_spot_size_rejects_rtol_before_evaluating(rtol):
+    # 1e-17 and 0 hung in the bisection; nan returned the sample midpoint
+    curve = _gaussian_curve()
+    calls = counted(curve)
+    with pytest.raises(InvalidParameterError, match="rtol"):
+        spot_size(curve, rtol=rtol)
+    assert calls[0] == 0
+
+
+def test_spot_size_at_the_smallest_rtol():
+    rtol = 4 * np.finfo(float).eps
+    spot = spot_size(_gaussian_curve(), rtol=rtol)
+    assert spot == plain_bisection(_gaussian_curve(), rtol=rtol)[0]
+    np.testing.assert_allclose(spot, np.sqrt(np.log(3.0)), rtol=1e-14)
+
+
+@pytest.mark.parametrize("n_points", [0, -3, 2.5, 9.0, "9", None, True])
+def test_resolution_curve_rejects_n_points(n_points):
+    quantity_calls = []
+
+    def quantity(r):
+        quantity_calls.append(r)
+        return np.exp(-np.square(r))
+
+    with pytest.raises(InvalidParameterError, match="n_points"):
+        resolution_curve(quantity, 2.0, n_points)
+    assert not quantity_calls
+
+
+def test_resolution_curve_of_one_point():
+    # excitation_resolution builds its one-radius evaluator this way
+    curve = resolution_curve(lambda r: np.exp(-np.square(r)), 2.0, np.int64(1))
+    assert curve.radii.tolist() == [0.0] and curve.values.tolist() == [1.0]
+    assert curve.evaluator(0.5) == 2 * np.exp(-0.25) / (1 + np.exp(-0.25))
+
+
+def _quantity(kind, scale, power, edge, level):
+    """A radial quantity q of one of four families, q(0) = 1."""
+    if kind == "analytic":
+        return lambda r: np.exp(-(r / scale) ** power)
+    if kind == "lorentzian":
+        return lambda r: 1.0 / (1.0 + np.square(r / scale))
+    if kind == "step":
+        return lambda r: np.where(r < edge, 1.0, level)
+    # plateau, then a drop
+    return lambda r: np.exp(-(np.maximum(r - edge, 0.0) / scale) ** power)
+
+
+CURVES = st.fixed_dictionaries({
+    "kind": st.sampled_from(["analytic", "lorentzian", "step", "plateau"]),
+    "scale": st.floats(-9.0, 1.0).map(lambda u: 10.0 ** u),
+    "power": st.floats(0.5, 4.0),
+    "edge": st.floats(0.1, 3.0),
+    "level": st.floats(0.0, 0.95),
+    "reach": st.floats(1.5, 8.0),
+    "n_points": st.integers(2, 80),
+    "threshold": st.floats(0.02, 0.98),
+    "rtol": st.floats(-12.0, -2.0).map(lambda u: 10.0 ** u),
+})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(CURVES)
+def test_spot_size_replays_the_plain_bisection(drawn):
+    scale = drawn["scale"]
+    q = _quantity(drawn["kind"], scale, drawn["power"],
+                  drawn["edge"] * scale, drawn["level"])
+    curve = resolution_curve(q, drawn["reach"] * scale, drawn["n_points"])
+    below = np.nonzero(curve.values <= drawn["threshold"])[0]
+    if below.size == 0 or below[0] == 0:
+        return  # no sample bracket: nothing is evaluated
+    args = drawn["threshold"], drawn["rtol"]
+    calls = counted(curve)
+    spot = spot_size(curve, *args)
+    made = calls[0]
+    expected, evaluations = plain_bisection(curve, *args)
+    assert spot == expected
+    assert made <= evaluations + SECANT_BUDGET
