@@ -56,7 +56,6 @@ from .focal import (
     resolution_curve,
 )
 from .quadrature import (
-    add_certified_tail,
     certified_tail_cutoff,
     kernel_transform,
     oscillatory_cos_sin,
@@ -200,7 +199,7 @@ class PulseAreaSynthesis:
                  pulse_energy: float, tls: TwoLevelSystem,
                  grid_scale: float = 1.0):
         self.tls = tls
-        self.pulse_width = 1.0 / spectrum.spectral_width
+        self.spectrum = spectrum
         self.grid_scale = grid_scale
         n = int(max(4001, 24.0 * spectrum.max_frequency / spectrum.spectral_width)
                 * max(grid_scale, 0.05)) | 1
@@ -267,7 +266,7 @@ class PulseAreaSynthesis:
             for i in range(0, len(todo), RADII_PER_BLOCK):
                 block = todo[i:i + RADII_PER_BLOCK]
                 self._f_values.update(zip(block, np.atleast_1d(f_integral(
-                    tls, self.chi(np.array(block)), self.pulse_width,
+                    tls, self.chi(np.array(block)), self.spectrum,
                     self.grid_scale))))
             f_val = np.array([self._f_values[r] for r in radii.ravel().tolist()]
                              ).reshape(radii.shape)
@@ -295,7 +294,7 @@ def eta(
     grid_scale: float = 1.0,
     synthesis: PulseAreaSynthesis | None = None,
 ) -> float:
-    """Maximum pulse area at the focus: a scan of the first tau grid of
+    """Maximum pulse area at the focus: a scan of the tau grid of
     `f_integral`, then twelve zooms that each resample the two intervals
     around the largest sample 4x finer.
 
@@ -307,8 +306,8 @@ def eta(
         synthesis = PulseAreaSynthesis(geometry, spectrum, pulse_energy, tls,
                                        grid_scale)
     w0 = tls.transition_frequency
-    ghat = 1.0 / (w0 * synthesis.pulse_width)
-    taus = _tau_grid(ghat, _inner_band(ghat), synthesis.grid_scale) / w0
+    taus = _tau_grid(_photon_band(synthesis.spectrum, w0),
+                     synthesis.grid_scale) / w0
     chi = synthesis.chi(0.0)
     values = chi(taus)
     for _zoom in range(12):
@@ -319,25 +318,43 @@ def eta(
     return float(np.max(np.abs(values)))
 
 
-def _inner_band(ghat: float) -> float:
-    """First photon-frequency band, in carrier units, that f_integral's
-    tau grid resolves."""
-    # the certified cutoff lands at 14 ghat for spectra wider than a few
-    # carriers; 2.5 times that leaves the doubling check inside the band
-    return max(35.0 * ghat, 10.0)
+def _photon_band(spectrum: PulseSpectrum, w0: float):
+    """(ghat, first panel, panel step, resolved band qmax) of the
+    photon-frequency integral of f, in units of w0; ghat is the spectral
+    width over w0.
+
+    The emission kernel sin(w0 tau) chi^2 has bands at the odd
+    harmonics w0 and |2 w_c +/- w0| (w_c the carrier). For the built-in
+    spectrum each is a Gaussian exp(-dq^2 / 4 ghat^2) in the integrand,
+    below 1e-12 of its peak 10.5 ghat out, so the support ends at edge =
+    2 w_c + w0 + 11 ghat. Narrower than w0, the bands stand apart: the
+    first panel runs to the edge, so the stop of `certified_tail_cutoff`
+    neither falls in a gap nor joins two panel grids across a band. As
+    wide as w0 (the `ultrafast` flag), they merge into one, whose
+    integrand stops near 14 ghat, on panels of 4 ghat (at least to the top
+    band) and then 2 ghat. qmax holds every such cutoff doubled.
+    """
+    pulse_width = 1.0 / spectrum.spectral_width   # the unit of the tau span
+    ghat = 1.0 / (w0 * pulse_width)
+    top = 2.0 * spectrum.carrier_frequency / w0 + 1.0
+    edge = top + 11.0 * ghat
+    step = max(2.0 * ghat, 1.0)
+    start = edge if spectrum.spectral_width < w0 else max(4.0 * ghat, top)
+    return ghat, start, step, max(35.0 * ghat, 2.0 * (edge + 2.0 * step))
 
 
-def _tau_grid(ghat: float, qmax: float, grid_scale: float) -> np.ndarray:
+def _tau_grid(band, grid_scale: float) -> np.ndarray:
     """Uniform tau grid, in 1/w0, of the inner emission transform: +/- 12
-    pulse widths, resolving photon frequencies up to qmax carriers.
+    pulse widths, resolving the photon frequencies up to the qmax of
+    band (`_photon_band`).
 
     The grid is bit-exactly odd about 0 (`symmetric_grid`), so chi, odd
     in tau, is synthesised on its half tau >= 0, and the emission
     kernel sin(tau) chi^2, odd too, is summed over that half by its sin
-    transform only. ghat is the spectral width over the transition
-    frequency. A grid of more than MAX_TAU_POINTS points raises
+    transform only. A grid of more than MAX_TAU_POINTS points raises
     GridRangeError.
     """
+    ghat, _, _, qmax = band
     tau_span = 12.0 / ghat                   # 12 pulse widths, in 1/w0
     dt = 2.0 * np.pi / (5.0 * (qmax + 1.0)) / max(grid_scale, 0.05)
     count = 2.0 * tau_span / dt
@@ -352,64 +369,35 @@ def _tau_grid(ghat: float, qmax: float, grid_scale: float) -> np.ndarray:
 def f_integral(
     tls: TwoLevelSystem,
     chi_fn: Callable,
-    pulse_width: float,
+    spectrum: PulseSpectrum,
     grid_scale: float = 1.0,
 ):
     """Double integral of the emission kernel, in 1/s^2.
 
-    chi_fn(tau) is the single-pulse area with tau from the pulse center in
-    seconds; it must have decayed at +/- 12 pulse widths. A chi_fn that
-    returns an (n_tau, k) matrix, one column per radius (as
-    `PulseAreaSynthesis.chi` of k radii does, from one transform), gives
-    the k values of f as an array: the columns share each emission
-    transform, and each column's value is the one it has alone (to
-    rounding, as the shared products sum in another order). A column of
-    zeros gives 0, and one that has not decayed raises
-    InvalidParameterError for the whole call.
+    chi_fn(tau) is the single-pulse area of `spectrum`, tau from the pulse
+    center in seconds; it must have decayed at +/- 12 pulse widths. A
+    chi_fn that returns an (n_tau, k) matrix, one column per radius (as
+    `PulseAreaSynthesis.chi` of k radii does), gives the k values of f as
+    an array, each the one its column has alone (to rounding): the
+    columns share every emission transform. A column of zeros gives 0,
+    and one that has not decayed raises InvalidParameterError for the
+    whole call.
 
-    The inner transform runs on a uniform grid, one chirp z-transform per
-    photon-frequency panel for all columns; the outer photon-frequency
-    integral is cut off where its integrand falls below 1e-12 of the
-    peak, and the cutoff is certified by doubling; both per column. A
-    column whose doubled cutoff leaves the band its grid resolves is
-    recomputed on a finer grid of its own. A tau grid of more than
-    MAX_TAU_POINTS raises GridRangeError.
+    The inner transform runs on one uniform tau grid, one chirp
+    z-transform per photon-frequency panel for all columns. The grid and
+    the panels come from the kernel's spectral support (`_photon_band`);
+    `certified_tail_cutoff` cuts each column off where its integrand
+    falls below 1e-12 of its peak and certifies the cutoff by doubling.
+    A photon frequency past the band the grid resolves raises
+    NumericalConvergenceError, and a grid of more than MAX_TAU_POINTS
+    GridRangeError.
     """
     w0 = tls.transition_frequency
-    # dimensionless time/frequency in carrier units
-    ghat = 1.0 / (w0 * pulse_width)          # spectral width over carrier
-    values = None
-    bands = {_inner_band(ghat): slice(None)}  # resolved band -> its columns
-    for _attempt in range(4):
-        regrid = {}
-        for qmax, cols in bands.items():
-            taus = _tau_grid(ghat, qmax, grid_scale)
-            chi = np.asarray(chi_fn(taus / w0), dtype=float)
-            if values is None:
-                shape, values = chi.shape[1:], np.zeros(chi[0].size)
-                columns = np.arange(values.size)
-            f, need = _emission_integral(
-                taus, chi.reshape(taus.size, -1)[:, cols], ghat, qmax)
-            values[cols] = f * w0**2
-            for j, band in zip(columns[cols], need):
-                if band:
-                    regrid.setdefault(band, []).append(j)
-        if not regrid:
-            values = values.reshape(shape)
-            return values if values.ndim else float(values)
-        bands = regrid
-    raise NumericalConvergenceError(
-        "inner grid could not accommodate the certified cutoff",
-        qmax=max(bands),
-    )
-
-
-def _emission_integral(taus, chi, ghat, qmax):
-    """(f in carrier units, band needed) of each column of chi on the tau
-    grid taus (in 1/w0). A column whose doubled cutoff passes qmax is not
-    certified here: its f is 0 and its band the one to re-grid to, 2.5
-    cutoffs. The band is 0 for every other column; a column of zeros has
-    f = 0."""
+    # dimensionless time and frequency, in units of w0
+    _, start, step, qmax = band = _photon_band(spectrum, w0)
+    taus = _tau_grid(band, grid_scale)
+    chi = np.asarray(chi_fn(taus / w0), dtype=float)
+    shape, chi = chi.shape[1:], chi.reshape(taus.size, -1)
     peak = np.max(np.abs(chi), axis=0)
     edge = np.maximum(np.abs(chi[0]), np.abs(chi[-1]))
     late = edge > 1e-6 * peak
@@ -418,29 +406,23 @@ def _emission_integral(taus, chi, ghat, qmax):
             "chi does not decay within 12 pulse widths "
             f"(edge/max = {np.max(edge[late] / peak[late]):.2e})"
         )
-    f, need = np.zeros((2, peak.size))
+    f = np.zeros(peak.size)
     live = np.flatnonzero(peak)
-    if live.size == 0:
-        return f, need
-    kernel = np.sin(taus)[:, None] * chi[:, live] ** 2
+    if live.size:
+        kernel = np.sin(taus)[:, None] * chi[:, live] ** 2
 
-    def emission(kernel):
         def integrand(qhat):
+            if qhat[-1] > qmax:
+                raise NumericalConvergenceError(
+                    "photon-frequency integral reaches past the band its tau "
+                    "grid resolves", qmax=qmax, photon_frequency=float(qhat[-1]))
             inner = oscillatory_cos_sin(taus, kernel, qhat)
             return qhat[:, None] ** 3 * np.abs(inner) ** 2
-        return integrand
 
-    what = "photon-frequency integral"
-    cutoff, value = certified_tail_cutoff(
-        emission(kernel), max(4.0 * ghat, 2.0), max(2.0 * ghat, 1.0),
-        rel_floor=1e-12, what=what,
-    )
-    # doubling certification would leave the resolved band: re-grid
-    fits = 2.0 * cutoff <= qmax
-    need[live[~fits]] = 2.5 * cutoff[~fits]
-    f[live[fits]] = add_certified_tail(emission(kernel[:, fits]), cutoff[fits],
-                                       value[fits], 1e-6, what)
-    return f, need
+        f[live] = certified_tail_cutoff(integrand, start, step, 1e-6,
+                                        what="photon-frequency integral")[1]
+    f = (f * w0**2).reshape(shape)
+    return f if f.ndim else float(f)
 
 
 def validity_flags(

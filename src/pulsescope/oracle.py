@@ -39,17 +39,15 @@ import numpy as np
 
 from .errors import GridRangeError, InvalidParameterError, NumericalConvergenceError
 from .excitation import TwoLevelSystem
-from .quadrature import (
-    add_certified_tail,
-    certified_tail_cutoff,
-    filon_transform,
-    symmetric_grid,
-)
+from .quadrature import certified_tail_cutoff, filon_transform, symmetric_grid
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 UNITARITY_TOL = 1e-10
 FIRST_ORDER_TRUST = 0.1
+# bound on the photon-frequency tail over [cutoff, 2 cutoff], relative to
+# the integral up to the cutoff
+TAIL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -177,13 +175,12 @@ def oracle_excitation_probability(
     history: PropagatorHistory,
     tls: TwoLevelSystem,
     rel_floor: float = 1e-6,
-    tail_tol: float = 1e-3,
 ) -> float:
     """p_e = Gamma0/(2 pi w0^3) int dw_k w_k^3 |M(w_k)|^2, panel quadrature.
 
-    Panels extend until the integrand drops below rel_floor of its peak
-    (`certified_tail_cutoff`); the remaining tail is then measured over
-    one more octave and must stay below tail_tol of the total.
+    Panels extend until the integrand drops below rel_floor of its peak,
+    and the tail over one more octave must stay below TAIL_TOL of the
+    total (`certified_tail_cutoff`).
     """
     if abs(tls.transition_frequency - history.transition_frequency) > 1e-9 * history.transition_frequency:
         raise InvalidParameterError(
@@ -201,10 +198,9 @@ def oracle_excitation_probability(
     def integrand(q):
         return q**3 * np.abs(_window_plus_tails(history, *core, q)) ** 2
 
-    what = "photon-frequency integral"
-    cutoff, total = certified_tail_cutoff(integrand, step, step, rel_floor,
-                                          max_panels=80, what=what)
-    total = add_certified_tail(integrand, cutoff, total, tail_tol, what)
+    _, total = certified_tail_cutoff(integrand, step, step, TAIL_TOL, rel_floor,
+                                     max_panels=80,
+                                     what="photon-frequency integral")
     return float(total * tls.spontaneous_rate / (2.0 * np.pi * w0**3))
 
 

@@ -9,8 +9,9 @@ intensity (K = J1(x)/x) and Filon's rule - is a `kernel_transform`: a
 chirp z-transform on numpy.fft between uniform grids, else blocks of
 K(outer(y, x)). Filon-type weights treat an e^{i q t} oscillation far
 above the grid Nyquist scale exactly; they need only the plain Fourier
-sum plus two endpoint terms. Outer integrals are cut off panel by panel
-and their tail certified by doubling the cutoff.
+sum plus two endpoint terms. One routine, `certified_tail_cutoff`,
+cuts an outer integral off panel by panel and certifies the cutoff by
+the tail over its doubling.
 """
 
 from __future__ import annotations
@@ -312,19 +313,23 @@ def certified_tail_cutoff(
     integrand: Callable[[np.ndarray], np.ndarray],
     start: float,
     step: float,
+    tail_tol: float,
     rel_floor: float = 1e-12,
     max_panels: int = 64,
     what: str = "outer integral",
 ):
-    """Extend panel-by-panel until the integrand falls below rel_floor of
-    its running peak; returns (cutoff, value).
+    """Certified (cutoff, value) of the integral of integrand over [0, inf).
 
-    The value is the trapezoid integral over [0, cutoff] assembled from the
-    panel grids. `add_certified_tail` then certifies the cutoff.
-    integrand(x) may return a matrix with one column per integrand (one
-    per radius in `f_integral`). Each column then stops at its own panel,
-    with the cutoff and value it has alone, and cutoff and value are
-    arrays over the columns; panels run until the last column stops.
+    Panels [0, start], then one step each, run until the integrand falls
+    below rel_floor of its running peak; the value is their trapezoid
+    integral. The tail over [cutoff, 2 cutoff] is then added, certified
+    by requiring it to stay within tail_tol of the value; a larger one
+    raises NumericalConvergenceError. integrand(x) may return a matrix
+    with one column per integrand (one per radius in `f_integral`). Each
+    column then stops at its own panel and takes its tail over its own
+    cutoff, with the bits it has alone, and cutoff and value are arrays
+    over the columns; panels run until the last column stops, and the
+    columns that share a cutoff share one tail call.
     """
     total = peak = cutoff = None
     lo = 0.0
@@ -343,34 +348,21 @@ def certified_tail_cutoff(
         quiet = size[:, -64:].max(axis=1) < rel_floor * peak
         cutoff[live & quiet & (peak > 0)] = hi
         if not np.isnan(cutoff).any():
-            shape = np.shape(y)[1:]
-            return cutoff.reshape(shape)[()], total.reshape(shape)[()]
+            break
         lo, hi = hi, hi + step
-    raise NumericalConvergenceError(
-        f"{what} cutoff not reached", panels=max_panels, last_edge=lo,
-    )
-
-
-def add_certified_tail(integrand, cutoff, value, rtol: float,
-                       what: str):
-    """value plus the integral over [cutoff, 2 cutoff], certified by
-    requiring that doubled tail to stay within rtol of value.
-
-    For an integrand with columns, cutoff and value are arrays over them,
-    as `certified_tail_cutoff` returns them: each column takes its tail
-    over its own cutoff, and the columns that share a cutoff share one
-    integrand call.
-    """
-    cutoff = np.asarray(cutoff, dtype=float)
-    total = np.array(value, dtype=float)
+    else:
+        raise NumericalConvergenceError(
+            f"{what} cutoff not reached", panels=max_panels, last_edge=lo,
+        )
     for edge in np.unique(cutoff):
         at = cutoff == edge
         ext = np.linspace(edge, 2.0 * edge, 513)
-        extra = np.trapezoid(_rows(integrand(ext), ext.size)[at.ravel()], ext)
-        if np.any(np.abs(extra) > rtol * np.abs(total[at])):
+        extra = np.trapezoid(_rows(integrand(ext), ext.size)[at], ext)
+        if np.any(np.abs(extra) > tail_tol * np.abs(total[at])):
             raise NumericalConvergenceError(
                 f"{what} not converged at its cutoff", cutoff=float(edge),
                 relative_tail=float(np.max(np.abs(extra / total[at]))),
             )
         total[at] += extra
-    return total[()]
+    shape = np.shape(y)[1:]
+    return cutoff.reshape(shape)[()], total.reshape(shape)[()]

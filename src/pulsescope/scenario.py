@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ScenarioConfig, ScenarioReport, checked_number
 from .constants import C_LIGHT, HBAR
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError
 from .excitation import (
     PulseAreaSynthesis,
     PulseTrainConfig,
@@ -252,7 +252,14 @@ def _oracle_single(cfg: ScenarioConfig, width_ratio: float, eta_target: float,
     u_ref = cfg.pulse_energy_J
     reference = PulseAreaSynthesis(base, spectrum, u_ref, tls, cfg.grid_scale)
     eta_ref = eta(base, spectrum, u_ref, tls, cfg.grid_scale, reference)
-    u = u_ref * (eta_target / eta_ref) ** 2
+    try:
+        u = u_ref * (eta_target / eta_ref) ** 2
+    except OverflowError:
+        u = np.inf
+    if not u < np.inf:
+        raise InvalidParameterError(
+            f"oracle eta target {eta_target!r} needs a pulse energy out of "
+            "floating-point range")
     # resonant period with T * Gamma >= 10
     m = int(np.ceil(10.0 * w0 / (2.0 * np.pi * spectrum.spectral_width))) + 1
     period = m * 2.0 * np.pi / w0

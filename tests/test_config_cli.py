@@ -222,6 +222,15 @@ def test_oracle_compare_empty_grid(tmp_path):
                     "relative_deviation,error\n")
 
 
+def test_oracle_target_past_float_range_is_a_typed_row_error(tmp_path):
+    # eta 1e300 needs a pulse energy (eta/eta_ref)^2 past the float range
+    cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
+    oracle_compare(cfg, [(10.0, 1e300)])
+    row = (tmp_path / "oracle_compare.csv").read_text().splitlines()[1]
+    assert row == ("10.0,1e+300,,,,InvalidParameterError: oracle eta target "
+                   "1e+300 needs a pulse energy out of floating-point range")
+
+
 def test_cli_focus_figure_scan_oracle(tmp_path, fast_cfg_text):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(fast_cfg_text)

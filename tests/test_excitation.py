@@ -12,6 +12,7 @@ import pulsescope as ps
 from pulsescope.errors import (
     InvalidParameterError,
     InvalidStateError,
+    NumericalConvergenceError,
     RegimeViolationError,
 )
 from pulsescope import excitation
@@ -86,8 +87,7 @@ def test_tau_grid_is_mirrored_and_chi_exactly_odd_on_it(scenario, width_ratio):
     w0 = tls.transition_frequency
     spectrum = ps.make_gaussian_spectrum(w0, width_ratio * w0)
     for grid_scale in (0.3, 1.0, 2.0):
-        taus = excitation._tau_grid(width_ratio,
-                                    excitation._inner_band(width_ratio),
+        taus = excitation._tau_grid(excitation._photon_band(spectrum, w0),
                                     grid_scale)
         assert np.array_equal(taus, -taus[::-1])
         synthesis = excitation.PulseAreaSynthesis(
@@ -166,8 +166,7 @@ def test_eta_matches_a_bounded_scalar_maximum(scenario, width_ratio):
 
 def test_f_integral_zero_for_zero_area(scenario):
     _, spectrum, _, tls, _ = scenario
-    f = ps.f_integral(tls, lambda tau: np.zeros_like(np.asarray(tau)),
-                      1.0 / spectrum.spectral_width)
+    f = ps.f_integral(tls, lambda tau: np.zeros_like(np.asarray(tau)), spectrum)
     assert f == 0.0
 
 
@@ -175,17 +174,15 @@ def test_f_integral_quartic_in_energy(scenario):
     _, spectrum, geometry, tls, train = scenario
     chi1 = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls).chi(0.0)
     chi2 = PulseAreaSynthesis(geometry, spectrum, 2 * train.pulse_energy, tls).chi(0.0)
-    pw = 1.0 / spectrum.spectral_width
-    f1 = ps.f_integral(tls, chi1, pw)
-    f2 = ps.f_integral(tls, chi2, pw)
+    f1 = ps.f_integral(tls, chi1, spectrum)
+    f2 = ps.f_integral(tls, chi2, spectrum)
     np.testing.assert_allclose(f2 / f1, 4.0, rtol=1e-6)
 
 
 def test_f_integral_rejects_nondecaying(scenario):
     _, spectrum, _, tls, _ = scenario
     with pytest.raises(InvalidParameterError):
-        ps.f_integral(tls, lambda tau: np.ones_like(np.asarray(tau)),
-                      1.0 / spectrum.spectral_width)
+        ps.f_integral(tls, lambda tau: np.ones_like(np.asarray(tau)), spectrum)
 
 
 def test_f_integral_dense_quadrature_oracle(scenario):
@@ -194,7 +191,7 @@ def test_f_integral_dense_quadrature_oracle(scenario):
     _, spectrum, geometry, tls, train = scenario
     chi = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls).chi(0.0)
     pw = 1.0 / spectrum.spectral_width
-    got = ps.f_integral(tls, chi, pw)
+    got = ps.f_integral(tls, chi, spectrum)
     w0 = tls.transition_frequency
     taus = np.linspace(-12 * pw, 12 * pw, 40001)
     ker = np.sin(w0 * taus) * chi(taus) ** 2
@@ -205,6 +202,44 @@ def test_f_integral_dense_quadrature_oracle(scenario):
         im = np.trapezoid(np.sin(q * taus) * ker, taus)
         inner2[i] = re * re + im * im
     brute = np.trapezoid(qs**3 * inner2, qs)
+    np.testing.assert_allclose(got, brute, rtol=1e-4)
+
+
+def _brute_force_f(chi, w0, half, n_tau, q_top, n_q):
+    """f by trapezoid sums over uniform tau and photon-frequency grids, in
+    blocks of 64 frequencies; no shared transform helper."""
+    taus = np.linspace(-half, half, n_tau)
+    ker = np.sin(w0 * taus) * chi(taus) ** 2
+    qs = np.linspace(0.0, q_top, n_q)
+    inner2 = np.empty(qs.shape)
+    for i in range(0, qs.size, 64):
+        phase = np.outer(qs[i:i + 64], taus)
+        re = np.trapezoid(np.cos(phase) * ker, taus, axis=1)
+        im = np.trapezoid(np.sin(phase) * ker, taus, axis=1)
+        inner2[i:i + 64] = re * re + im * im
+    return np.trapezoid(qs**3 * inner2, qs)
+
+
+@pytest.mark.parametrize("carrier, width", [(5.0, 0.05), (1.0, 0.01)])
+def test_f_integral_narrowband_and_detuned_against_brute_force(
+        scenario, carrier, width):
+    # the emission bands sit at w0 and 2 w_c +/- w0: a carrier 5x the
+    # transition puts the strongest at 11 w0, and a width of 0.01 w0
+    # leaves a gap between the bands at w0 and 3 w0; the brute-force q
+    # range runs past 2 w_c + w0 plus 11 widths
+    _, _, geometry, tls, train = scenario
+    w0 = tls.transition_frequency
+    spectrum = ps.make_gaussian_spectrum(carrier * w0, width * w0)
+    chi = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls).chi(0.0)
+    got = ps.f_integral(tls, chi, spectrum)
+    top = (2.0 * carrier + 1.0 + 12.0 * width) * w0
+    half = 12.0 / spectrum.spectral_width
+    # a tau step of 0.1/w0, below the Nyquist step pi/(24 w0) of
+    # e^{i q tau} times the kernel, both below 12 w0; 10 photon
+    # frequencies per width
+    n_tau = int(2.0 * half * w0 / 0.1) | 1
+    n_q = int(top / (0.1 * width * w0)) | 1
+    brute = _brute_force_f(chi, w0, half, n_tau, top, n_q)
     np.testing.assert_allclose(got, brute, rtol=1e-4)
 
 
@@ -350,7 +385,7 @@ def test_f_integral_certifies_its_cutoff_once(scenario, monkeypatch):
 
     monkeypatch.setattr(excitation, "certified_tail_cutoff", counted)
     chi = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls).chi(0.0)
-    assert ps.f_integral(tls, chi, 1.0 / spectrum.spectral_width) > 0.0
+    assert ps.f_integral(tls, chi, spectrum) > 0.0
     assert len(calls) == 1
 
 
@@ -359,10 +394,13 @@ def _curve_radii(spectrum, geometry):
                        33)
 
 
-def _f_alone_and_in_one_block(scenario, grid_scale, monkeypatch):
+def _f_alone_and_in_one_block(scenario, grid_scale, monkeypatch,
+                              spectrum=None):
     """(f of each curve radius alone, f of all in one block, the cutoffs
-    of the radii alone, the certified_tail_cutoff calls of the block)."""
-    _, spectrum, geometry, tls, train = scenario
+    of the radii alone, the certified_tail_cutoff calls of the block), for
+    the scenario's spectrum or another."""
+    _, reference, geometry, tls, train = scenario
+    spectrum = spectrum or reference
     synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy,
                                    tls, grid_scale)
     radii = _curve_radii(spectrum, geometry)
@@ -377,8 +415,7 @@ def _f_alone_and_in_one_block(scenario, grid_scale, monkeypatch):
     monkeypatch.setattr(excitation, "certified_tail_cutoff", recorded)
 
     def f(rho):
-        return ps.f_integral(tls, synthesis.chi(rho), synthesis.pulse_width,
-                             grid_scale)
+        return ps.f_integral(tls, synthesis.chi(rho), spectrum, grid_scale)
 
     alone = np.array([f(float(r)) for r in radii])
     cutoffs = [c for call in calls for c in call]
@@ -395,16 +432,38 @@ def test_f_block_equals_each_radius_alone(scenario, grid_scale, monkeypatch):
     np.testing.assert_allclose(block, alone, rtol=1e-13, atol=0)
 
 
-def test_f_block_regrids_only_the_columns_that_need_it(scenario, monkeypatch):
-    # a first band of 260 carriers holds the doubled cutoff of 120 but
-    # not that of 140: those radii, and only they, move to a finer grid
-    monkeypatch.setattr(excitation, "_inner_band", lambda ghat: 260.0)
+def test_f_block_equals_each_radius_alone_without_a_regrid(scenario,
+                                                          monkeypatch):
+    # at width 0.3 x carrier the cutoffs of a width-only band needed a
+    # second, finer grid; a band from the kernel's support holds every
+    # doubled cutoff on the one grid, so each call certifies once
+    _, reference, _, tls, _ = scenario
+    w0 = tls.transition_frequency
+    spectrum = ps.make_gaussian_spectrum(w0, 0.3 * w0)
     alone, block, cutoffs, block_calls = _f_alone_and_in_one_block(
-        scenario, 0.3, monkeypatch)
-    first = block_calls[0]
-    assert 0 < sum(2.0 * c > 260.0 for c in first) < len(first)
-    assert len(block_calls) > 1 and len(cutoffs) > len(first)
+        scenario, 0.3, monkeypatch, spectrum)
+    assert len(cutoffs) == alone.size and len(block_calls) == 1
+    qmax = excitation._photon_band(spectrum, w0)[3]
+    assert max(cutoffs) > 2.0 and 2.0 * max(cutoffs) <= qmax
     np.testing.assert_allclose(block, alone, rtol=1e-13, atol=0)
+
+
+def test_f_past_the_resolved_band_raises(scenario, monkeypatch):
+    # a band that cannot hold the doubled cutoff (about 140 carriers at
+    # the reference width) is an error, not a silently aliased value
+    _, spectrum, geometry, tls, train = scenario
+    real = excitation._photon_band
+
+    def narrow(spectrum, w0):
+        ghat, start, step, _ = real(spectrum, w0)
+        return ghat, start, step, 200.0
+
+    monkeypatch.setattr(excitation, "_photon_band", narrow)
+    chi = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls, 0.3).chi(0.0)
+    with pytest.raises(NumericalConvergenceError,
+                       match=r"reaches past the band its tau grid resolves "
+                             r"\[photon_frequency=\d+\.0, qmax=200\.0\]"):
+        ps.f_integral(tls, chi, spectrum, 0.3)
 
 
 def test_f_block_zero_column_gives_zero(scenario):
@@ -415,10 +474,10 @@ def test_f_block_zero_column_gives_zero(scenario):
         c = chi(tau)
         return np.stack([c, np.zeros_like(c), 2.0 * c], axis=1)
 
-    pw = 1.0 / spectrum.spectral_width
-    f = ps.f_integral(tls, block, pw, 0.3)
+    f = ps.f_integral(tls, block, spectrum, 0.3)
     assert f[1] == 0.0 and f[0] > 0.0
-    np.testing.assert_allclose(f[0], ps.f_integral(tls, chi, pw, 0.3), rtol=1e-13)
+    np.testing.assert_allclose(f[0], ps.f_integral(tls, chi, spectrum, 0.3),
+                               rtol=1e-13)
     np.testing.assert_allclose(f[2], 16.0 * f[0], rtol=1e-12)  # chi^4
 
 
@@ -431,7 +490,7 @@ def test_f_block_rejects_one_nondecaying_column(scenario):
         return np.stack([c, np.full_like(c, np.max(np.abs(c)))], axis=1)
 
     with pytest.raises(InvalidParameterError, match="does not decay"):
-        ps.f_integral(tls, block, 1.0 / spectrum.spectral_width, 0.3)
+        ps.f_integral(tls, block, spectrum, 0.3)
 
 
 def test_probability_over_radii_is_each_radius_alone(scenario):

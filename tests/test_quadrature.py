@@ -24,7 +24,6 @@ from pulsescope.errors import InvalidParameterError, NumericalConvergenceError
 from pulsescope.quadrature import (
     _filon_weights,
     _fourier_sum,
-    add_certified_tail,
     certified_tail_cutoff,
     filon_transform,
     kernel_transform,
@@ -428,14 +427,28 @@ def test_cutoff_columns_stop_where_each_stops_alone():
     def columns(x):
         return x[:, None] ** 3 * np.exp(-np.outer(x, rates))
 
-    cutoff, value = certified_tail_cutoff(columns, 2.0, 4.0)
-    total = add_certified_tail(columns, cutoff, value, 1e-6, "test integral")
+    cutoff, total = certified_tail_cutoff(columns, 2.0, 4.0, 1e-6)
     assert len(set(cutoff.tolist())) == 3
     for j, rate in enumerate(rates):
         def alone(x, rate=rate):
             return x**3 * np.exp(-rate * x)
 
-        c, v = certified_tail_cutoff(alone, 2.0, 4.0)
+        c, v = certified_tail_cutoff(alone, 2.0, 4.0, 1e-6)
         assert np.ndim(c) == 0 and np.ndim(v) == 0
-        assert cutoff[j] == c and value[j] == v
-        assert total[j] == add_certified_tail(alone, c, v, 1e-6, "test integral")
+        assert cutoff[j] == c and total[j] == v
+    np.testing.assert_allclose(total, 6.0 / rates**4, rtol=1e-5)
+
+
+def test_cutoff_in_a_gap_fails_its_doubled_tail():
+    # a second band past the first quiet panel: the stop rule cuts off in
+    # the gap, and the tail over [cutoff, 2 cutoff] finds the band
+    def two_bands(x):
+        return np.exp(-x**2) + np.exp(-4.0 * (x - 14.0)**2)
+
+    with pytest.raises(NumericalConvergenceError,
+                       match=r"test integral not converged at its cutoff "
+                             r"\[cutoff=8\.0, relative_tail="):
+        certified_tail_cutoff(two_bands, 8.0, 4.0, 1e-6, what="test integral")
+    cutoff, total = certified_tail_cutoff(two_bands, 14.0, 4.0, 1e-6)
+    assert cutoff == 18.0
+    np.testing.assert_allclose(total, np.sqrt(np.pi), rtol=1e-9)
