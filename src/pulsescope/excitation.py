@@ -332,13 +332,15 @@ def _photon_band(spectrum: PulseSpectrum, w0: float):
     neither falls in a gap nor joins two panel grids across a band. As
     wide as w0 (the `ultrafast` flag), they merge into one, whose
     integrand stops near 14 ghat, on panels of 4 ghat (at least to the top
-    band) and then 2 ghat. qmax holds every such cutoff doubled.
+    band) and then 2 ghat. The step, max(2 ghat, 1), is at most 64 ghat,
+    so the cutoff's spacing of at most step/128 samples every band at
+    ghat/2 or finer. qmax holds every such cutoff doubled.
     """
     pulse_width = 1.0 / spectrum.spectral_width   # the unit of the tau span
     ghat = 1.0 / (w0 * pulse_width)
     top = 2.0 * spectrum.carrier_frequency / w0 + 1.0
     edge = top + 11.0 * ghat
-    step = max(2.0 * ghat, 1.0)
+    step = min(max(2.0 * ghat, 1.0), 64.0 * ghat)
     start = edge if spectrum.spectral_width < w0 else max(4.0 * ghat, top)
     return ghat, start, step, max(35.0 * ghat, 2.0 * (edge + 2.0 * step))
 

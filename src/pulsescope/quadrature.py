@@ -322,20 +322,23 @@ def certified_tail_cutoff(
 
     Panels [0, start], then one step each, run until the integrand falls
     below rel_floor of its running peak; the value is their trapezoid
-    integral. The tail over [cutoff, 2 cutoff] is then added, certified
-    by requiring it to stay within tail_tol of the value; a larger one
-    raises NumericalConvergenceError. integrand(x) may return a matrix
-    with one column per integrand (one per radius in `f_integral`). Each
-    column then stops at its own panel and takes its tail over its own
-    cutoff, with the bits it has alone, and cutoff and value are arrays
-    over the columns; panels run until the last column stops, and the
-    columns that share a cutoff share one tail call.
+    integral. A step panel takes 257 points and [0, start] 256 intervals
+    per two steps (at least 256), so the step sets the resolution: no
+    sample spacing exceeds step/128. The tail over [cutoff, 2 cutoff] is
+    then added, certified by requiring it to stay within tail_tol of the
+    value; a larger one raises NumericalConvergenceError. integrand(x)
+    may return a matrix with one column per integrand (one per radius in
+    `f_integral`). Each column then stops at its own panel and takes its
+    tail over its own cutoff, with the bits it has alone, and cutoff and
+    value are arrays over the columns; panels run until the last column
+    stops, and the columns that share a cutoff share one tail call.
     """
     total = peak = cutoff = None
     lo = 0.0
     hi = start
+    intervals = 256 * max(1, math.ceil(start / (2.0 * step)))
     for _ in range(max_panels):
-        x = np.linspace(lo, hi, 257)
+        x = np.linspace(lo, hi, intervals + 1)
         y = integrand(x)
         rows = _rows(y, x.size)
         if total is None:
@@ -349,7 +352,7 @@ def certified_tail_cutoff(
         cutoff[live & quiet & (peak > 0)] = hi
         if not np.isnan(cutoff).any():
             break
-        lo, hi = hi, hi + step
+        lo, hi, intervals = hi, hi + step, 256
     else:
         raise NumericalConvergenceError(
             f"{what} cutoff not reached", panels=max_panels, last_edge=lo,

@@ -252,10 +252,8 @@ def _oracle_single(cfg: ScenarioConfig, width_ratio: float, eta_target: float,
     u_ref = cfg.pulse_energy_J
     reference = PulseAreaSynthesis(base, spectrum, u_ref, tls, cfg.grid_scale)
     eta_ref = eta(base, spectrum, u_ref, tls, cfg.grid_scale, reference)
-    try:
-        u = u_ref * (eta_target / eta_ref) ** 2
-    except OverflowError:
-        u = np.inf
+    ratio = eta_target / eta_ref
+    u = u_ref * (ratio * ratio)          # inf, not OverflowError, past range
     if not u < np.inf:
         raise InvalidParameterError(
             f"oracle eta target {eta_target!r} needs a pulse energy out of "

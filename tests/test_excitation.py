@@ -193,15 +193,8 @@ def test_f_integral_dense_quadrature_oracle(scenario):
     pw = 1.0 / spectrum.spectral_width
     got = ps.f_integral(tls, chi, spectrum)
     w0 = tls.transition_frequency
-    taus = np.linspace(-12 * pw, 12 * pw, 40001)
-    ker = np.sin(w0 * taus) * chi(taus) ** 2
-    qs = np.linspace(0.0, 16.0 * spectrum.spectral_width + 4 * w0, 6001)
-    inner2 = np.empty(qs.shape)
-    for i, q in enumerate(qs):
-        re = np.trapezoid(np.cos(q * taus) * ker, taus)
-        im = np.trapezoid(np.sin(q * taus) * ker, taus)
-        inner2[i] = re * re + im * im
-    brute = np.trapezoid(qs**3 * inner2, qs)
+    brute = _brute_force_f(chi, w0, 12 * pw, 40001,
+                           16.0 * spectrum.spectral_width + 4 * w0, 6001)
     np.testing.assert_allclose(got, brute, rtol=1e-4)
 
 
@@ -209,37 +202,41 @@ def _brute_force_f(chi, w0, half, n_tau, q_top, n_q):
     """f by trapezoid sums over uniform tau and photon-frequency grids, in
     blocks of 64 frequencies; no shared transform helper."""
     taus = np.linspace(-half, half, n_tau)
-    ker = np.sin(w0 * taus) * chi(taus) ** 2
+    ker = np.sin(w0 * taus) * chi(taus) ** 2 * (taus[1] - taus[0])
+    ker[[0, -1]] /= 2.0                      # trapezoid end weights
     qs = np.linspace(0.0, q_top, n_q)
     inner2 = np.empty(qs.shape)
     for i in range(0, qs.size, 64):
         phase = np.outer(qs[i:i + 64], taus)
-        re = np.trapezoid(np.cos(phase) * ker, taus, axis=1)
-        im = np.trapezoid(np.sin(phase) * ker, taus, axis=1)
+        re = np.cos(phase) @ ker
+        im = np.sin(phase) @ ker
         inner2[i:i + 64] = re * re + im * im
     return np.trapezoid(qs**3 * inner2, qs)
 
 
-@pytest.mark.parametrize("carrier, width", [(5.0, 0.05), (1.0, 0.01)])
+@pytest.mark.parametrize("carrier, width", [
+    (5.0, 0.05), (1.0, 0.01), (5.0, 0.01), (1.0, 0.003)])
 def test_f_integral_narrowband_and_detuned_against_brute_force(
         scenario, carrier, width):
     # the emission bands sit at w0 and 2 w_c +/- w0: a carrier 5x the
     # transition puts the strongest at 11 w0, and a width of 0.01 w0
-    # leaves a gap between the bands at w0 and 3 w0; the brute-force q
-    # range runs past 2 w_c + w0 plus 11 widths
+    # leaves a gap between the bands at w0 and 3 w0; at widths of 0.01
+    # and 0.003 w0 the bands are narrower than 257 points over the
+    # support resolve. The brute-force q range runs past 2 w_c + w0 plus
+    # 11 widths
     _, _, geometry, tls, train = scenario
     w0 = tls.transition_frequency
     spectrum = ps.make_gaussian_spectrum(carrier * w0, width * w0)
     chi = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls).chi(0.0)
     got = ps.f_integral(tls, chi, spectrum)
-    top = (2.0 * carrier + 1.0 + 12.0 * width) * w0
+    top = 2.0 * carrier + 1.0 + 12.0 * width       # in units of w0
     half = 12.0 / spectrum.spectral_width
-    # a tau step of 0.1/w0, below the Nyquist step pi/(24 w0) of
-    # e^{i q tau} times the kernel, both below 12 w0; 10 photon
-    # frequencies per width
-    n_tau = int(2.0 * half * w0 / 0.1) | 1
-    n_q = int(top / (0.1 * width * w0)) | 1
-    brute = _brute_force_f(chi, w0, half, n_tau, top, n_q)
+    # e^{i q tau} times the kernel has no frequency above 2 top, where a
+    # tau step below pi/top is exact; take half that. Two photon
+    # frequencies per width, against bands of sqrt(2) widths
+    n_tau = int(2.0 * half * w0 / (np.pi / (2.0 * top))) | 1
+    n_q = int(top / (0.5 * width)) | 1
+    brute = _brute_force_f(chi, w0, half, n_tau, top * w0, n_q)
     np.testing.assert_allclose(got, brute, rtol=1e-4)
 
 

@@ -452,3 +452,14 @@ def test_cutoff_in_a_gap_fails_its_doubled_tail():
     cutoff, total = certified_tail_cutoff(two_bands, 14.0, 4.0, 1e-6)
     assert cutoff == 18.0
     np.testing.assert_allclose(total, np.sqrt(np.pi), rtol=1e-9)
+
+
+def test_cutoff_samples_a_long_first_panel_at_the_step_resolution():
+    # a band 0.01 wide at 10, inside a first panel of 12: 257 points
+    # would space it 4.7 widths apart, and step/128 spaces it 0.8 apart
+    def narrow(x):
+        return np.exp(-0.5 * ((x - 10.0) / 0.01) ** 2)
+
+    cutoff, total = certified_tail_cutoff(narrow, 12.0, 1.0, 1e-6)
+    assert cutoff == 12.0
+    np.testing.assert_allclose(total, 0.01 * np.sqrt(2.0 * np.pi), rtol=1e-9)

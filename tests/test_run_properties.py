@@ -5,7 +5,10 @@ and a run that exits 0 writes only finite numbers.
 Spectral widths span 0.01 to 100 transition frequencies and carriers 0.5
 to 5, both log-uniform. No valid draw may exit 3: the photon-frequency
 integral takes its panels and its tau grid from the emission kernel's
-spectral support, so its cutoff is certified at every width and carrier.
+spectral support, so no cutoff falls in a gap between its bands or past
+the band its tau grid resolves. Exit 0 alone does not show the value
+right; `test_f_integral_narrowband_and_detuned_against_brute_force`
+checks the narrow and detuned corners of this range.
 """
 
 import json
