@@ -11,9 +11,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import j1
 
-#: First positive zero of J1 (spot-size sanity checks).
-J1_FIRST_ZERO = 3.8317059702075123156
-
 
 def j1_over_x(x):
     """J1(x)/x with the removable singularity: value 1/2 at x = 0."""

@@ -33,7 +33,6 @@ is isolated in one function so an alternative convention can be swapped.
 
 from __future__ import annotations
 
-import copy
 import json
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -59,7 +58,6 @@ from .quadrature import (
     certified_tail_cutoff,
     kernel_transform,
     oscillatory_cos_sin,
-    symmetric_grid,
     trapezoid_weights,
 )
 from .spectra import PulseSpectrum
@@ -192,7 +190,6 @@ class PulseAreaSynthesis:
     is kept. The radii of an array (the excitation curve's samples) are
     computed RADII_PER_BLOCK at a time, each block as the columns of one
     `f_integral` call, so they share every chi and emission transform.
-    `at_energy` gives the same synthesis at another pulse energy.
     """
 
     def __init__(self, geometry: FocusingGeometry, spectrum: PulseSpectrum,
@@ -213,22 +210,10 @@ class PulseAreaSynthesis:
         self._parts = [(kernel, np.ascontiguousarray(part)) for kernel, part
                        in ((np.cos, weighted.real), (np.sin, weighted.imag))
                        if part.any()] or [(np.sin, weighted.imag)]
-        self.prefactor = self._prefactor(pulse_energy)
+        self.prefactor = (tls.dipole_magnitude / HBAR
+                          * FIELD_CALIBRATION / np.pi
+                          * _amplitude_prefactor(pulse_energy))
         self._f_values = {}
-
-    def _prefactor(self, pulse_energy: float) -> float:
-        return (self.tls.dipole_magnitude / HBAR
-                * FIELD_CALIBRATION / np.pi
-                * _amplitude_prefactor(pulse_energy))
-
-    def at_energy(self, pulse_energy: float) -> "PulseAreaSynthesis":
-        """This synthesis for pulses of another energy, sharing its grid
-        and spectrum: chi is exactly proportional to sqrt(U), and only the
-        prefactor, applied after the transform, differs."""
-        other = copy.copy(self)
-        other.prefactor = self._prefactor(pulse_energy)
-        other._f_values = {}
-        return other
 
     def chi(self, rho) -> Callable:
         """chi(rho, tau) as a function of tau (s, scalar or array). For an
@@ -348,13 +333,8 @@ def _photon_band(spectrum: PulseSpectrum, w0: float):
 def _tau_grid(band, grid_scale: float) -> np.ndarray:
     """Uniform tau grid, in 1/w0, of the inner emission transform: +/- 12
     pulse widths, resolving the photon frequencies up to the qmax of
-    band (`_photon_band`).
-
-    The grid is bit-exactly odd about 0 (`symmetric_grid`), so chi, odd
-    in tau, is synthesised on its half tau >= 0, and the emission
-    kernel sin(tau) chi^2, odd too, is summed over that half by its sin
-    transform only. A grid of more than MAX_TAU_POINTS points raises
-    GridRangeError.
+    band (`_photon_band`). A grid of more than MAX_TAU_POINTS points
+    raises GridRangeError.
     """
     ghat, _, _, qmax = band
     tau_span = 12.0 / ghat                   # 12 pulse widths, in 1/w0
@@ -365,7 +345,7 @@ def _tau_grid(band, grid_scale: float) -> np.ndarray:
             f"emission tau grid needs {count:.3g} points, above the limit of "
             f"{MAX_TAU_POINTS}, at spectral width / transition frequency "
             f"= {ghat:.3g}")
-    return symmetric_grid(tau_span, int(count) | 1)
+    return np.linspace(-tau_span, tau_span, int(count) | 1)
 
 
 def f_integral(
@@ -390,9 +370,9 @@ def f_integral(
     the panels come from the kernel's spectral support (`_photon_band`);
     `certified_tail_cutoff` cuts each column off where its integrand
     falls below 1e-12 of its peak and certifies the cutoff by doubling.
-    A photon frequency past the band the grid resolves raises
-    NumericalConvergenceError, and a grid of more than MAX_TAU_POINTS
-    GridRangeError.
+    A photon frequency past the band the grid resolves, or an integrand
+    that overflows, raises NumericalConvergenceError, and a grid of more
+    than MAX_TAU_POINTS GridRangeError.
     """
     w0 = tls.transition_frequency
     # dimensionless time and frequency, in units of w0
@@ -419,7 +399,9 @@ def f_integral(
                     "photon-frequency integral reaches past the band its tau "
                     "grid resolves", qmax=qmax, photon_frequency=float(qhat[-1]))
             inner = oscillatory_cos_sin(taus, kernel, qhat)
-            return qhat[:, None] ** 3 * np.abs(inner) ** 2
+            # an overflow reaches certified_tail_cutoff, which rejects it
+            with np.errstate(over="ignore", invalid="ignore"):
+                return qhat[:, None] ** 3 * np.abs(inner) ** 2
 
         f[live] = certified_tail_cutoff(integrand, start, step, 1e-6,
                                         what="photon-frequency integral")[1]

@@ -161,11 +161,7 @@ def focal_field_time(
 
     On a uniform t the field is one chirp z-transform (`kernel_transform`),
     which corrects to first order the jitter tau = t - f/c takes from
-    rounding f/c. A tau bit-exactly odd about 0, as from
-    t = f/c + symmetric_grid(half, n), is transformed over tau >= 0 and
-    mirrored; the package's purely imaginary spectra then give a field
-    exactly even in tau. Where f/c +/- half straddles a power of two, tau
-    is not mirrored and every tau is transformed.
+    rounding f/c.
     """
     if rho < 0:
         raise InvalidParameterError(f"radial coordinate must be >= 0, got {rho}")

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import GridRangeError, InvalidParameterError, NumericalConvergenceError
 from .excitation import TwoLevelSystem
-from .quadrature import certified_tail_cutoff, filon_transform, symmetric_grid
+from .quadrature import certified_tail_cutoff, filon_transform
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -275,11 +275,8 @@ def default_time_grid(
     dt = min(2 pi / (40 w0), 1 / (40 Gamma)) / grid_scale.
 
     The grid is uniform, as Filon's rule needs: its Fourier sum is one
-    chirp z-transform. A window with t_start == -t_end gives a grid
-    bit-exactly odd about 0 (`symmetric_grid`)."""
+    chirp z-transform."""
     dt = min(2.0 * np.pi / (40.0 * transition_frequency),
              1.0 / (40.0 * spectrum_width)) / max(grid_scale, 0.05)
     n = int(np.ceil((t_end - t_start) / dt)) + 1
-    if t_start == -t_end:
-        return symmetric_grid(t_end, n)
     return np.linspace(t_start, t_end, n)

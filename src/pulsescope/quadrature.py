@@ -5,13 +5,13 @@ Spectral moments integrate smooth Gaussian-tailed kernels, where
 composite trapezoid converges fast but must be *certified* by grid
 refinement. Every sum_j c_j K(y_k x_j) in the package - chi, the field
 and the inner emission transform (K = cos, sin), the tau = 0 focal
-intensity (K = J1(x)/x) and Filon's rule - is a `kernel_transform`: a
-chirp z-transform on numpy.fft between uniform grids, else blocks of
-K(outer(y, x)). Filon-type weights treat an e^{i q t} oscillation far
-above the grid Nyquist scale exactly; they need only the plain Fourier
-sum plus two endpoint terms. One routine, `certified_tail_cutoff`,
-cuts an outer integral off panel by panel and certifies the cutoff by
-the tail over its doubling.
+intensity (K = J1(x)/x) and Filon's rule - runs over its whole grid as
+one chirp z-transform on numpy.fft between uniform grids, else as
+blocks of K(outer(y, x)) (`kernel_transform`). Filon-type weights
+treat an e^{i q t} oscillation far above the grid Nyquist scale
+exactly; they need only the plain Fourier sum plus two endpoint terms.
+One routine, `certified_tail_cutoff`, cuts an outer integral off panel
+by panel and certifies the cutoff by the tail over its doubling.
 """
 
 from __future__ import annotations
@@ -139,68 +139,34 @@ def kernel_transform(x, y, terms):
     takes both grids, all columns go through one chirp z-transform,
     whose real part is the cos sum and imaginary part the sin sum;
     otherwise through blocks of K(outer(y, x)) of at most CHUNK_ELEMENTS.
-    For cos and sin a grid bit-exactly odd about 0 (`symmetric_grid`) is
-    folded onto its half >= 0: on x, c(x) + c(-x) for cos and
-    c(x) - c(-x) for sin (an odd c leaves its cos sum uncomputed); on y,
-    the sums for y >= 0 are mirrored bit-exactly, cos as even and sin as
-    odd (sin is 0 at y = 0).
     """
-    x = np.asarray(x, dtype=float)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
-    terms = [(kernel, np.ascontiguousarray(c, dtype=float), _PARITY.get(kernel, 0.0))
-             for kernel, c in terms]
-    trig = all(parity for _, _, parity in terms)
-    if trig and _mirrored(x):
-        x = x[x.size // 2:]
-        terms = [(kernel, _fold(c, parity), parity) for kernel, c, parity in terms]
-    half = ys.size // 2 if trig and _mirrored(ys) else 0
-    upper, lower = _sums(x, ys[half:], terms, trig)
-    out = np.concatenate([lower[::-1][:half], upper])
+    out = _sums(np.asarray(x, dtype=float), ys,
+                [(kernel, np.ascontiguousarray(c, dtype=float)) for kernel, c in terms])
     return out if np.ndim(y) else out[0]
 
 
-# parity of each kernel that kernel_transform folds
-_PARITY = {np.cos: 1.0, np.sin: -1.0}
-
-
-def _mirrored(v: np.ndarray) -> bool:
-    return np.array_equal(v, -v[::-1])
-
-
-def _fold(c: np.ndarray, parity: float) -> np.ndarray:
-    """c on a mirrored grid moved onto its half >= 0: c(x) + parity c(-x),
-    with the centre point of an odd-length grid counted once."""
-    half = c.shape[0] // 2
-    folded = c[half:] + parity * c[::-1][half:]
-    if c.shape[0] % 2:
-        folded[0] = c[half] if parity > 0 else 0.0
-    return folded
-
-
-def _sums(x, ys, terms, trig):
-    """(sum over (K, c, parity) terms of K(outer(ys, x)) @ c, the same sum
-    at -ys), by one chirp z-transform when trig (every K cos or sin) and
-    `_chirp_z` takes the grids, else by blocks of rows."""
-    out, neg = np.zeros((2,) + ys.shape + terms[0][1].shape[1:])
+def _sums(x, ys, terms):
+    """sum over (K, c) terms of K(outer(ys, x)) @ c, by one chirp
+    z-transform when every K is cos or sin and `_chirp_z` takes the
+    grids, else by blocks of rows."""
+    out = np.zeros(ys.shape + terms[0][1].shape[1:])
     live = [term for term in terms if term[1].any()]
     z = None
-    if trig and live:
-        z = _chirp_z(x, ys, np.hstack([c.reshape(x.size, -1) for _, c, _ in live]))
+    if live and all(kernel in (np.cos, np.sin) for kernel, _ in terms):
+        z = _chirp_z(x, ys, np.hstack([c.reshape(x.size, -1) for _, c in live]))
     chunk = ys.size if z is not None else _chunk(x)
     for i0 in range(0, ys.size, chunk):
         rows = slice(i0, i0 + chunk)
-        for kernel, c, parity in live:
+        for kernel, c in live:
             if z is None:
                 part = _trig_block(x, ys, i0, kernel) @ c
             else:
                 part, z = np.hsplit(z, [c[0].size])
                 part = (part.imag if kernel is np.sin else part.real).reshape(
                     ys.shape + c.shape[1:])
-                if kernel is np.sin:
-                    part[ys == 0.0] = 0.0
             out[rows] += part
-            neg[rows] += parity * part
-    return out, neg
+    return out
 
 
 # a grid is uniform within this many ulps of max|grid| of its end-point line
@@ -270,22 +236,13 @@ def _chirp_z(x, y, c):
     return z.T if exact else (z[:c.shape[1]] + 1j * jitter * z[c.shape[1]:]).T
 
 
-def symmetric_grid(span: float, n: int) -> np.ndarray:
-    """np.linspace(-span, span, n >= 2), with its step, built bit-exactly
-    odd about 0 (t == -t[::-1]) by mirroring its half >= 0."""
-    upper = np.linspace(0.0 if n % 2 else span / (n - 1), span, (n + 1) // 2)
-    return np.concatenate([-upper[::-1][:n // 2], upper])
-
-
 def _fourier_sum(t, q, c):
     """sum_j c_j e^{i q_k t_j} for real or complex c (a vector, or one
-    column per right-hand side): one chirp z-transform of c, or, for a
-    real c on a grid bit-exactly odd about 0 (folded: an odd c is a sin
-    sum over t >= 0) or grids `_chirp_z` does not take, `kernel_transform`."""
+    column per right-hand side): one chirp z-transform of c, or, on grids
+    `_chirp_z` does not take, `kernel_transform`."""
     t, c = np.asarray(t, dtype=float), np.asarray(c)
     cols = c.reshape(t.size, -1)
-    z = None if np.isrealobj(c) and _mirrored(t) else _chirp_z(
-        t, np.atleast_1d(np.asarray(q, dtype=float)), cols)
+    z = _chirp_z(t, np.atleast_1d(np.asarray(q, dtype=float)), cols)
     if z is None:
         # real and imaginary part as cos and sin terms (zero ones skipped)
         re, im = cols.real, cols.imag
@@ -304,9 +261,15 @@ def oscillatory_cos_sin(t: np.ndarray, f: np.ndarray, q) -> np.ndarray:
     return _fourier_sum(t, q, weighted)
 
 
-def _rows(y, n: int) -> np.ndarray:
-    """Integrand values at n points, one contiguous row per column."""
-    return np.ascontiguousarray(np.reshape(y, (n, -1)).T)
+def _rows(x: np.ndarray, y, what: str) -> np.ndarray:
+    """Integrand values y at the points x, one contiguous row per column;
+    a non-finite value raises NumericalConvergenceError."""
+    rows = np.ascontiguousarray(np.reshape(y, (x.size, -1)).T)
+    finite = np.isfinite(rows)
+    if not finite.all():
+        raise NumericalConvergenceError(
+            f"{what} is not finite", at=float(x[np.argmin(finite.all(axis=0))]))
+    return rows
 
 
 def certified_tail_cutoff(
@@ -326,7 +289,8 @@ def certified_tail_cutoff(
     per two steps (at least 256), so the step sets the resolution: no
     sample spacing exceeds step/128. The tail over [cutoff, 2 cutoff] is
     then added, certified by requiring it to stay within tail_tol of the
-    value; a larger one raises NumericalConvergenceError. integrand(x)
+    value; a larger one, or a non-finite integrand value, raises
+    NumericalConvergenceError. integrand(x)
     may return a matrix with one column per integrand (one per radius in
     `f_integral`). Each column then stops at its own panel and takes its
     tail over its own cutoff, with the bits it has alone, and cutoff and
@@ -340,7 +304,7 @@ def certified_tail_cutoff(
     for _ in range(max_panels):
         x = np.linspace(lo, hi, intervals + 1)
         y = integrand(x)
-        rows = _rows(y, x.size)
+        rows = _rows(x, y, what)
         if total is None:
             total, peak = np.zeros((2, rows.shape[0]))
             cutoff = np.full(rows.shape[0], np.nan)
@@ -360,7 +324,7 @@ def certified_tail_cutoff(
     for edge in np.unique(cutoff):
         at = cutoff == edge
         ext = np.linspace(edge, 2.0 * edge, 513)
-        extra = np.trapezoid(_rows(integrand(ext), ext.size)[at], ext)
+        extra = np.trapezoid(_rows(ext, integrand(ext), what)[at], ext)
         if np.any(np.abs(extra) > tail_tol * np.abs(total[at])):
             raise NumericalConvergenceError(
                 f"{what} not converged at its cutoff", cutoff=float(edge),

@@ -4,9 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from pulsescope.bessel import J1_FIRST_ZERO, j1, j1_over_x
+from pulsescope.bessel import j1, j1_over_x
 
 mpmath.mp.dps = 30
+
+# first positive zero of J1 (spot-size sanity checks)
+J1_FIRST_ZERO = 3.8317059702075123156
 
 
 def _reference(xs):

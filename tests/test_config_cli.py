@@ -223,12 +223,31 @@ def test_oracle_compare_empty_grid(tmp_path):
 
 
 def test_oracle_target_past_float_range_is_a_typed_row_error(tmp_path):
-    # eta 1e300 needs a pulse energy (eta/eta_ref)^2 past the float range
+    # eta 1e300 needs a pulse energy (eta/eta_ref)^2 past the float range;
+    # at eta 1e100 the energy is finite but p_e ~ eta^4 overflows
     cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
-    oracle_compare(cfg, [(10.0, 1e300)])
-    row = (tmp_path / "oracle_compare.csv").read_text().splitlines()[1]
-    assert row == ("10.0,1e+300,,,,InvalidParameterError: oracle eta target "
-                   "1e+300 needs a pulse energy out of floating-point range")
+    oracle_compare(cfg, [(10.0, 1e100), (10.0, 1e300)])
+    rows = (tmp_path / "oracle_compare.csv").read_text().splitlines()[1:]
+    assert rows == [
+        "10.0,1e+100,,,,RegimeViolationError: p_e = inf > 1: inputs are "
+        "outside perturbative validity",
+        "10.0,1e+300,,,,InvalidParameterError: oracle eta target "
+        "1e+300 needs a pulse energy out of floating-point range"]
+
+
+def test_oracle_row_does_not_depend_on_the_config_pulse_energy(tmp_path):
+    # the eta target fixes the row's energy; a config energy whose own
+    # p_e would exceed 1 (1e-4 J), or whose f overflows (1e200 J), still
+    # gives the row's analytic p_e
+    rows = []
+    for energy in ("7e-10", "1e-4", "1e200"):
+        out = tmp_path / energy
+        oracle_compare(loads_config(f"pulse_energy_J = {energy}\ngrid_scale = 0.3"
+                                    f"\noutput_dir = {out}\n"), [(10.0, 0.05)])
+        rows.append((out / "oracle_compare.csv").read_text().splitlines()[1])
+    assert all(row.endswith(",") for row in rows)  # no error
+    low, *high = (float(row.split(",")[2]) for row in rows)
+    assert all(abs(p - low) <= 1e-14 * low for p in high)
 
 
 def test_cli_focus_figure_scan_oracle(tmp_path, fast_cfg_text):
@@ -436,14 +455,28 @@ def _watch_sums(monkeypatch):
     done = []
     real_sums = quadrature._sums
 
-    def recorded(x, ys, terms, trig):
-        names = [kernel.__name__ for kernel, c, _ in terms if c.any()]
+    def recorded(x, ys, terms):
+        names = [kernel.__name__ for kernel, c in terms if c.any()]
         if names:
             done.append((x, ys, names))
-        return real_sums(x, ys, terms, trig)
+        return real_sums(x, ys, terms)
 
     monkeypatch.setattr(quadrature, "_sums", recorded)
     return done
+
+
+def _watch_chirps(monkeypatch):
+    """(x, y, whether it ran) of every chirp z-transform tried from now on."""
+    transforms = []
+    real_chirp = quadrature._chirp_z
+
+    def counted(x, y, c):
+        z = real_chirp(x, y, c)
+        transforms.append((x, y, z is not None))
+        return z
+
+    monkeypatch.setattr(quadrature, "_chirp_z", counted)
+    return transforms
 
 
 def _zoom_block(block):
@@ -463,10 +496,9 @@ def test_run_scenario_builds_each_block_once(tmp_path, monkeypatch):
     assert {b[3] for b in built if not _zoom_block(b)} == {"j1_over_x"}
 
 
-def test_run_scenario_transforms_tau_grids_over_half(tmp_path, monkeypatch):
-    # chi and the emission kernel are odd in tau, so every transform over
-    # a tau grid covers tau >= 0 only, and none takes a cos sum; all are
-    # chirp z-transforms, none a block
+def test_run_scenario_transforms_tau_grids_by_chirp_z(tmp_path, monkeypatch):
+    # chi is evaluated at, and the emission kernel summed over, each tau
+    # grid; all are chirp z-transforms, none a block
     grids = []
     real_grid = excitation._tau_grid
 
@@ -476,18 +508,18 @@ def test_run_scenario_transforms_tau_grids_over_half(tmp_path, monkeypatch):
         return taus
 
     monkeypatch.setattr(excitation, "_tau_grid", recorded)
-    done = _watch_sums(monkeypatch)
+    transforms = _watch_chirps(monkeypatch)
     built = _watch_blocks(monkeypatch)
     cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
     run_scenario(cfg)
     w0 = cfg.transition_frequency_rad_per_s
     on_grid = np.concatenate(grids + [g / w0 for g in grids])
     axes = []
-    for x, y, kernels in done:
+    for x, y, chirped in transforms:
         for axis, values in (("x", x), ("y", y)):
             if values.size > 9 and np.isin(values, on_grid).all():
                 axes.append(axis)
-                assert kernels == ["sin"] and values.min() >= 0.0
+                assert chirped
     # the emission transform sums over tau, chi is evaluated at tau
     assert {"x", "y"} <= set(axes)
     assert all(_zoom_block(b) for b in built if b[3] in ("cos", "sin"))
@@ -498,19 +530,12 @@ def test_oracle_row_builds_no_trig_block(tmp_path, monkeypatch):
     # z-transforms: the row builds no cos/sin block but eta's zooms
     cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
     built = _watch_blocks(monkeypatch)
-    transforms = []
-    real_chirp = quadrature._chirp_z
-
-    def counted(x, y, c):
-        z = real_chirp(x, y, c)
-        transforms.append(z is not None or y.size < quadrature.MIN_CHIRP_POINTS)
-        return z
-
-    monkeypatch.setattr(quadrature, "_chirp_z", counted)
+    transforms = _watch_chirps(monkeypatch)
     oracle_compare(cfg, [(10.0, 0.05)])
     row = (tmp_path / "oracle_compare.csv").read_text().splitlines()[1]
     assert row.endswith(",")  # no error
-    assert transforms and all(transforms)
+    assert transforms and all(chirped or y.size < quadrature.MIN_CHIRP_POINTS
+                              for _, y, chirped in transforms)
     assert all(_zoom_block(b) for b in built if b[3] in ("cos", "sin"))
 
 
@@ -582,10 +607,9 @@ def test_spot_sizes_replay_the_plain_bisection(tmp_path, monkeypatch):
         assert spot == plain_bisection(curve)[0]
 
 
-def test_figure_1b_sums_over_half_its_window(tmp_path, monkeypatch):
-    # the time axis is t_rephase + symmetric_grid, so tau = t - t_rephase
-    # is mirrored: the field is summed for tau >= 0 only and written
-    # exactly even in tau
+def test_figure_1b_is_one_field_transform(tmp_path, monkeypatch):
+    # the field over the whole window is one chirp z-transform, written
+    # even in tau = t - t_rephase
     times = []
     real_field = scenario.focal_field_time
 
@@ -600,11 +624,9 @@ def test_figure_1b_sums_over_half_its_window(tmp_path, monkeypatch):
     name = emit_figure_data(cfg, "1b")
     tau = times[0] - cfg.build()[1].reference_sphere_radius / C_LIGHT
     assert len(times) == 1 and tau.size == 2001
-    assert np.array_equal(tau, -tau[::-1])
-    assert done and all(y.min() >= 0.0 for _, y, _ in done)
-    assert {y.size for _, y, _ in done} == {1001} and not built
+    assert {y.size for _, y, _ in done} == {2001} and not built
     field = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)[:, 1]
-    assert np.array_equal(field, field[::-1])
+    assert np.max(np.abs(field - field[::-1])) <= 1e-12 * np.max(np.abs(field))
 
 
 def test_two_runs_write_identical_bytes(tmp_path):
@@ -698,6 +720,20 @@ def test_non_finite_probability_is_a_range_error(tmp_path, capsys, key, value,
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "excite"]) == code
     assert re.search(message, capsys.readouterr().err)
+
+
+def test_overflowing_emission_integrand_is_a_convergence_error(tmp_path, capsys):
+    # f ~ U^2 overflows at 1e200 J: the photon-frequency cutoff stops at
+    # its first non-finite sample, and numpy's overflow warning stays quiet
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text("pulse_energy_J = 1e200\ngrid_scale = 0.3\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "excite"]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert ("photon-frequency integral is not finite"
+            in capsys.readouterr().err)
 
 
 def test_overflowing_spectral_width_names_it(tmp_path, capsys):

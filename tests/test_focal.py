@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C
+from test_bessel import J1_FIRST_ZERO
 
-from pulsescope.bessel import J1_FIRST_ZERO
 from pulsescope.errors import (
     GridRangeError,
     InvalidParameterError,

@@ -29,7 +29,6 @@ from pulsescope.quadrature import (
     kernel_transform,
     oscillatory_cos_sin,
     refine_until_converged,
-    symmetric_grid,
     trapezoid_weights,
 )
 
@@ -262,46 +261,28 @@ def cos_sin(x, y, a, b):
 
 @pytest.mark.parametrize("n", [353, 354])
 def test_kernel_transform_folds_a_symmetric_sum_axis(monkeypatch, n):
-    x = symmetric_grid(1.2, n)
+    # a sum axis symmetric about 0, of odd and even length, is summed
+    # over its whole grid in one transform per call
+    x = np.linspace(-1.2, 1.2, n)
     y = np.linspace(0.0, 60.0, 257)
     calls = _watch_chirps(monkeypatch)
     for a, b in _coefficient_sets(x):
         _close_to_peak(cos_sin(x, y, a, b), reference_cos_sin(x, y, a, b))
-    # every transform covers x >= 0 only, and an odd coefficient leaves
-    # its cos sum uncomputed
-    assert calls and all(np.array_equal(gx, x[n // 2:]) for gx, _, _ in calls)
-    calls.clear()
-    odd = _coefficient_sets(x)[0][0]
-    cos_sin(x, y, odd, odd)
-    assert [k for _, _, k in calls] == [1]
+    assert len(calls) == len(_coefficient_sets(x))
+    assert all(np.array_equal(gx, x) for gx, _, _ in calls)
 
 
 @pytest.mark.parametrize("n", [353, 354])
 def test_kernel_transform_mirrors_a_symmetric_output_axis(monkeypatch, n):
+    # an output axis symmetric about 0 is evaluated over its whole grid,
+    # y < 0 included
     x = np.linspace(0.0, 3.0, 301)
-    y = symmetric_grid(40.0, n)
+    y = np.linspace(-40.0, 40.0, n)
     calls = _watch_chirps(monkeypatch)
     for a, b in _coefficient_sets(x):
         _close_to_peak(cos_sin(x, y, a, b), reference_cos_sin(x, y, a, b))
-    assert calls and all(np.min(gy) >= 0.0 for _, gy, _ in calls)
-
-
-@pytest.mark.parametrize("n", [353, 354])
-def test_mirrored_half_has_the_bits_of_a_direct_evaluation(n):
-    # the half y >= 0 has the bits of evaluating it alone, and the half
-    # y < 0 its bits mirrored: cos sums exactly even, sin sums exactly
-    # odd, with sin exactly 0 at y = 0
-    x = np.linspace(0.0, 3.0, 301)
-    y = symmetric_grid(40.0, n)
-    half = n // 2
-    for a, b in _coefficient_sets(x):
-        for kernel, c, parity in ((np.cos, a, 1.0), (np.sin, b, -1.0)):
-            folded = kernel_transform(x, y, [(kernel, c)])
-            direct = kernel_transform(x, y[half:], [(kernel, c)])
-            assert np.array_equal(folded[half:], direct)
-            assert np.array_equal(folded, parity * folded[::-1])
-            _close_to_peak(folded, reference_cos_sin(x, y, *(
-                (c, 0.0 * c) if kernel is np.cos else (0.0 * c, c))))
+    assert len(calls) == len(_coefficient_sets(x))
+    assert all(np.array_equal(gy, y) for _, gy, _ in calls)
 
 
 def reference_fourier(x, y, c):
@@ -389,17 +370,9 @@ def test_filon_transform_rejects_a_grid_that_is_not_uniform():
     with pytest.raises(InvalidParameterError, match="uniform"):
         filon_transform(bent, f, 5.0)
     # a grid uniform to rounding is accepted
-    _close_to_peak(filon_transform(symmetric_grid(1.2, 641), f, 5.0),
-                   reference_filon(t, f, 5.0))
-
-
-def test_symmetric_grid_is_linspace_mirrored():
-    for n in (2, 3, 10, 11, 4001):
-        t = symmetric_grid(2.5, n)
-        assert t.size == n and t[0] == -2.5 and t[-1] == 2.5
-        assert np.array_equal(t, -t[::-1])
-        np.testing.assert_allclose(t, np.linspace(-2.5, 2.5, n), rtol=0,
-                                   atol=np.spacing(2.5))
+    rounded = (t + 3.0) - 3.0
+    assert not np.array_equal(rounded, t)
+    _close_to_peak(filon_transform(rounded, f, 5.0), reference_filon(t, f, 5.0))
 
 
 def test_refinement_stops_at_the_first_non_finite_value():
@@ -452,6 +425,21 @@ def test_cutoff_in_a_gap_fails_its_doubled_tail():
     cutoff, total = certified_tail_cutoff(two_bands, 14.0, 4.0, 1e-6)
     assert cutoff == 18.0
     np.testing.assert_allclose(total, np.sqrt(np.pi), rtol=1e-9)
+
+
+def test_cutoff_stops_at_the_first_non_finite_sample():
+    # the third panel, [6, 10], turns inf past 9: no running peak can be
+    # certified against it, so the cutoff raises there
+    edges = []
+
+    def overflowing(x):
+        edges.append(x[-1])
+        return np.where(x > 9.0, np.inf, x)[:, None] * np.ones(2)
+
+    with pytest.raises(NumericalConvergenceError,
+                       match=r"test integral is not finite \[at=9\.015625\]"):
+        certified_tail_cutoff(overflowing, 2.0, 4.0, 1e-6, what="test integral")
+    assert edges == [2.0, 6.0, 10.0]
 
 
 def test_cutoff_samples_a_long_first_panel_at_the_step_resolution():
