@@ -71,6 +71,10 @@ MAX_TAU_POINTS = 1_000_000
 # grow with it (the reference run peaks about 1 MB higher at 8 than at 1,
 # and 4 MB at 33)
 RADII_PER_BLOCK = 8
+# bound on eta's Newton steps: 2 to 4 reach a bit-stable tau from the
+# largest scan sample, and the bound stops one alternating between two
+# neighbouring floats
+NEWTON_STEPS = 6
 
 
 def dipole_from_spontaneous_rate(transition_frequency: float,
@@ -179,7 +183,9 @@ class PulseAreaSynthesis:
 
     with B the Airy kernel J1(A w rho / c)/rho and tau measured from the
     rephasing time. Exact for every tau, so no cumulative quadrature
-    error enters the area.
+    error enters the area. eta, f and p_e are computed at unit prefactor
+    (the factor in front) and scaled last, so a pulse energy whose p_e
+    overflows is a p_e > 1, not a non-finite integral.
 
     The frequency grid, the trapezoid-weighted spectrum and the
     prefactor do not depend on rho, so one instance serves a whole run:
@@ -210,15 +216,16 @@ class PulseAreaSynthesis:
         self._parts = [(kernel, np.ascontiguousarray(part)) for kernel, part
                        in ((np.cos, weighted.real), (np.sin, weighted.imag))
                        if part.any()] or [(np.sin, weighted.imag)]
-        self.prefactor = (tls.dipole_magnitude / HBAR
-                          * FIELD_CALIBRATION / np.pi
-                          * _amplitude_prefactor(pulse_energy))
+        # the transition's coupling times the pulse's field amplitude
+        self._coupling = tls.dipole_magnitude / HBAR * FIELD_CALIBRATION / np.pi
+        self._amplitude = _amplitude_prefactor(pulse_energy)
+        self.prefactor = self._coupling * self._amplitude
         self._f_values = {}
 
-    def chi(self, rho) -> Callable:
-        """chi(rho, tau) as a function of tau (s, scalar or array). For an
-        array of radii it returns one column per radius, all from one
-        transform."""
+    def chi(self, rho, unit: bool = False) -> Callable:
+        """chi(rho, tau) as a function of tau (s, scalar or array), at unit
+        prefactor if `unit`. For an array of radii it returns one column
+        per radius, all from one transform."""
         radii = np.atleast_1d(np.asarray(rho, dtype=float))
         if np.any(radii < 0):
             raise InvalidParameterError(f"radial coordinate must be >= 0, got {rho}")
@@ -231,40 +238,64 @@ class PulseAreaSynthesis:
                 c[:, j] = part * airy
 
         def chi(tau):
-            out = kernel_transform(w, tau, terms) * self.prefactor
+            out = kernel_transform(w, tau, terms)
+            if not unit:
+                out *= self.prefactor
             out = out.reshape(np.shape(tau) + np.shape(rho))
             return out if out.ndim else float(out)
 
         return chi
 
+    def _focal_sums(self, tau: float):
+        """chi(0, tau) and its first two tau derivatives at unit prefactor,
+        as one-point sums over the frequency grid: the weighted spectrum
+        times J1(0)/0 = 1/2, times w for chi' and w^2 for chi''. A sin
+        part gives (c sin, c w cos, -c w^2 sin), a cos part (c cos,
+        -c w sin, -c w^2 cos)."""
+        w = self.frequencies
+        sin, cos = np.sin(w * tau), np.cos(w * tau)
+        sums = np.zeros(3)
+        for kernel, part in self._parts:
+            c = 0.5 * part
+            even, odd = (sin, cos) if kernel is np.sin else (cos, -sin)
+            sums += (c @ even, (c * w) @ odd, -(c * w * w) @ even)
+        return sums
+
     def probability(self, train: PulseTrainConfig, rho):
         """(p_e, f) at one radius for a train of this synthesis' pulses, or
-        arrays of both over an array of radii. f is computed once per
-        radius; the radii not yet computed go to `f_integral` in blocks of
-        RADII_PER_BLOCK."""
+        arrays of both over an array of radii. f is computed at unit
+        prefactor once per radius; the radii not yet computed go to
+        `f_integral` in blocks of RADII_PER_BLOCK. A p_e not finite at unit
+        field amplitude raises InvalidParameterError, and one above 1 (an
+        overflow too) RegimeViolationError."""
         radii = np.asarray(rho, dtype=float)
         tls = self.tls
-        f_val = np.zeros(radii.shape)
+        f_unit = np.zeros(radii.shape)
         if train.pulse_count > 0:
             todo = [r for r in dict.fromkeys(radii.ravel().tolist())
                     if r not in self._f_values]
             for i in range(0, len(todo), RADII_PER_BLOCK):
                 block = todo[i:i + RADII_PER_BLOCK]
                 self._f_values.update(zip(block, np.atleast_1d(f_integral(
-                    tls, self.chi(np.array(block)), self.spectrum,
+                    tls, self.chi(np.array(block), unit=True), self.spectrum,
                     self.grid_scale))))
-            f_val = np.array([self._f_values[r] for r in radii.ravel().tolist()]
-                             ).reshape(radii.shape)
-        p_e = (
-            f_val * 2.0 * train.pulse_count * tls.spontaneous_rate
-            / (np.pi * tls.transition_frequency**3)
-        )
-        if not np.all(np.isfinite(p_e)):
+            f_unit = np.array([self._f_values[r] for r in radii.ravel().tolist()]
+                              ).reshape(radii.shape)
+        c, a = float(self._coupling), float(self._amplitude)
+        # one factor at a time, so a zero stays zero; f and p_e at unit
+        # field amplitude depend on the transition alone
+        with np.errstate(over="ignore"):
+            f_coupled = f_unit * c * c * c * c
+            rate = (f_coupled * 2.0 * train.pulse_count * tls.spontaneous_rate
+                    / (np.pi * tls.transition_frequency**3))
+            p_e, f_val = rate * a * a * a * a, f_coupled * a * a * a * a
+        if not np.all(np.isfinite(rate)):
             raise InvalidParameterError(
                 f"transition frequency {tls.transition_frequency!r} rad/s is "
                 f"out of floating-point range: "
-                f"p_e = {float(p_e[~np.isfinite(p_e)][0])!r}")
-        if np.any(p_e > 1.0):
+                f"p_e = {float(p_e[~np.isfinite(rate)][0])!r}")
+        # past the float range the pulse energy alone makes p_e > 1
+        if not np.all(p_e <= 1.0):
             raise RegimeViolationError(
                 f"p_e = {np.max(p_e):.3g} > 1: inputs are outside perturbative validity"
             )
@@ -279,13 +310,16 @@ def eta(
     grid_scale: float = 1.0,
     synthesis: PulseAreaSynthesis | None = None,
 ) -> float:
-    """Maximum pulse area at the focus: a scan of the tau grid of
-    `f_integral`, then twelve zooms that each resample the two intervals
-    around the largest sample 4x finer.
+    """Maximum pulse area at the focus: a scan of chi(0, tau) on the tau
+    grid of `f_integral` (one chirp z-transform), then Newton steps
+    tau <- tau - chi'/chi'' on one-point sums (`_focal_sums`) from its
+    largest sample, each clamped to the two scan intervals around it.
+    The steps stop when tau stops changing, after NEWTON_STEPS, or at a
+    chi'' that is zero or not finite; eta is the prefactor times the
+    larger of |chi| there and the largest |sample|.
 
     `synthesis`, built from the same inputs, supplies chi; without it eta
-    builds a synthesis of its own. The scan is one chirp z-transform; a
-    9-point zoom, too short for one, is a 9-row sin block.
+    builds a synthesis of its own.
     """
     if synthesis is None:
         synthesis = PulseAreaSynthesis(geometry, spectrum, pulse_energy, tls,
@@ -293,14 +327,21 @@ def eta(
     w0 = tls.transition_frequency
     taus = _tau_grid(_photon_band(synthesis.spectrum, w0),
                      synthesis.grid_scale) / w0
-    chi = synthesis.chi(0.0)
-    values = chi(taus)
-    for _zoom in range(12):
-        i = int(np.argmax(np.abs(values)))
-        lo, hi = taus[max(i - 1, 0)], taus[min(i + 1, taus.size - 1)]
-        taus = np.linspace(lo, hi, 9)
-        values = chi(taus)
-    return float(np.max(np.abs(values)))
+    scan = np.abs(synthesis.chi(0.0, unit=True)(taus))
+    i = int(np.argmax(scan))
+    lo, hi = taus[max(i - 1, 0)], taus[min(i + 1, taus.size - 1)]
+    tau = float(taus[i])
+    value, slope, curvature = synthesis._focal_sums(tau)
+    for _step in range(NEWTON_STEPS):
+        if not (np.isfinite(curvature) and curvature != 0.0):
+            break
+        # Python floats: an overflowing step is inf, clamped, not a warning
+        new = min(max(tau - float(slope) / float(curvature), lo), hi)
+        if new == tau:
+            break
+        tau = new
+        value, slope, curvature = synthesis._focal_sums(tau)
+    return float(synthesis.prefactor * max(abs(value), scan[i]))
 
 
 def _photon_band(spectrum: PulseSpectrum, w0: float):

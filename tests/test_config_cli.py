@@ -479,21 +479,14 @@ def _watch_chirps(monkeypatch):
     return transforms
 
 
-def _zoom_block(block):
-    """Whether a block is one of eta's 9-point zooms, which stay block
-    products (fewer than MIN_CHIRP_POINTS outputs)."""
-    return block[3] == "sin" and np.frombuffer(block[1]).size == 9
-
-
 def test_run_scenario_builds_each_block_once(tmp_path, monkeypatch):
-    # cos/sin sums are chirp z-transforms but for eta's 9-point zooms; the
-    # other blocks are the J1(x)/x blocks of the focal intensity; none is
-    # built twice
+    # every cos/sin sum is a chirp z-transform, so the only blocks are the
+    # J1(x)/x blocks of the focal intensity; none is built twice
     built = _watch_blocks(monkeypatch)
     run_scenario(loads_config("grid_scale = 0.3\noutput_dir = "
                               + str(tmp_path) + "\n"))
     assert built and len(set(built)) == len(built)
-    assert {b[3] for b in built if not _zoom_block(b)} == {"j1_over_x"}
+    assert {b[3] for b in built} == {"j1_over_x"}
 
 
 def test_run_scenario_transforms_tau_grids_by_chirp_z(tmp_path, monkeypatch):
@@ -522,12 +515,12 @@ def test_run_scenario_transforms_tau_grids_by_chirp_z(tmp_path, monkeypatch):
                 assert chirped
     # the emission transform sums over tau, chi is evaluated at tau
     assert {"x", "y"} <= set(axes)
-    assert all(_zoom_block(b) for b in built if b[3] in ("cos", "sin"))
+    assert not [b for b in built if b[3] in ("cos", "sin")]
 
 
 def test_oracle_row_builds_no_trig_block(tmp_path, monkeypatch):
     # chi, the drive and Filon's rule of an oracle row are chirp
-    # z-transforms: the row builds no cos/sin block but eta's zooms
+    # z-transforms: the row builds no cos/sin block
     cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
     built = _watch_blocks(monkeypatch)
     transforms = _watch_chirps(monkeypatch)
@@ -536,7 +529,7 @@ def test_oracle_row_builds_no_trig_block(tmp_path, monkeypatch):
     assert row.endswith(",")  # no error
     assert transforms and all(chirped or y.size < quadrature.MIN_CHIRP_POINTS
                               for _, y, chirped in transforms)
-    assert all(_zoom_block(b) for b in built if b[3] in ("cos", "sin"))
+    assert not [b for b in built if b[3] in ("cos", "sin")]
 
 
 def _f_calls(monkeypatch):
@@ -722,18 +715,20 @@ def test_non_finite_probability_is_a_range_error(tmp_path, capsys, key, value,
     assert re.search(message, capsys.readouterr().err)
 
 
-def test_overflowing_emission_integrand_is_a_convergence_error(tmp_path, capsys):
-    # f ~ U^2 overflows at 1e200 J: the photon-frequency cutoff stops at
-    # its first non-finite sample, and numpy's overflow warning stays quiet
+@pytest.mark.parametrize("command", ["excite", "scenario"])
+def test_overflowing_pulse_energy_is_a_regime_violation(tmp_path, capsys,
+                                                        command):
+    # p_e ~ U^2 overflows at 1e200 J, while f at unit prefactor stays
+    # finite: the run exits 4, and numpy's overflow warning stays quiet
     cfg = tmp_path / "u.cfg"
     cfg.write_text("pulse_energy_J = 1e200\ngrid_scale = 0.3\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
-                     "excite"]) == 3
+                     command]) == 4
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert ("photon-frequency integral is not finite"
-            in capsys.readouterr().err)
+    assert re.search("regime violation: p_e = inf > 1",
+                     capsys.readouterr().err)
 
 
 def test_overflowing_spectral_width_names_it(tmp_path, capsys):

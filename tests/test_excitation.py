@@ -165,6 +165,65 @@ def test_eta_matches_a_bounded_scalar_maximum(scenario, width_ratio):
     np.testing.assert_allclose(got, -res.fun, rtol=1e-12)
 
 
+def _zoomed_eta(synthesis, w0):
+    """eta by twelve zooms: a scan of the tau grid of f_integral, then
+    twelve 9-point resamplings of the two intervals around the largest
+    sample, each 4x finer; the search Newton's steps replaced."""
+    taus = excitation._tau_grid(
+        excitation._photon_band(synthesis.spectrum, w0), synthesis.grid_scale) / w0
+    chi = synthesis.chi(0.0)
+    values = chi(taus)
+    for _zoom in range(12):
+        i = int(np.argmax(np.abs(values)))
+        lo, hi = taus[max(i - 1, 0)], taus[min(i + 1, taus.size - 1)]
+        taus = np.linspace(lo, hi, 9)
+        values = chi(taus)
+    return float(np.max(np.abs(values)))
+
+
+@pytest.mark.parametrize("grid_scale", [0.3, 1.0])
+@pytest.mark.parametrize("carrier_ratio", [1.0, 3.0])
+def test_eta_matches_the_twelve_zoom_search(scenario, carrier_ratio, grid_scale):
+    # 21 widths from 0.01 to 100 w0; at the narrow ones chi oscillates at
+    # the carrier, so the steps must stay on its largest lobe
+    _, _, geometry, tls, train = scenario
+    w0 = tls.transition_frequency
+    for width_ratio in np.geomspace(0.01, 100.0, 21):
+        spectrum = ps.make_gaussian_spectrum(carrier_ratio * w0, width_ratio * w0)
+        synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy,
+                                       tls, grid_scale)
+        got = ps.eta(geometry, spectrum, train.pulse_energy, tls, grid_scale,
+                     synthesis)
+        np.testing.assert_allclose(got, _zoomed_eta(synthesis, w0), rtol=1e-12)
+        taus = excitation._tau_grid(excitation._photon_band(spectrum, w0),
+                                    grid_scale) / w0
+        assert got >= np.max(np.abs(synthesis.chi(0.0)(taus)))
+
+
+def test_eta_steps_stay_in_the_scan_bracket(scenario, monkeypatch):
+    # derivatives whose steps overflow, then a zero or non-finite chi'',
+    # keep every tau in the two scan intervals around the largest sample
+    # (no RuntimeWarning), and eta at the scan's largest sample
+    _, spectrum, geometry, tls, train = scenario
+    w0 = tls.transition_frequency
+    synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls, 0.3)
+    taus = excitation._tau_grid(excitation._photon_band(spectrum, w0), 0.3) / w0
+    scan = np.abs(synthesis.chi(0.0, unit=True)(taus))
+    i = int(np.argmax(scan))
+    for curvatures in ([1e-300, -1e-300, 1e-300], [0.0], [np.nan], [-np.inf]):
+        seen = []
+
+        def sums(tau, rest=iter(curvatures + [0.0])):
+            seen.append(tau)
+            return np.array([0.0, 1e300, next(rest)])
+
+        monkeypatch.setattr(synthesis, "_focal_sums", sums)
+        got = ps.eta(geometry, spectrum, train.pulse_energy, tls, 0.3, synthesis)
+        steps = int(len(curvatures) > 1)
+        assert set(seen) == set(taus[i - steps:i + steps + 1])
+        assert got == float(synthesis.prefactor * scan[i])
+
+
 def test_f_integral_zero_for_zero_area(scenario):
     _, spectrum, _, tls, _ = scenario
     f = ps.f_integral(tls, lambda tau: np.zeros_like(np.asarray(tau)), spectrum)

@@ -260,7 +260,7 @@ def cos_sin(x, y, a, b):
 
 
 @pytest.mark.parametrize("n", [353, 354])
-def test_kernel_transform_folds_a_symmetric_sum_axis(monkeypatch, n):
+def test_kernel_transform_sums_a_symmetric_sum_axis_in_one_transform(monkeypatch, n):
     # a sum axis symmetric about 0, of odd and even length, is summed
     # over its whole grid in one transform per call
     x = np.linspace(-1.2, 1.2, n)
@@ -273,9 +273,9 @@ def test_kernel_transform_folds_a_symmetric_sum_axis(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [353, 354])
-def test_kernel_transform_mirrors_a_symmetric_output_axis(monkeypatch, n):
+def test_kernel_transform_evaluates_a_symmetric_output_axis_in_one_transform(monkeypatch, n):
     # an output axis symmetric about 0 is evaluated over its whole grid,
-    # y < 0 included
+    # y < 0 included, in one transform per call
     x = np.linspace(0.0, 3.0, 301)
     y = np.linspace(-40.0, 40.0, n)
     calls = _watch_chirps(monkeypatch)
