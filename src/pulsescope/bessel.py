@@ -13,8 +13,10 @@ from scipy.special import j1
 
 
 def j1_over_x(x):
-    """J1(x)/x with the removable singularity: value 1/2 at x = 0."""
+    """J1(x)/x with the removable singularity: value 1/2 at x = 0, filled
+    in place (the explicit out keeps a 0-d x an array for the division)."""
     x = np.asarray(x, dtype=float)
-    zero = x == 0.0
-    safe = np.where(zero, 1.0, x)
-    return np.where(zero, 0.5, j1(safe) / safe)[()]
+    out = j1(x, out=np.empty(x.shape))
+    np.divide(out, x, out=out, where=x != 0)
+    out[x == 0] = 0.5
+    return out[()]

@@ -56,7 +56,7 @@ from .focal import (
 )
 from .quadrature import (
     certified_tail_cutoff,
-    kernel_transform,
+    fourier_sum,
     oscillatory_cos_sin,
     trapezoid_weights,
 )
@@ -182,18 +182,21 @@ class PulseAreaSynthesis:
                         * Re int_0^inf (phi(w) B(w, rho) / w) e^{-i w tau} dw
 
     with B the Airy kernel J1(A w rho / c)/rho and tau measured from the
-    rephasing time. Exact for every tau, so no cumulative quadrature
+    rephasing time. On the frequency grid that is the real part of
+    sum_j conj(g_j) J1(x_j)/x_j e^{i w_j tau}, x_j = A w_j rho / c, with
+    g the trapezoid-weighted spectrum times A/c (at unit prefactor, the
+    factor in front). Exact for every tau, so no cumulative quadrature
     error enters the area. eta, f and p_e are computed at unit prefactor
-    (the factor in front) and scaled last, so a pulse energy whose p_e
-    overflows is a p_e > 1, not a non-finite integral.
+    and scaled last, so a pulse energy whose p_e overflows is a p_e > 1,
+    not a non-finite integral.
 
     The frequency grid, the trapezoid-weighted spectrum and the
     prefactor do not depend on rho, so one instance serves a whole run:
     `eta` scans chi(0, tau) on the first tau grid of `f_integral` through
     it, and f is computed once per radius and kept, so `probability` at a
     radius already computed is a lookup. Each chi evaluation is one
-    chirp z-transform of the spectrum (`kernel_transform`); nothing else
-    is kept. The radii of an array (the excitation curve's samples) are
+    `fourier_sum` of conj(g), one column per radius; nothing else is
+    kept. The radii of an array (the excitation curve's samples) are
     computed RADII_PER_BLOCK at a time, each block as the columns of one
     `f_integral` call, so they share every chi and emission transform.
     """
@@ -208,14 +211,9 @@ class PulseAreaSynthesis:
                 * max(grid_scale, 0.05)) | 1
         self.frequencies = spectrum.frequency_grid(n)
         self.aperture = geometry.numerical_aperture
-        weighted = (spectrum.value(self.frequencies)
-                    * trapezoid_weights(self.frequencies)
-                    * (self.aperture / C_LIGHT))
-        # the real and imaginary parts of the spectrum, each with its kernel
-        # (the built-in spectrum is purely imaginary, so chi needs sin only)
-        self._parts = [(kernel, np.ascontiguousarray(part)) for kernel, part
-                       in ((np.cos, weighted.real), (np.sin, weighted.imag))
-                       if part.any()] or [(np.sin, weighted.imag)]
+        self._conj_weighted = np.conj(spectrum.value(self.frequencies)
+                                      * trapezoid_weights(self.frequencies)
+                                      * (self.aperture / C_LIGHT))
         # the transition's coupling times the pulse's field amplitude
         self._coupling = tls.dipole_magnitude / HBAR * FIELD_CALIBRATION / np.pi
         self._amplitude = _amplitude_prefactor(pulse_energy)
@@ -230,15 +228,12 @@ class PulseAreaSynthesis:
         if np.any(radii < 0):
             raise InvalidParameterError(f"radial coordinate must be >= 0, got {rho}")
         w, a = self.frequencies, self.aperture
-        terms = [(kernel, np.empty((w.size, radii.size)))
-                 for kernel, _ in self._parts]
+        c = np.empty((w.size, radii.size), dtype=complex)
         for j, r in enumerate(radii):
-            airy = j1_over_x(a * w * r / C_LIGHT)
-            for (_, part), (_, c) in zip(self._parts, terms):
-                c[:, j] = part * airy
+            c[:, j] = self._conj_weighted * j1_over_x(a * w * r / C_LIGHT)
 
         def chi(tau):
-            out = kernel_transform(w, tau, terms)
+            out = fourier_sum(w, tau, c).real
             if not unit:
                 out *= self.prefactor
             out = out.reshape(np.shape(tau) + np.shape(rho))
@@ -248,18 +243,12 @@ class PulseAreaSynthesis:
 
     def _focal_sums(self, tau: float):
         """chi(0, tau) and its first two tau derivatives at unit prefactor,
-        as one-point sums over the frequency grid: the weighted spectrum
-        times J1(0)/0 = 1/2, times w for chi' and w^2 for chi''. A sin
-        part gives (c sin, c w cos, -c w^2 sin), a cos part (c cos,
-        -c w sin, -c w^2 cos)."""
+        as one-point sums over the frequency grid: with e = conj(g) e^{i w
+        tau} / 2 (J1(0)/0 = 1/2), they are Re sum e, Re sum i w e and
+        -Re sum w^2 e."""
         w = self.frequencies
-        sin, cos = np.sin(w * tau), np.cos(w * tau)
-        sums = np.zeros(3)
-        for kernel, part in self._parts:
-            c = 0.5 * part
-            even, odd = (sin, cos) if kernel is np.sin else (cos, -sin)
-            sums += (c @ even, (c * w) @ odd, -(c * w * w) @ even)
-        return sums
+        e = 0.5 * self._conj_weighted * np.exp(1j * (w * tau))
+        return e.sum().real, (1j * w * e).sum().real, -(w * w * e).sum().real
 
     def probability(self, train: PulseTrainConfig, rho):
         """(p_e, f) at one radius for a train of this synthesis' pulses, or

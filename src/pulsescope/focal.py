@@ -38,7 +38,7 @@ from .errors import (
     InvalidStateError,
     NumericalConvergenceError,
 )
-from .quadrature import kernel_transform, trapezoid_weights
+from .quadrature import _chunk, fourier_sum, trapezoid_weights
 from .spectra import PulseSpectrum
 
 PARAXIAL_LIMIT = 0.2
@@ -159,9 +159,9 @@ def focal_field_time(
     field calibration constant. The peak sits at the rephasing time
     t = f/c.
 
-    On a uniform t the field is one chirp z-transform (`kernel_transform`),
-    which corrects to first order the jitter tau = t - f/c takes from
-    rounding f/c.
+    The field is the real part of one `fourier_sum` of the conjugate
+    kernel at tau = t - f/c: on a uniform t a chirp z-transform, which
+    corrects to first order the jitter tau takes from rounding f/c.
     """
     if rho < 0:
         raise InvalidParameterError(f"radial coordinate must be >= 0, got {rho}")
@@ -181,8 +181,8 @@ def focal_field_time(
     w = _synthesis_grid(spectrum, float(np.max(np.abs(tau))) + 1.0 / spectrum.spectral_width,
                         grid_scale)
     kern = 1j * spectrum.value(w) * _airy_kernel(geometry, w, rho) * trapezoid_weights(w)
-    out = kernel_transform(w, tau, [(np.cos, kern.real), (np.sin, kern.imag)])
-    out *= _amplitude_prefactor(pulse_energy) * FIELD_CALIBRATION / np.pi
+    out = fourier_sum(w, tau, kern.conj()).real * (
+        _amplitude_prefactor(pulse_energy) * FIELD_CALIBRATION / np.pi)
     return float(out[0]) if scalar else out
 
 
@@ -193,8 +193,9 @@ def focal_intensity_rephased(
     grid_scale: float = 1.0,
 ) -> np.ndarray:
     """Rephasing-time intensity |int_0^inf dw phi(w) J1(A w rho/c)/rho|^2
-    in arbitrary units (only ratios are meaningful downstream), as one
-    J1(x)/x kernel transform for all radii."""
+    in arbitrary units (only ratios are meaningful downstream): J1(x)/x
+    at x = outer(rho, A w / c), times the trapezoid-weighted phi A w / c,
+    for all radii, in blocks of at most CHUNK_ELEMENTS elements."""
     rhos = np.atleast_1d(np.asarray(rho, dtype=float))
     if np.any(rhos < 0):
         raise InvalidParameterError("radial coordinates must be >= 0")
@@ -202,8 +203,13 @@ def focal_intensity_rephased(
     scale = geometry.numerical_aperture * w / C_LIGHT
     g = spectrum.value(w) * scale * trapezoid_weights(w)
     halves = np.stack([g.real, g.imag], axis=1)
-    # only the nonzero halves: the package's spectra are purely imaginary
-    amp = kernel_transform(scale, rhos, [(j1_over_x, halves[:, halves.any(axis=0)])])
+    # only the nonzero halves: the package's spectra are purely imaginary,
+    # and their one-column product keeps the curves' bits
+    halves = halves[:, halves.any(axis=0)]
+    amp = np.empty((rhos.size, halves.shape[1]))
+    rows = _chunk(scale)
+    for i0 in range(0, rhos.size, rows):
+        amp[i0:i0 + rows] = j1_over_x(np.outer(rhos[i0:i0 + rows], scale)) @ halves
     out = np.sum(amp**2, axis=1)
     return out if np.ndim(rho) else float(out[0])
 

@@ -1,17 +1,16 @@
-"""Quadrature helpers: certified trapezoid refinement, one kernel
-transform, Filon transforms, certified outer cutoffs.
+"""Quadrature helpers: certified trapezoid refinement, one Fourier sum,
+Filon transforms, certified outer cutoffs.
 
 Spectral moments integrate smooth Gaussian-tailed kernels, where
 composite trapezoid converges fast but must be *certified* by grid
-refinement. Every sum_j c_j K(y_k x_j) in the package - chi, the field
-and the inner emission transform (K = cos, sin), the tau = 0 focal
-intensity (K = J1(x)/x) and Filon's rule - runs over its whole grid as
-one chirp z-transform on numpy.fft between uniform grids, else as
-blocks of K(outer(y, x)) (`kernel_transform`). Filon-type weights
-treat an e^{i q t} oscillation far above the grid Nyquist scale
-exactly; they need only the plain Fourier sum plus two endpoint terms.
-One routine, `certified_tail_cutoff`, cuts an outer integral off panel
-by panel and certifies the cutoff by the tail over its doubling.
+refinement. Every sum_j c_j e^{i y_k x_j} in the package - chi, the
+field, the inner emission transform and Filon's rule - is one call of
+`fourier_sum`: one chirp z-transform on numpy.fft between uniform grids,
+else blocks of exp(i outer(y, x)). Filon-type weights treat an e^{i q t}
+oscillation far above the grid Nyquist scale exactly; they need only
+that sum plus two endpoint terms. One routine, `certified_tail_cutoff`,
+cuts an outer integral off panel by panel and certifies the cutoff by
+the tail over its doubling.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericalConvergenceError
 
-# bound on the elements of one kernel-matrix block
+# bound on the elements of one block of a blocked product
 CHUNK_ELEMENTS = 4_000_000
 
 
@@ -91,20 +90,24 @@ def _filon_weights(theta: np.ndarray):
 def filon_transform(t: np.ndarray, f: np.ndarray, q) -> np.ndarray:
     """int f(t) e^{i q t} dt on a uniform grid, exact in the oscillation.
 
-    f is interpolated piecewise-linearly; q may be a scalar or 1-D array.
-    With the Fourier sum S = sum_j f_j e^{i q t_j} over all n points, the
-    panel sums are h [P (S - f_{n-1} e^{i q t_{n-1}})
-    + Q e^{-i q h} (S - f_0 e^{i q t_0})]. A t that is not uniform to
-    UNIFORM_ULPS raises InvalidParameterError.
+    f, one value per point of t, is interpolated piecewise-linearly; q
+    may be a scalar or 1-D array. With the Fourier sum S = sum_j f_j
+    e^{i q t_j} over all n points, the panel sums are h [P (S - f_{n-1}
+    e^{i q t_{n-1}}) + Q e^{-i q h} (S - f_0 e^{i q t_0})]. A t that is
+    not uniform to UNIFORM_ULPS, or an f of another shape than t, raises
+    InvalidParameterError.
     """
     t = np.asarray(t, dtype=float)
     f = np.asarray(f)
     if t.ndim != 1 or t.size < 2 or not _line(t)[3]:
         raise InvalidParameterError("Filon's rule needs a uniform time grid")
+    if f.shape != t.shape:
+        raise InvalidParameterError(
+            f"Filon's rule needs one f value per time, not shape {f.shape}")
     h = t[1] - t[0]
     qs = np.atleast_1d(np.asarray(q, dtype=float))
     P, Q = _filon_weights(qs * h)
-    s = _fourier_sum(t, qs, f)
+    s = fourier_sum(t, qs, f)
     left = s - f[-1] * np.exp(1j * qs * t[-1])     # f_j at panel starts
     right = s - f[0] * np.exp(1j * qs * t[0])      # f_j at panel ends
     out = h * (P * left + Q * np.exp(-1j * qs * h) * right)
@@ -121,59 +124,15 @@ def trapezoid_weights(x: np.ndarray) -> np.ndarray:
 
 
 def _chunk(x: np.ndarray) -> int:
+    """Rows of a block of at most CHUNK_ELEMENTS elements against x."""
     return max(1, int(CHUNK_ELEMENTS // max(x.size, 1)))
-
-
-def _trig_block(x, y, i0, kernel):
-    """kernel(outer(y[i0:i0 + chunk], x)); a numpy ufunc (cos, sin) fills
-    the product matrix in place."""
-    m = np.outer(y[i0:i0 + _chunk(x)], x)
-    return kernel(m, out=m) if isinstance(kernel, np.ufunc) else kernel(m)
-
-
-def kernel_transform(x, y, terms):
-    """sum_j c_j K(y_k x_j), summed over the (K, c) pairs of terms, for
-    every y_k. Each c is real on the grid x, quadrature weights applied:
-    a vector, or a matrix with one column per right-hand side; an
-    all-zero c is skipped. When every K is cos or sin and `_chirp_z`
-    takes both grids, all columns go through one chirp z-transform,
-    whose real part is the cos sum and imaginary part the sin sum;
-    otherwise through blocks of K(outer(y, x)) of at most CHUNK_ELEMENTS.
-    """
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
-    out = _sums(np.asarray(x, dtype=float), ys,
-                [(kernel, np.ascontiguousarray(c, dtype=float)) for kernel, c in terms])
-    return out if np.ndim(y) else out[0]
-
-
-def _sums(x, ys, terms):
-    """sum over (K, c) terms of K(outer(ys, x)) @ c, by one chirp
-    z-transform when every K is cos or sin and `_chirp_z` takes the
-    grids, else by blocks of rows."""
-    out = np.zeros(ys.shape + terms[0][1].shape[1:])
-    live = [term for term in terms if term[1].any()]
-    z = None
-    if live and all(kernel in (np.cos, np.sin) for kernel, _ in terms):
-        z = _chirp_z(x, ys, np.hstack([c.reshape(x.size, -1) for _, c in live]))
-    chunk = ys.size if z is not None else _chunk(x)
-    for i0 in range(0, ys.size, chunk):
-        rows = slice(i0, i0 + chunk)
-        for kernel, c in live:
-            if z is None:
-                part = _trig_block(x, ys, i0, kernel) @ c
-            else:
-                part, z = np.hsplit(z, [c[0].size])
-                part = (part.imag if kernel is np.sin else part.real).reshape(
-                    ys.shape + c.shape[1:])
-            out[rows] += part
-    return out
 
 
 # a grid is uniform within this many ulps of max|grid| of its end-point line
 UNIFORM_ULPS = 8
 # max|jitter| * max|x| corrected to first order (the second order < 5e-15)
 MAX_JITTER_PHASE = 1e-7
-# fewer points, and a block beats three FFTs; no cos/sin sum of the scenario,
+# fewer points, and a block beats three FFTs; no Fourier sum of the scenario,
 # oracle or figure commands is that short, only a direct evaluation of chi
 # or the field at a few times
 MIN_CHIRP_POINTS = 12
@@ -238,19 +197,23 @@ def _chirp_z(x, y, c):
     return z.T if exact else (z[:c.shape[1]] + 1j * jitter * z[c.shape[1]:]).T
 
 
-def _fourier_sum(t, q, c):
-    """sum_j c_j e^{i q_k t_j} for real or complex c (a vector, or one
-    column per right-hand side): one chirp z-transform of c, or, on grids
-    `_chirp_z` does not take, `kernel_transform`."""
-    t, c = np.asarray(t, dtype=float), np.asarray(c)
-    cols = c.reshape(t.size, -1)
-    z = _chirp_z(t, np.atleast_1d(np.asarray(q, dtype=float)), cols)
+def fourier_sum(x, y, c):
+    """sum_j c_j e^{i y_k x_j} for every y_k, for real or complex c on the
+    grid x (quadrature weights applied): a vector, or a matrix with one
+    column per right-hand side. All columns go through one chirp
+    z-transform between grids `_chirp_z` takes, else through blocks of
+    exp(i outer(y, x)) @ c of at most CHUNK_ELEMENTS elements. A scalar
+    y drops the output axis."""
+    x, c = np.asarray(x, dtype=float), np.asarray(c)
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    cols = c.reshape(x.size, -1)
+    z = _chirp_z(x, ys, cols)
     if z is None:
-        # real and imaginary part as cos and sin terms (zero ones skipped)
-        re, im = cols.real, cols.imag
-        z = (kernel_transform(t, q, [(np.cos, re), (np.sin, -im)])
-             + 1j * kernel_transform(t, q, [(np.cos, im), (np.sin, re)]))
-    return z.reshape(np.shape(q) + c.shape[1:])[()]
+        z = np.empty((ys.size, cols.shape[1]), dtype=complex)
+        chunk = _chunk(x)
+        for i0 in range(0, ys.size, chunk):
+            z[i0:i0 + chunk] = np.exp(1j * np.outer(ys[i0:i0 + chunk], x)) @ cols
+    return z.reshape(np.shape(y) + c.shape[1:])[()]
 
 
 def oscillatory_cos_sin(t: np.ndarray, f: np.ndarray, q) -> np.ndarray:
@@ -260,7 +223,7 @@ def oscillatory_cos_sin(t: np.ndarray, f: np.ndarray, q) -> np.ndarray:
     summed in one transform.
     """
     weighted = (np.asarray(f).T * trapezoid_weights(t)).T
-    return _fourier_sum(t, q, weighted)
+    return fourier_sum(t, q, weighted)
 
 
 def _rows(x: np.ndarray, y, what: str) -> np.ndarray:

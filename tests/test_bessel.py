@@ -47,6 +47,19 @@ def test_j1_over_x_removable_singularity():
     xs = np.array([1e-12, 1e-8, 1e-4, 0.3, 2.0, 15.0, 30.0])
     expect = _reference(xs) / xs
     assert np.max(np.abs(j1_over_x(xs) - expect)) < 1e-12
+    # filled in place: j1(x)/x bit for bit off zero, exactly 1/2 at +0 and
+    # -0, the argument untouched and a float giving a 0-d result
+    grid = np.array([[0.0, -3.5, 1e-300], [-0.0, 7.0, 0.0]])
+    before = grid.copy()
+    got = j1_over_x(grid)
+    off = grid != 0
+    assert np.array_equal(got[off], j1(grid[off]) / grid[off])
+    assert np.array_equal(got[~off], [0.5, 0.5, 0.5])
+    assert np.array_equal(grid, before) and np.signbit(grid[1, 0])
+    for x in (0.0, -0.0, 2.5):
+        value = j1_over_x(x)
+        assert np.ndim(value) == 0
+        assert value == (0.5 if x == 0 else j1(x) / x)
 
 
 def test_scalar_in_scalar_out():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pulsescope as ps
-from pulsescope import excitation, quadrature, scenario
+from pulsescope import excitation, focal, quadrature, scenario
 from pulsescope.cli import main
 from pulsescope.config import load_config, loads_config
 from pulsescope.constants import C_LIGHT
@@ -366,13 +366,16 @@ def test_run_scenario_computes_eta_once(tmp_path, monkeypatch):
 
 def test_repeated_scenario_repeats_its_work(tmp_path, monkeypatch):
     # no sum outlives the run that computed it (only the few chirps of
-    # quadrature._chirp are kept)
-    done = _watch_sums(monkeypatch)
+    # quadrature._chirp are kept): every Fourier sum tries one chirp
+    # z-transform, and the J1(x)/x blocks are built again too
+    transforms = _watch_chirps(monkeypatch)
+    built = _watch_blocks(monkeypatch)
     cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
     first = run_scenario(cfg)
-    n_first = len(done)
+    n_first = len(transforms) + len(built)
     second = run_scenario(cfg)
-    assert n_first > 0 and len(done) == 2 * n_first
+    assert transforms and built
+    assert len(transforms) + len(built) == 2 * n_first
     assert first == second
 
 
@@ -437,36 +440,31 @@ def test_huge_pulse_period_excites_without_traceback(tmp_path):
 
 
 def _watch_blocks(monkeypatch):
-    """(x, y, i0, kernel) of every kernel block built from now on."""
+    """Every block of a blocked product from now on: ("j1_over_x", shape,
+    bytes) of each matrix the focal intensity takes J1(x)/x of, and
+    ("exp", x, rows per block) of each Fourier sum that falls back to
+    blocks of complex exponentials."""
     built = []
-    real_block = quadrature._trig_block
+    real_j1, real_chunk = focal.j1_over_x, quadrature._chunk
 
-    def counted(x, y, i0, kernel):
-        built.append((x.tobytes(), y.tobytes(), i0, kernel.__name__))
-        return real_block(x, y, i0, kernel)
+    def j1_block(x):
+        if np.ndim(x) == 2:
+            built.append(("j1_over_x", x.shape, x.tobytes()))
+        return real_j1(x)
 
-    monkeypatch.setattr(quadrature, "_trig_block", counted)
+    def exp_blocks(x):
+        rows = real_chunk(x)
+        built.append(("exp", x.tobytes(), rows))
+        return rows
+
+    monkeypatch.setattr(focal, "j1_over_x", j1_block)
+    monkeypatch.setattr(quadrature, "_chunk", exp_blocks)
     return built
 
 
-def _watch_sums(monkeypatch):
-    """(x, y, kernel names) of every set of kernel sums with a nonzero
-    term from now on."""
-    done = []
-    real_sums = quadrature._sums
-
-    def recorded(x, ys, terms):
-        names = [kernel.__name__ for kernel, c in terms if c.any()]
-        if names:
-            done.append((x, ys, names))
-        return real_sums(x, ys, terms)
-
-    monkeypatch.setattr(quadrature, "_sums", recorded)
-    return done
-
-
 def _watch_chirps(monkeypatch):
-    """(x, y, whether it ran) of every chirp z-transform tried from now on."""
+    """(x, y, whether it ran) of every chirp z-transform tried from now on;
+    every Fourier sum tries one first."""
     transforms = []
     real_chirp = quadrature._chirp_z
 
@@ -480,13 +478,13 @@ def _watch_chirps(monkeypatch):
 
 
 def test_run_scenario_builds_each_block_once(tmp_path, monkeypatch):
-    # every cos/sin sum is a chirp z-transform, so the only blocks are the
+    # every Fourier sum is a chirp z-transform, so the only blocks are the
     # J1(x)/x blocks of the focal intensity; none is built twice
     built = _watch_blocks(monkeypatch)
     run_scenario(loads_config("grid_scale = 0.3\noutput_dir = "
                               + str(tmp_path) + "\n"))
     assert built and len(set(built)) == len(built)
-    assert {b[3] for b in built} == {"j1_over_x"}
+    assert {b[0] for b in built} == {"j1_over_x"}
 
 
 def test_run_scenario_transforms_tau_grids_by_chirp_z(tmp_path, monkeypatch):
@@ -515,12 +513,12 @@ def test_run_scenario_transforms_tau_grids_by_chirp_z(tmp_path, monkeypatch):
                 assert chirped
     # the emission transform sums over tau, chi is evaluated at tau
     assert {"x", "y"} <= set(axes)
-    assert not [b for b in built if b[3] in ("cos", "sin")]
+    assert not [b for b in built if b[0] == "exp"]
 
 
-def test_oracle_row_builds_no_trig_block(tmp_path, monkeypatch):
+def test_oracle_row_builds_no_exp_block(tmp_path, monkeypatch):
     # chi, the drive and Filon's rule of an oracle row are chirp
-    # z-transforms: the row builds no cos/sin block
+    # z-transforms: the row builds no block of complex exponentials
     cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
     built = _watch_blocks(monkeypatch)
     transforms = _watch_chirps(monkeypatch)
@@ -529,7 +527,7 @@ def test_oracle_row_builds_no_trig_block(tmp_path, monkeypatch):
     assert row.endswith(",")  # no error
     assert transforms and all(chirped or y.size < quadrature.MIN_CHIRP_POINTS
                               for _, y, chirped in transforms)
-    assert not [b for b in built if b[3] in ("cos", "sin")]
+    assert not built
 
 
 def _f_calls(monkeypatch):
@@ -611,13 +609,14 @@ def test_figure_1b_is_one_field_transform(tmp_path, monkeypatch):
         return real_field(geometry, spectrum, pulse_energy, rho, t, *args, **kwargs)
 
     monkeypatch.setattr(scenario, "focal_field_time", recorded)
-    done = _watch_sums(monkeypatch)
+    transforms = _watch_chirps(monkeypatch)
     built = _watch_blocks(monkeypatch)
     cfg = loads_config("output_dir = " + str(tmp_path) + "\n")
     name = emit_figure_data(cfg, "1b")
     tau = times[0] - cfg.build()[1].reference_sphere_radius / C_LIGHT
     assert len(times) == 1 and tau.size == 2001
-    assert {y.size for _, y, _ in done} == {2001} and not built
+    assert [(y.size, chirped) for _, y, chirped in transforms] == [(2001, True)]
+    assert not built
     field = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)[:, 1]
     assert np.max(np.abs(field - field[::-1])) <= 1e-12 * np.max(np.abs(field))
 

@@ -185,19 +185,24 @@ def _zoomed_eta(synthesis, w0):
 @pytest.mark.parametrize("carrier_ratio", [1.0, 3.0])
 def test_eta_matches_the_twelve_zoom_search(scenario, carrier_ratio, grid_scale):
     # 21 widths from 0.01 to 100 w0; at the narrow ones chi oscillates at
-    # the carrier, so the steps must stay on its largest lobe
+    # the carrier, so the steps must stay on its largest lobe. Each
+    # spectrum also runs times 1 + 0.5i, whose real part the built-in
+    # purely imaginary spectrum lacks
     _, _, geometry, tls, train = scenario
     w0 = tls.transition_frequency
     for width_ratio in np.geomspace(0.01, 100.0, 21):
-        spectrum = ps.make_gaussian_spectrum(carrier_ratio * w0, width_ratio * w0)
-        synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy,
-                                       tls, grid_scale)
-        got = ps.eta(geometry, spectrum, train.pulse_energy, tls, grid_scale,
-                     synthesis)
-        np.testing.assert_allclose(got, _zoomed_eta(synthesis, w0), rtol=1e-12)
-        taus = excitation._tau_grid(excitation._photon_band(spectrum, w0),
-                                    grid_scale) / w0
-        assert got >= np.max(np.abs(synthesis.chi(0.0)(taus)))
+        gaussian = ps.make_gaussian_spectrum(carrier_ratio * w0, width_ratio * w0)
+        phased = ps.make_spectrum(lambda w: (1.0 + 0.5j) * gaussian._shape(w),
+                                  carrier_ratio * w0, width_ratio * w0)
+        for spectrum in (gaussian, phased):
+            synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy,
+                                           tls, grid_scale)
+            got = ps.eta(geometry, spectrum, train.pulse_energy, tls, grid_scale,
+                         synthesis)
+            np.testing.assert_allclose(got, _zoomed_eta(synthesis, w0), rtol=1e-12)
+            taus = excitation._tau_grid(excitation._photon_band(spectrum, w0),
+                                        grid_scale) / w0
+            assert got >= np.max(np.abs(synthesis.chi(0.0)(taus)))
 
 
 def test_eta_steps_stay_in_the_scan_bracket(scenario, monkeypatch):

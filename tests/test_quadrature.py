@@ -1,6 +1,6 @@
-"""The kernel transform - chirp z-transforms for cos/sin sums, blocked
-products for J1(x)/x and for grids that are not uniform - against the
-loops it replaced.
+"""The Fourier sum - a chirp z-transform between uniform grids, blocks of
+complex exponentials otherwise - and the blocked J1(x)/x product of the
+focal intensity, against the loops they replaced.
 
 The reference loops below are the package's former implementations of
 chi, the time-domain focal field, the inner emission transform, Filon's
@@ -15,7 +15,7 @@ import pytest
 from scipy.constants import c as C, epsilon_0, hbar
 
 import pulsescope as ps
-from pulsescope import quadrature
+from pulsescope import focal, quadrature
 from pulsescope.bessel import j1_over_x
 from pulsescope.constants import FIELD_CALIBRATION
 from pulsescope.excitation import PulseAreaSynthesis
@@ -23,10 +23,9 @@ from pulsescope.focal import _synthesis_grid
 from pulsescope.errors import InvalidParameterError, NumericalConvergenceError
 from pulsescope.quadrature import (
     _filon_weights,
-    _fourier_sum,
     certified_tail_cutoff,
     filon_transform,
-    kernel_transform,
+    fourier_sum,
     oscillatory_cos_sin,
     refine_until_converged,
     trapezoid_weights,
@@ -114,9 +113,25 @@ def scenario():
     return spectrum, geometry, tls, train
 
 
-@pytest.mark.parametrize("x_units", [0.0, 0.5])
-def test_chi_matches_complex_exp_loop(scenario, x_units):
+def phased(spectrum):
+    """The spectrum times 1 + 0.5i: a real part beside the imaginary one,
+    so a sign error that chi^2 hides, or a dropped conj, shows."""
+    return ps.make_spectrum(lambda w: (1.0 + 0.5j) * spectrum._shape(w),
+                            spectrum.carrier_frequency, spectrum.spectral_width)
+
+
+def _with_phased(values):
+    """(value, False) with the value's own id, then (value, True) for the
+    phased spectrum."""
+    return ([pytest.param(v, False, id=str(v)) for v in values]
+            + [pytest.param(v, True, id=f"{v}-phased") for v in values])
+
+
+@pytest.mark.parametrize("x_units, with_phase", _with_phased([0.0, 0.5]))
+def test_chi_matches_complex_exp_loop(scenario, x_units, with_phase):
     spectrum, geometry, tls, train = scenario
+    if with_phase:
+        spectrum = phased(spectrum)
     rho = x_units * spectrum.mean_wavelength / geometry.numerical_aperture
     # the tau grid f_integral samples: 353 points over 12 pulse widths
     tau = np.linspace(-12.0, 12.0, 353) / spectrum.spectral_width
@@ -127,9 +142,11 @@ def test_chi_matches_complex_exp_loop(scenario, x_units):
     assert abs(chi(float(tau[100])) - ref[100]) <= TOL * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("rho", [0.0, 5e-8])
-def test_focal_field_time_matches_complex_exp_loop(scenario, rho):
+@pytest.mark.parametrize("rho, with_phase", _with_phased([0.0, 5e-8]))
+def test_focal_field_time_matches_complex_exp_loop(scenario, rho, with_phase):
     spectrum, geometry, _, train = scenario
+    if with_phase:
+        spectrum = phased(spectrum)
     t_r = geometry.reference_sphere_radius / C
     half = 6.0 / spectrum.spectral_width
     t = np.linspace(t_r - half, t_r + half, 1201)
@@ -163,22 +180,18 @@ def test_trapezoid_weights_reproduce_numpy():
 def test_repeated_transforms_give_identical_sums(monkeypatch):
     x = np.linspace(0.0, 5.0, 301)
     y = np.linspace(-2.0, 2.0, 97)
-    a, b = np.cos(3 * x), np.exp(-x)
+    c = np.stack([np.cos(3 * x), -1j * np.exp(-x)], axis=1)
     calls = _watch_chirps(monkeypatch)
-    first = kernel_transform(x, y, [(np.cos, a), (np.sin, b)])
-    again = kernel_transform(x, y, [(np.cos, a), (np.sin, b)])
+    first = fourier_sum(x, y, c)
+    again = fourier_sum(x, y, c)
     assert np.array_equal(first, again)
-    # both terms go through one transform, of one column each
+    # both columns go through one transform per call
     assert [k for _, _, k in calls] == [2, 2]
-    # an all-zero coefficient skips its column
-    calls.clear()
-    kernel_transform(x, y, [(np.cos, a), (np.sin, np.zeros_like(x))])
-    assert [k for _, _, k in calls] == [1]
     # the kept chirps are read-only and give the bits of fresh ones
     w, kernel = quadrature._chirp(0.25, y.size, 400)
     assert not (w.flags.writeable or kernel.flags.writeable)
     quadrature._chirp.cache_clear()
-    assert np.array_equal(kernel_transform(x, y, [(np.cos, a), (np.sin, b)]), first)
+    assert np.array_equal(fourier_sum(x, y, c), first)
 
 
 def test_shared_synthesis_matches_a_fresh_one(scenario):
@@ -214,32 +227,35 @@ def test_focal_intensity_matches_trapezoid_loop(scenario, monkeypatch):
         3e15, 1e15)
     # blocks of 7 radii, so the chunk seams are covered too
     monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", 7 * 6001)
+    blocks = []
+    real_j1 = focal.j1_over_x
+
+    def recorded(x):
+        if np.ndim(x) == 2:
+            blocks.append(np.shape(x))
+        return real_j1(x)
+
+    monkeypatch.setattr(focal, "j1_over_x", recorded)
     for s in (spectrum, complex_spectrum):
         ref = reference_intensity(geometry, s, rhos)
+        blocks.clear()
         _close_to_peak(ps.focal_intensity_rephased(geometry, s, rhos), ref)
+        assert blocks == [(7, 6001)] * 4 + [(5, 6001)]
         scalar = ps.focal_intensity_rephased(geometry, s, float(rhos[5]))
         assert isinstance(scalar, float)
         assert abs(scalar - ref[5]) <= TOL * np.max(ref)
 
 
-def reference_cos_sin(x, y, a, b):
-    """sum_j a_j cos(y_k x_j) + b_j sin(y_k x_j) as the real part of a
-    complex-exp sum, for vector or matrix a and b."""
-    phase = np.exp(1j * np.outer(y, x))
-    return (phase @ (a - 1j * b)).real
-
-
 def _coefficient_sets(x):
-    """(a, b) pairs on x: odd, even and mixed vectors, and two-column
-    matrices (real and imaginary part of a complex coefficient, one
-    column all zero for a real one)."""
+    """Coefficients on x: complex vectors whose real and imaginary parts
+    are odd, even or mixed, and two-column matrices (a real column beside
+    an imaginary one, a complex one beside its parts swapped)."""
     odd = np.sin(3.0 * x) * np.exp(-x**2)
     even = np.cos(2.0 * x) * np.exp(-x**2)
     cplx = (odd + 0.4j * even) * np.exp(0.7j * x)
-    real_pair = np.stack([odd, np.zeros_like(x)], axis=1)
-    cplx_pair = np.stack([cplx.real, cplx.imag], axis=1)
-    return [(odd, odd), (even, odd), (odd + even, even),
-            (real_pair, real_pair[:, ::-1]), (cplx_pair, -cplx_pair[:, ::-1])]
+    return [odd - 1j * odd, even - 1j * odd, odd + even - 1j * even,
+            np.stack([odd, -1j * odd], axis=1),
+            np.stack([cplx, cplx.imag + 1j * cplx.real], axis=1)]
 
 
 def _watch_chirps(monkeypatch):
@@ -255,39 +271,35 @@ def _watch_chirps(monkeypatch):
     return calls
 
 
-def cos_sin(x, y, a, b):
-    return kernel_transform(x, y, [(np.cos, a), (np.sin, b)])
+def reference_fourier(x, y, c):
+    """sum_j c_j e^{i y_k x_j} by complex exponentials."""
+    return np.exp(1j * np.outer(np.atleast_1d(y), x)) @ c
 
 
 @pytest.mark.parametrize("n", [353, 354])
-def test_kernel_transform_sums_a_symmetric_sum_axis_in_one_transform(monkeypatch, n):
+def test_chirp_z_sums_a_symmetric_sum_axis_in_one_transform(monkeypatch, n):
     # a sum axis symmetric about 0, of odd and even length, is summed
     # over its whole grid in one transform per call
     x = np.linspace(-1.2, 1.2, n)
     y = np.linspace(0.0, 60.0, 257)
     calls = _watch_chirps(monkeypatch)
-    for a, b in _coefficient_sets(x):
-        _close_to_peak(cos_sin(x, y, a, b), reference_cos_sin(x, y, a, b))
+    for c in _coefficient_sets(x):
+        _close_to_peak(fourier_sum(x, y, c), reference_fourier(x, y, c))
     assert len(calls) == len(_coefficient_sets(x))
     assert all(np.array_equal(gx, x) for gx, _, _ in calls)
 
 
 @pytest.mark.parametrize("n", [353, 354])
-def test_kernel_transform_evaluates_a_symmetric_output_axis_in_one_transform(monkeypatch, n):
+def test_chirp_z_evaluates_a_symmetric_output_axis_in_one_transform(monkeypatch, n):
     # an output axis symmetric about 0 is evaluated over its whole grid,
     # y < 0 included, in one transform per call
     x = np.linspace(0.0, 3.0, 301)
     y = np.linspace(-40.0, 40.0, n)
     calls = _watch_chirps(monkeypatch)
-    for a, b in _coefficient_sets(x):
-        _close_to_peak(cos_sin(x, y, a, b), reference_cos_sin(x, y, a, b))
+    for c in _coefficient_sets(x):
+        _close_to_peak(fourier_sum(x, y, c), reference_fourier(x, y, c))
     assert len(calls) == len(_coefficient_sets(x))
     assert all(np.array_equal(gy, y) for _, gy, _ in calls)
-
-
-def reference_fourier(x, y, c):
-    """sum_j c_j e^{i y_k x_j} by complex exponentials."""
-    return np.exp(1j * np.outer(np.atleast_1d(y), x)) @ c
 
 
 def _columns(x, y):
@@ -315,11 +327,11 @@ def test_chirp_z_matches_complex_exp_sums(x, y):
     c = _columns(x, y)
     chirp = min(x.size, y.size) >= quadrature.MIN_CHIRP_POINTS
     assert (quadrature._chirp_z(x, y, c) is not None) == chirp
-    got = _fourier_sum(x, y, c)
+    got = fourier_sum(x, y, c)
     _close_to_peak(got, reference_fourier(x, y, c))
     assert not got[:, 1].any()  # a zero column stays exactly zero
     for k in (0, 2):
-        scalar = _fourier_sum(x, float(y[-1]), c[:, k])
+        scalar = fourier_sum(x, float(y[-1]), c[:, k])
         assert np.ndim(scalar) == 0
         assert abs(scalar - reference_fourier(x, y[-1], c[:, k])[0]) <= (
             TOL * np.max(np.abs(reference_fourier(x, y, c))))
@@ -333,9 +345,10 @@ def test_chirp_z_corrects_a_jittered_output_grid():
     w = np.linspace(0.0, 2e16, 4001)
     c = w * np.exp(-((w - 1e16) / 3e15) ** 2)
     assert not quadrature._line(tau)[3]
-    _close_to_peak(_fourier_sum(w, tau, c), reference_fourier(w, tau, c))
-    _close_to_peak(kernel_transform(w, tau, [(np.cos, c)]),
-                   reference_cos_sin(w, tau, c, 0.0 * c))
+    _close_to_peak(fourier_sum(w, tau, c), reference_fourier(w, tau, c))
+    # a real and an imaginary column, both corrected in one transform
+    pair = np.stack([c, 1j * c], axis=1)
+    _close_to_peak(fourier_sum(w, tau, pair), reference_fourier(w, tau, pair))
 
 
 def test_grids_that_are_not_uniform_fall_back_to_blocks(monkeypatch):
@@ -345,22 +358,22 @@ def test_grids_that_are_not_uniform_fall_back_to_blocks(monkeypatch):
     cases = [(uniform**2 / 3.0, y), (uniform, y + 1e-6 * np.sin(y))]
     # several blocks per call, so the chunk seams are covered too
     monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", 20 * uniform.size)
-    built = []
-    real_block = quadrature._trig_block
+    rows = []
+    real_chunk = quadrature._chunk
 
-    def counted(x, ys, i0, kernel):
-        built.append(kernel.__name__)
-        return real_block(x, ys, i0, kernel)
+    def counted(x):
+        rows.append(real_chunk(x))
+        return rows[-1]
 
-    monkeypatch.setattr(quadrature, "_trig_block", counted)
+    monkeypatch.setattr(quadrature, "_chunk", counted)
     for x, ys in cases:
         c = _columns(x, ys)
         assert quadrature._chirp_z(x, ys, c) is None
-        _close_to_peak(_fourier_sum(x, ys, c), reference_fourier(x, ys, c))
-        real = c[:, 2].real
-        _close_to_peak(cos_sin(x, ys, real, real),
-                       reference_cos_sin(x, ys, real, real))
-    assert {"cos", "sin"} <= set(built)
+        _close_to_peak(fourier_sum(x, ys, c), reference_fourier(x, ys, c))
+        vector = c[:, 2].real - 1j * c[:, 2].real
+        _close_to_peak(fourier_sum(x, ys, vector), reference_fourier(x, ys, vector))
+    # each sum ran in blocks of 20 rows, 13 blocks for 257 outputs
+    assert rows == [20] * (2 * len(cases))
 
 
 def test_filon_transform_rejects_a_grid_that_is_not_uniform():
@@ -373,6 +386,18 @@ def test_filon_transform_rejects_a_grid_that_is_not_uniform():
     rounded = (t + 3.0) - 3.0
     assert not np.array_equal(rounded, t)
     _close_to_peak(filon_transform(rounded, f, 5.0), reference_filon(t, f, 5.0))
+
+
+def test_filon_transform_rejects_an_f_of_another_shape():
+    # one column per q once gave a silently wrong sum (its endpoint terms
+    # broadcast the columns against q), other column counts a bare
+    # ValueError
+    t = np.linspace(0.0, 1.0, 101)
+    pulse = np.exp(-((t - 0.5) / 0.1) ** 2)
+    for f in (np.stack([pulse, 2.0 * pulse], axis=1),
+              np.stack([pulse] * 3, axis=1), pulse[:-1]):
+        with pytest.raises(InvalidParameterError, match="one f value per time"):
+            filon_transform(t, f, np.array([3.0, 5.0]))
 
 
 def test_refinement_stops_at_the_first_non_finite_value():
