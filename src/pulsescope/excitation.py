@@ -49,9 +49,11 @@ from .errors import (
     RegimeViolationError,
 )
 from .focal import (
+    SPECTRUM_REACH,
     FocusingGeometry,
     RadialCurve,
     _amplitude_prefactor,
+    _band_points,
     resolution_curve,
 )
 from .quadrature import (
@@ -65,6 +67,7 @@ from .spectra import PulseSpectrum
 RESONANCE_TOLERANCE = 1e-6
 WEAK_FIELD_MAX_ETA = 0.5
 UNITARITY_BUDGET = 0.1
+TAU_SPAN = 12.0  # half-span of the emission transform's tau grid, in pulse widths
 # bound on the points of the inner emission transform's tau grid
 MAX_TAU_POINTS = 1_000_000
 # radii whose f one f_integral call computes together; a block's arrays
@@ -173,7 +176,7 @@ class ExcitationResult:
 
 class PulseAreaSynthesis:
     """Single-pulse area chi(rho, tau) for one spectrum, geometry, pulse
-    energy and transition, at any radius.
+    energy and transition, at radii up to `max_radius`.
 
     chi is the running integral of the focal field from t = -inf; with
     phi(0) = 0 each spectral component contributes sin(w tau)/w, giving
@@ -185,10 +188,10 @@ class PulseAreaSynthesis:
     rephasing time. On the frequency grid that is the real part of
     sum_j conj(g_j) J1(x_j)/x_j e^{i w_j tau}, x_j = A w_j rho / c, with
     g the trapezoid-weighted spectrum times A/c (at unit prefactor, the
-    factor in front). Exact for every tau, so no cumulative quadrature
-    error enters the area. eta, f and p_e are computed at unit prefactor
-    and scaled last, so a pulse energy whose p_e overflows is a p_e > 1,
-    not a non-finite integral.
+    factor in front). Alias-free for |tau| up to TAU_SPAN pulse widths,
+    so no cumulative quadrature error enters the area. eta, f and p_e are
+    computed at unit prefactor and scaled last, so a pulse energy whose
+    p_e overflows is a p_e > 1, not a non-finite integral.
 
     The frequency grid, the trapezoid-weighted spectrum and the
     prefactor do not depend on rho, so one instance serves a whole run:
@@ -207,10 +210,13 @@ class PulseAreaSynthesis:
         self.tls = tls
         self.spectrum = spectrum
         self.grid_scale = grid_scale
-        n = int(max(4001, 24.0 * spectrum.max_frequency / spectrum.spectral_width)
-                * max(grid_scale, 0.05)) | 1
-        self.frequencies = spectrum.frequency_grid(n)
         self.aperture = geometry.numerical_aperture
+        # chi's band: TAU_SPAN pulse widths of tau out to a mean wavelength / A
+        span = (TAU_SPAN + SPECTRUM_REACH) / spectrum.spectral_width
+        self.frequencies = spectrum.frequency_grid(_band_points(
+            spectrum, span + spectrum.mean_wavelength / C_LIGHT, grid_scale))
+        self.max_radius = ((2.0 * np.pi / self.frequencies[1] - span)
+                           * C_LIGHT / self.aperture)
         self._conj_weighted = np.conj(spectrum.value(self.frequencies)
                                       * trapezoid_weights(self.frequencies)
                                       * (self.aperture / C_LIGHT))
@@ -223,10 +229,14 @@ class PulseAreaSynthesis:
     def chi(self, rho, unit: bool = False) -> Callable:
         """chi(rho, tau) as a function of tau (s, scalar or array), at unit
         prefactor if `unit`. For an array of radii it returns one column
-        per radius, all from one transform."""
+        per radius, all from one transform. A radius past `max_radius`,
+        where the grid would alias, raises GridRangeError."""
         radii = np.atleast_1d(np.asarray(rho, dtype=float))
         if np.any(radii < 0):
             raise InvalidParameterError(f"radial coordinate must be >= 0, got {rho}")
+        if np.any(radii > self.max_radius):
+            raise GridRangeError(f"chi at radius {float(np.max(radii))!r} m is past "
+                                 f"the {self.max_radius!r} m its grid resolves")
         w, a = self.frequencies, self.aperture
         c = np.empty((w.size, radii.size), dtype=complex)
         for j, r in enumerate(radii):
@@ -361,13 +371,13 @@ def _photon_band(spectrum: PulseSpectrum, w0: float):
 
 
 def _tau_grid(band, grid_scale: float) -> np.ndarray:
-    """Uniform tau grid, in 1/w0, of the inner emission transform: +/- 12
-    pulse widths, resolving the photon frequencies up to the qmax of
-    band (`_photon_band`). A grid of more than MAX_TAU_POINTS points
+    """Uniform tau grid, in 1/w0, of the inner emission transform: +/-
+    TAU_SPAN pulse widths, resolving the photon frequencies up to the qmax
+    of band (`_photon_band`). A grid of more than MAX_TAU_POINTS points
     raises GridRangeError.
     """
     ghat, _, _, qmax = band
-    tau_span = 12.0 / ghat                   # 12 pulse widths, in 1/w0
+    tau_span = TAU_SPAN / ghat               # in 1/w0
     dt = 2.0 * np.pi / (5.0 * (qmax + 1.0)) / max(grid_scale, 0.05)
     count = 2.0 * tau_span / dt
     if not count <= MAX_TAU_POINTS:
@@ -387,7 +397,7 @@ def f_integral(
     """Double integral of the emission kernel, in 1/s^2.
 
     chi_fn(tau) is the single-pulse area of `spectrum`, tau from the pulse
-    center in seconds; it must have decayed at +/- 12 pulse widths. A
+    center in seconds; it must have decayed at +/- TAU_SPAN pulse widths. A
     chi_fn that returns an (n_tau, k) matrix, one column per radius (as
     `PulseAreaSynthesis.chi` of k radii does), gives the k values of f as
     an array, each the one its column has alone (to rounding): the
@@ -415,7 +425,7 @@ def f_integral(
     late = edge > 1e-6 * peak
     if np.any(late):
         raise InvalidParameterError(
-            "chi does not decay within 12 pulse widths "
+            f"chi does not decay within {TAU_SPAN:g} pulse widths "
             f"(edge/max = {np.max(edge[late] / peak[late]):.2e})"
         )
     f = np.zeros(peak.size)

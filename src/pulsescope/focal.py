@@ -13,7 +13,9 @@ frequency,
 so the coherent superposition at the rephasing time t = f/c is
 narrower than any single-color spot when the spectrum is broad. The
 radial dependence enters only through A*w*rho/c; resolution curves are
-therefore exactly scale invariant in the product A*rho.
+therefore exactly scale invariant in the product A*rho. J1(A w rho/c)
+has Fourier support |t| <= A rho/c in w, so every integral over w is
+band-limited and takes a grid sized from its band (`_band_points`).
 
 Intensities here are reported in arbitrary units (only ratios enter the
 resolution function); field amplitudes carry full SI prefactors because
@@ -38,15 +40,14 @@ from .errors import (
     InvalidStateError,
     NumericalConvergenceError,
 )
-from .quadrature import _chunk, fourier_sum, trapezoid_weights
+from .quadrature import _chunk, fourier_sum, refine_until_converged, trapezoid_weights
 from .spectra import PulseSpectrum
 
 PARAXIAL_LIMIT = 0.2
 FAR_FIELD_WAVELENGTHS = 50.0
 
 CURVE_KINDS = ("intensity", "resolution")
-# frequency points of the rephased-intensity transform at grid_scale 1
-INTENSITY_GRID_POINTS = 6001
+SPECTRUM_REACH = 8.0  # exp(-G^2 t^2), the spectrum's transform, < e^-64 past 8 / G
 # spot_size's regula falsi keeps its steps SECANT_MARGIN * hi inside its
 # bracket, far above any evaluator's rounding, and stops after
 # SECANT_BUDGET evaluations
@@ -135,6 +136,14 @@ def _airy_kernel(geometry: FocusingGeometry, omega, rho: float):
     return (a * np.asarray(omega, dtype=float) / C_LIGHT) * j1_over_x(x)
 
 
+def _band_points(spectrum: PulseSpectrum, reach: float, grid_scale: float) -> int:
+    """Odd point count of a grid on [0, max_frequency] of step at most 2 pi /
+    (4 reach max(grid_scale, 1/4)): 4 times, and never under, the alias-free
+    count for an integrand whose Fourier transform vanishes past |t| = reach."""
+    dw = 2.0 * np.pi / (4.0 * max(grid_scale, 0.25) * reach)
+    return int(np.ceil(spectrum.max_frequency / dw) + 1) | 1
+
+
 def _synthesis_grid(spectrum: PulseSpectrum, tau_span: float, grid_scale: float = 1.0) -> np.ndarray:
     """Frequency grid dense enough that trapezoid synthesis at delay tau_span
     has negligible aliasing."""
@@ -195,22 +204,31 @@ def focal_intensity_rephased(
     """Rephasing-time intensity |int_0^inf dw phi(w) J1(A w rho/c)/rho|^2
     in arbitrary units (only ratios are meaningful downstream): J1(x)/x
     at x = outer(rho, A w / c), times the trapezoid-weighted phi A w / c,
-    for all radii, in blocks of at most CHUNK_ELEMENTS elements."""
+    for all radii, in blocks of at most CHUNK_ELEMENTS elements, on a grid
+    holding the band max(A rho, mean wavelength) / c + SPECTRUM_REACH / G
+    (so a curve's samples and later radii share it), refined n -> 2n - 1
+    until the amplitudes agree within 1e-12 of their peak (a real part of
+    phi converges only as h^4)."""
     rhos = np.atleast_1d(np.asarray(rho, dtype=float))
-    if np.any(rhos < 0):
-        raise InvalidParameterError("radial coordinates must be >= 0")
-    w = spectrum.frequency_grid(int(INTENSITY_GRID_POINTS * max(grid_scale, 0.05)) | 1)
-    scale = geometry.numerical_aperture * w / C_LIGHT
-    g = spectrum.value(w) * scale * trapezoid_weights(w)
-    halves = np.stack([g.real, g.imag], axis=1)
-    # only the nonzero halves: the package's spectra are purely imaginary,
-    # and their one-column product keeps the curves' bits
-    halves = halves[:, halves.any(axis=0)]
-    amp = np.empty((rhos.size, halves.shape[1]))
-    rows = _chunk(scale)
-    for i0 in range(0, rhos.size, rows):
-        amp[i0:i0 + rows] = j1_over_x(np.outer(rhos[i0:i0 + rows], scale)) @ halves
-    out = np.sum(amp**2, axis=1)
+    if not np.all((rhos >= 0) & (rhos < np.inf)):   # they size the grid
+        raise InvalidParameterError("radial coordinates must be finite and >= 0")
+    a = geometry.numerical_aperture
+    reach = (max(a * np.max(rhos, initial=0.0), spectrum.mean_wavelength) / C_LIGHT
+             + SPECTRUM_REACH / spectrum.spectral_width)
+
+    def amplitudes(n: int) -> np.ndarray:
+        w = spectrum.frequency_grid(n)
+        scale = a * w / C_LIGHT
+        g = spectrum.value(w) * scale * trapezoid_weights(w)
+        amp = np.empty(rhos.size, dtype=complex)
+        rows = _chunk(scale)
+        for i0 in range(0, rhos.size, rows):
+            amp[i0:i0 + rows] = j1_over_x(np.outer(rhos[i0:i0 + rows], scale)) @ g
+        return amp
+
+    amp = refine_until_converged(amplitudes, _band_points(spectrum, reach, grid_scale),
+                                 rtol=1e-12, what="rephased focal amplitude")
+    out = amp.real**2 + amp.imag**2
     return out if np.ndim(rho) else float(out[0])
 
 

@@ -28,24 +28,26 @@ CHUNK_ELEMENTS = 4_000_000
 
 
 def refine_until_converged(
-    evaluate: Callable[[int], float],
+    evaluate: Callable[[int], float | np.ndarray],
     n_start: int,
     rtol: float = 1e-9,
     max_doublings: int = 12,
     what: str = "integral",
-) -> float:
+) -> float | np.ndarray:
     """Evaluate(n) on doubling grids until successive results agree.
 
-    evaluate(n) must compute the quantity on an n-point grid. Returns the
-    last value; raises NumericalConvergenceError at the first non-finite
-    value, which no refinement can mend, or if the relative change never
-    drops below rtol.
+    evaluate(n) must compute the quantity, a number or an array (whose
+    largest change counts against its largest magnitude), on an n-point
+    grid. Returns the last value; raises NumericalConvergenceError at the
+    first non-finite value, which no refinement can mend, or if the
+    relative change never drops below rtol.
     """
-    def finite(n: int) -> float:
+    def finite(n: int):
         value = evaluate(n)
-        if not np.isfinite(value):
+        bad = ~np.isfinite(value)
+        if np.any(bad):
             raise NumericalConvergenceError(
-                f"{what} is not finite", n=n, value=float(value))
+                f"{what} is not finite", n=n, value=np.asarray(value)[bad][0].item())
         return value
 
     prev = finite(n_start)
@@ -53,10 +55,11 @@ def refine_until_converged(
     for _ in range(max_doublings):
         n = 2 * n - 1
         cur = finite(n)
-        scale = max(abs(cur), abs(prev), 1e-300)
-        if abs(cur - prev) <= rtol * scale:
+        step, now, before = (np.abs(v).max(initial=0.0) for v in (cur - prev, cur, prev))
+        scale = max(now, before, 1e-300)
+        if step <= rtol * scale:
             return cur
-        change = float(abs(cur - prev) / scale)
+        change = float(step / scale)
         prev = cur
     raise NumericalConvergenceError(
         f"{what} did not converge under grid refinement",

@@ -68,7 +68,7 @@ class PulseSpectrum:
         """phi(omega) for any real omega (vectorized)."""
         return self.normalization * self._shape(np.asarray(omega, dtype=float))
 
-    def frequency_grid(self, n: int = 4001) -> np.ndarray:
+    def frequency_grid(self, n: int) -> np.ndarray:
         """Uniform grid on [0, max_frequency]."""
         return np.linspace(0.0, self.max_frequency, n)
 

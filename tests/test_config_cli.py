@@ -487,6 +487,23 @@ def test_run_scenario_builds_each_block_once(tmp_path, monkeypatch):
     assert {b[0] for b in built} == {"j1_over_x"}
 
 
+def test_run_scenario_evaluates_few_bessel_points(tmp_path, monkeypatch):
+    # the intensity and chi grids are sized from their integrands' band,
+    # so a reference run takes J1(x)/x at under 100k points; fixed 6001-
+    # and 4001-point grids took 660k
+    points = []
+    real_j1 = focal.j1_over_x
+
+    def counted(x):
+        points.append(np.size(x))
+        return real_j1(x)
+
+    monkeypatch.setattr(focal, "j1_over_x", counted)
+    monkeypatch.setattr(excitation, "j1_over_x", counted)
+    run_scenario(loads_config("output_dir = " + str(tmp_path) + "\n"))
+    assert 0 < sum(points) < 100_000
+
+
 def test_run_scenario_transforms_tau_grids_by_chirp_z(tmp_path, monkeypatch):
     # chi is evaluated at, and the emission kernel summed over, each tau
     # grid; all are chirp z-transforms, none a block

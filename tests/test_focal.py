@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from scipy.constants import c as C
 from test_bessel import J1_FIRST_ZERO
 
+from pulsescope import focal
+from pulsescope.bessel import j1_over_x
 from pulsescope.errors import (
     GridRangeError,
     InvalidParameterError,
@@ -29,7 +31,7 @@ from pulsescope.focal import (
     resolution_curve,
     spot_size,
 )
-from pulsescope.spectra import make_gaussian_spectrum
+from pulsescope.spectra import make_gaussian_spectrum, make_spectrum
 
 W0 = 2.0e15
 U = 1e-9
@@ -157,7 +159,8 @@ def test_intensity_nonnegative_and_narrowband_airy(narrowband):
 
 
 def test_intensity_dense_double_quadrature_oracle(ultrafast):
-    # brute force: scipy Bessel + 10x denser trapezoid, 20 radii
+    # brute force: scipy Bessel and a dense trapezoid, 20 radii; the
+    # band-sized, refined grid must match it to 1e-12 of the peak
     from scipy.special import j1 as scipy_j1
     lam = ultrafast.mean_wavelength
     rhos = np.linspace(1e-9, 0.6 * lam / GEO.numerical_aperture, 20)
@@ -168,7 +171,100 @@ def test_intensity_dense_double_quadrature_oracle(ultrafast):
         abs(np.trapezoid(phi * scipy_j1(GEO.numerical_aperture * w * r / C) / r, w)) ** 2
         for r in rhos
     ])
-    np.testing.assert_allclose(got, brute, rtol=1e-4)
+    assert np.max(np.abs(got - brute)) <= 1e-12 * np.max(brute)
+
+
+def _physical_complex(carrier, width):
+    """Re phi even, Im phi odd and phi(0) = 0, as for the built-in
+    spectrum, whose imaginary part it keeps beside a real one."""
+    def shape(w):
+        lp = np.exp(-((w + carrier) ** 2) / (4.0 * width**2))
+        lm = np.exp(-((w - carrier) ** 2) / (4.0 * width**2))
+        return 1j * (lp - lm) + 0.5 * (w / width) ** 2 * (lp + lm)
+    return make_spectrum(shape, carrier, width)
+
+
+def _dense_references(spectrum, rhos, taus):
+    """(intensity at rhos, chi at unit prefactor at taus x rhos) by plain
+    40001-point trapezoids, chi's complex exponentials in blocks of 16
+    taus."""
+    w = spectrum.frequency_grid(40001)
+    a = GEO.numerical_aperture
+    weights = np.full(w.size, w[1])
+    weights[[0, -1]] *= 0.5
+    cols = np.stack([spectrum.value(w) * (a / C) * j1_over_x(a * w * r / C)
+                     for r in rhos], axis=1) * weights[:, None]
+    intensity = np.abs((w * cols.T).sum(axis=1)) ** 2
+    chi = np.empty((taus.size, rhos.size))
+    for i in range(0, taus.size, 16):
+        chi[i:i + 16] = (np.exp(-1j * np.outer(taus[i:i + 16], w)) @ cols).real
+    return intensity, chi
+
+
+BANDS = [(c, g) for c in (0.5, 1.0, 5.0) for g in (0.01, 0.1, 1.0, 10.0, 100.0)]
+
+
+@pytest.mark.parametrize("carrier, width", BANDS)
+def test_band_sized_grids_match_dense_references(carrier, width, monkeypatch):
+    # the intensity and chi on grids sized from their integrands' band,
+    # against 40001-point trapezoids, within 1e-12 of the peak
+    evaluated = []
+    real_refine = focal.refine_until_converged
+
+    def counted(evaluate, *args, **kwargs):
+        def tally(n):
+            evaluated.append(n)
+            return evaluate(n)
+        return real_refine(tally, *args, **kwargs)
+
+    monkeypatch.setattr(focal, "refine_until_converged", counted)
+    tls = TwoLevelSystem(W0, 1e8)
+    for spectrum in (make_gaussian_spectrum(carrier * W0, width * W0),
+                     _physical_complex(carrier * W0, width * W0)):
+        rhos = np.linspace(0.0, spectrum.mean_wavelength / GEO.numerical_aperture, 5)
+        taus = np.linspace(-12.0, 12.0, 97) / spectrum.spectral_width
+        intensity, chi = _dense_references(spectrum, rhos, taus)
+        evaluated.clear()
+        got = focal_intensity_rephased(GEO, spectrum, rhos)
+        assert np.max(np.abs(got - intensity)) <= 1e-12 * np.max(intensity)
+        synthesis = PulseAreaSynthesis(GEO, spectrum, U, tls)
+        got = synthesis.chi(rhos, unit=True)(taus)
+        assert np.max(np.abs(got - chi)) <= 1e-12 * np.max(np.abs(chi))
+    # the real part makes the intensity integrand odd in w, where the
+    # trapezoid converges as h^4: the certificate refines past its first
+    # grid wherever Re phi is not negligible at low frequencies
+    if width >= carrier:
+        assert len(evaluated) > 2
+
+
+@pytest.mark.parametrize("grid_scale", [0.05, 0.3])
+def test_grid_scale_stops_at_the_alias_free_count(ultrafast, narrowband, grid_scale):
+    # grid_scale shrinks the band-sized grids down to the alias-free count
+    # and no further, so coarse scales keep chi and the intensity curve
+    tls = TwoLevelSystem(W0, 1e8)
+    for spectrum in (ultrafast, narrowband):
+        rhos = np.linspace(0.0, spectrum.mean_wavelength / GEO.numerical_aperture, 9)
+        taus = np.linspace(-12.0, 12.0, 241) / spectrum.spectral_width
+        values = []
+        for scale in (1.0, grid_scale):
+            curve = intensity_resolution_curve(GEO, spectrum, grid_scale=scale)
+            synthesis = PulseAreaSynthesis(GEO, spectrum, U, tls, scale)
+            values.append((focal_intensity_rephased(GEO, spectrum, rhos, scale),
+                           curve.values, synthesis.chi(rhos, unit=True)(taus)))
+        for fine, coarse in zip(*values):
+            assert np.max(np.abs(coarse - fine)) <= 1e-12 * np.max(np.abs(fine))
+
+
+def test_chi_past_its_grids_band_raises(ultrafast):
+    # at the alias-free count the grid holds the tau span out to a mean
+    # wavelength over A; a farther radius would alias
+    synthesis = PulseAreaSynthesis(GEO, ultrafast, U, TwoLevelSystem(W0, 1e8), 0.05)
+    rho_edge = ultrafast.mean_wavelength / GEO.numerical_aperture
+    assert rho_edge <= synthesis.max_radius < 3.0 * rho_edge
+    taus = np.linspace(-12.0, 12.0, 97) / ultrafast.spectral_width
+    assert np.all(np.isfinite(synthesis.chi(rho_edge)(taus)))
+    with pytest.raises(GridRangeError, match="radius"):
+        synthesis.chi(np.array([0.0, 3.0 * rho_edge]))
 
 
 def test_resolution_bounds_and_value_at_zero(ultrafast):

@@ -40,9 +40,10 @@ def _close_to_peak(got, ref):
     assert np.max(np.abs(np.asarray(got) - ref)) <= TOL * peak
 
 
-def reference_chi(geometry, spectrum, pulse_energy, tls, rho, tau):
-    n = int(max(4001, 24.0 * spectrum.max_frequency / spectrum.spectral_width)) | 1
-    w = spectrum.frequency_grid(n)
+def reference_chi(geometry, spectrum, pulse_energy, tls, rho, tau, w):
+    # on the synthesis' own grid w: the phased spectrum breaks
+    # phi(-w) = conj(phi(w)), so its chi converges only as h^2, and this
+    # checks the transform, not the grid
     a = geometry.numerical_aperture
     gw = spectrum.value(w) * (a / C) * j1_over_x(a * w * rho / C)
     pref = (tls.dipole_magnitude / hbar * FIELD_CALIBRATION / np.pi
@@ -135,8 +136,10 @@ def test_chi_matches_complex_exp_loop(scenario, x_units, with_phase):
     rho = x_units * spectrum.mean_wavelength / geometry.numerical_aperture
     # the tau grid f_integral samples: 353 points over 12 pulse widths
     tau = np.linspace(-12.0, 12.0, 353) / spectrum.spectral_width
-    chi = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls).chi(rho)
-    ref = reference_chi(geometry, spectrum, train.pulse_energy, tls, rho, tau)
+    synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls)
+    chi = synthesis.chi(rho)
+    ref = reference_chi(geometry, spectrum, train.pulse_energy, tls, rho, tau,
+                        synthesis.frequencies)
     _close_to_peak(chi(tau), ref)
     assert isinstance(chi(float(tau[100])), float)
     assert abs(chi(float(tau[100])) - ref[100]) <= TOL * np.max(np.abs(ref))
@@ -226,7 +229,7 @@ def test_focal_intensity_matches_trapezoid_loop(scenario, monkeypatch):
         lambda w: (1.0 + 0.5j) * w * np.exp(-((w - 3e15) / 2e15) ** 2),
         3e15, 1e15)
     # blocks of 7 radii, so the chunk seams are covered too
-    monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", 7 * 6001)
+    monkeypatch.setattr(focal, "_chunk", lambda x: 7)
     blocks = []
     real_j1 = focal.j1_over_x
 
@@ -240,7 +243,17 @@ def test_focal_intensity_matches_trapezoid_loop(scenario, monkeypatch):
         ref = reference_intensity(geometry, s, rhos)
         blocks.clear()
         _close_to_peak(ps.focal_intensity_rephased(geometry, s, rhos), ref)
-        assert blocks == [(7, 6001)] * 4 + [(5, 6001)]
+        # the first grid holds the band A rho / c + 8 / G four times over,
+        # rho at least a mean wavelength over A, and each refinement takes
+        # n -> 2n - 1
+        reach = max(rho_max * geometry.numerical_aperture,
+                    s.mean_wavelength) / C + 8.0 / s.spectral_width
+        n = int(np.ceil(4.0 * s.max_frequency * reach / (2.0 * np.pi)) + 1) | 1
+        grids = []
+        while len(grids) < len(blocks):
+            grids += [(7, n)] * 4 + [(5, n)]
+            n = 2 * n - 1
+        assert len(grids) >= 10 and blocks == grids
         scalar = ps.focal_intensity_rephased(geometry, s, float(rhos[5]))
         assert isinstance(scalar, float)
         assert abs(scalar - ref[5]) <= TOL * np.max(ref)
