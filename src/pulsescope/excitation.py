@@ -311,11 +311,17 @@ def eta(
 ) -> float:
     """Maximum pulse area at the focus: a scan of chi(0, tau) on the tau
     grid of `f_integral` (one chirp z-transform), then Newton steps
-    tau <- tau - chi'/chi'' on one-point sums (`_focal_sums`) from its
-    largest sample, each clamped to the two scan intervals around it.
+    tau <- tau - chi'/chi'' on one-point sums (`_focal_sums`) from every
+    lobe the peak may lie on, each step clamped to the two scan intervals
+    around the lobe's largest sample. The peak lies within half a scan
+    interval dtau of a sample, and |chi''| <= 1/2 sum |g_j| w_j^2 (unit
+    prefactor), so a lobe whose largest sample (a local maximum of the
+    scan) is lower than the largest sample by more than 1/2 max|chi''|
+    (dtau/2)^2 cannot hold it; every other lobe is polished, which a
+    narrowband spectrum, with many lobes of nearly equal height, needs.
     The steps stop when tau stops changing, after NEWTON_STEPS, or at a
     chi'' that is zero or not finite; eta is the prefactor times the
-    larger of |chi| there and the largest |sample|.
+    largest of the polished |chi| and the largest |sample|.
 
     `synthesis`, built from the same inputs, supplies chi; without it eta
     builds a synthesis of its own.
@@ -327,26 +333,34 @@ def eta(
     taus = _tau_grid(_photon_band(synthesis.spectrum, w0),
                      synthesis.grid_scale) / w0
     scan = np.abs(synthesis.chi(0.0, unit=True)(taus))
-    i = int(np.argmax(scan))
-    lo, hi = taus[max(i - 1, 0)], taus[min(i + 1, taus.size - 1)]
-    tau = float(taus[i])
-    value, slope, curvature = synthesis._focal_sums(tau)
-    for _step in range(NEWTON_STEPS):
-        if not (np.isfinite(curvature) and curvature != 0.0):
-            break
-        # Python floats: an overflowing step is inf, clamped, not a warning
-        new = min(max(tau - float(slope) / float(curvature), lo), hi)
-        if new == tau:
-            break
-        tau = new
+    w = synthesis.frequencies
+    curvature_bound = 0.5 * np.sum(np.abs(synthesis._conj_weighted) * w * w)
+    loss = 0.5 * curvature_bound * (0.5 * (taus[1] - taus[0])) ** 2
+    padded = np.concatenate(([-np.inf], scan, [-np.inf]))
+    lobes = np.flatnonzero((scan > padded[:-2]) & (scan >= padded[2:])
+                           & (scan >= scan.max() - loss))
+    best = scan.max()
+    for i in lobes:
+        lo, hi = taus[max(i - 1, 0)], taus[min(i + 1, taus.size - 1)]
+        tau = float(taus[i])
         value, slope, curvature = synthesis._focal_sums(tau)
-    return float(synthesis.prefactor * max(abs(value), scan[i]))
+        for _step in range(NEWTON_STEPS):
+            if not (np.isfinite(curvature) and curvature != 0.0):
+                break
+            # Python floats: an overflowing step is inf, clamped, not a warning
+            new = min(max(tau - float(slope) / float(curvature), lo), hi)
+            if new == tau:
+                break
+            tau = new
+            value, slope, curvature = synthesis._focal_sums(tau)
+        best = max(best, abs(value))
+    return float(synthesis.prefactor * best)
 
 
 def _photon_band(spectrum: PulseSpectrum, w0: float):
-    """(ghat, first panel, panel step, resolved band qmax) of the
-    photon-frequency integral of f, in units of w0; ghat is the spectral
-    width over w0.
+    """(ghat, first panel, panel step, resolved band qmax, support edge)
+    of the photon-frequency integral of f, in units of w0; ghat is the
+    spectral width over w0.
 
     The emission kernel sin(w0 tau) chi^2 has bands at the odd
     harmonics w0 and |2 w_c +/- w0| (w_c the carrier). For the built-in
@@ -359,7 +373,9 @@ def _photon_band(spectrum: PulseSpectrum, w0: float):
     integrand stops near 14 ghat, on panels of 4 ghat (at least to the top
     band) and then 2 ghat. The step, max(2 ghat, 1), is at most 64 ghat,
     so the cutoff's spacing of at most step/128 samples every band at
-    ghat/2 or finer. qmax holds every such cutoff doubled.
+    ghat/2 or finer. qmax holds every such cutoff doubled, and the step
+    panels `certified_tail_cutoff` samples in one call through the edge
+    (they end before edge + 2 step).
     """
     pulse_width = 1.0 / spectrum.spectral_width   # the unit of the tau span
     ghat = 1.0 / (w0 * pulse_width)
@@ -367,7 +383,7 @@ def _photon_band(spectrum: PulseSpectrum, w0: float):
     edge = top + 11.0 * ghat
     step = min(max(2.0 * ghat, 1.0), 64.0 * ghat)
     start = edge if spectrum.spectral_width < w0 else max(4.0 * ghat, top)
-    return ghat, start, step, max(35.0 * ghat, 2.0 * (edge + 2.0 * step))
+    return ghat, start, step, max(35.0 * ghat, 2.0 * (edge + 2.0 * step)), edge
 
 
 def _tau_grid(band, grid_scale: float) -> np.ndarray:
@@ -376,7 +392,7 @@ def _tau_grid(band, grid_scale: float) -> np.ndarray:
     of band (`_photon_band`). A grid of more than MAX_TAU_POINTS points
     raises GridRangeError.
     """
-    ghat, _, _, qmax = band
+    ghat, _, _, qmax, _ = band
     tau_span = TAU_SPAN / ghat               # in 1/w0
     dt = 2.0 * np.pi / (5.0 * (qmax + 1.0)) / max(grid_scale, 0.05)
     count = 2.0 * tau_span / dt
@@ -416,7 +432,7 @@ def f_integral(
     """
     w0 = tls.transition_frequency
     # dimensionless time and frequency, in units of w0
-    _, start, step, qmax = band = _photon_band(spectrum, w0)
+    _, start, step, qmax, support = band = _photon_band(spectrum, w0)
     taus = _tau_grid(band, grid_scale)
     chi = np.asarray(chi_fn(taus / w0), dtype=float)
     shape, chi = chi.shape[1:], chi.reshape(taus.size, -1)
@@ -444,7 +460,8 @@ def f_integral(
                 return qhat[:, None] ** 3 * np.abs(inner) ** 2
 
         f[live] = certified_tail_cutoff(integrand, start, step, 1e-6,
-                                        what="photon-frequency integral")[1]
+                                        what="photon-frequency integral",
+                                        through=support)[1]
     f = (f * w0**2).reshape(shape)
     return f if f.ndim else float(f)
 

@@ -41,8 +41,6 @@ from .errors import GridRangeError, InvalidParameterError, NumericalConvergenceE
 from .excitation import TwoLevelSystem
 from .quadrature import certified_tail_cutoff, filon_transform
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
 UNITARITY_TOL = 1e-10
 FIRST_ORDER_TRUST = 0.1
 # bound on the photon-frequency tail over [cutoff, 2 cutoff], relative to
@@ -68,11 +66,17 @@ class PropagatorHistory:
         return self.propagators[-1]
 
     def unitarity_defect(self) -> float:
-        u = self.propagators
-        prod = np.einsum("nij,nkj->nik", u, u.conj())
-        prod[:, 0, 0] -= 1.0
-        prod[:, 1, 1] -= 1.0
-        return float(np.max(np.abs(prod)))
+        """max |U U^dag - 1| over the history, element by element."""
+        a, b, c, d = _elements(self.propagators)
+        entries = (np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0,
+                   np.abs(c) ** 2 + np.abs(d) ** 2 - 1.0,
+                   a * c.conj() + b * d.conj())
+        return float(max(np.abs(x).max() for x in entries))
+
+
+def _elements(u: np.ndarray):
+    """The element arrays (U00, U01, U10, U11) of an (n, 2, 2) stack."""
+    return u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1]
 
 
 def propagate_driven_tls(
@@ -84,7 +88,14 @@ def propagate_driven_tls(
 
     Each step applies the exponential of the midpoint Hamiltonian, which
     is exactly unitary regardless of step size; accuracy (not stability)
-    sets the grid requirement of >= 20 points per carrier period.
+    sets the grid requirement of >= 20 points per carrier period. The
+    cumulative products U(t_j, t_0) = S_j ... S_1 come from a
+    Hillis-Steele prefix scan on the four element arrays of the steps:
+    ceil(log2 n) levels of element-wise 2x2 products, the later step on
+    the left. It reassociates the products, so U differs from a
+    step-by-step loop by rounding (about 1e-14); the steps themselves
+    keep the bits of a step built alone. A unitarity defect above
+    UNITARITY_TOL raises NumericalConvergenceError.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 3:
@@ -104,14 +115,22 @@ def propagate_driven_tls(
     om_mid = 0.5 * (om[1:] + om[:-1]) / w0
     a = np.sqrt(om_mid * om_mid + 0.25)
     c, s, nx, nz = np.cos(a * h), np.sin(a * h), om_mid / a, 0.5 / a
-    # phase * matrix in that operand order keeps the bits of a step built alone
-    steps = np.exp(-0.5j * h)[:, None, None] * np.moveaxis(np.array(
-        [[c - 1j * s * nz, -1j * s * nx], [-1j * s * nx, c + 1j * s * nz]]), -1, 0)
-    props = np.empty((t.size, 2, 2), dtype=complex)
-    props[0] = np.eye(2)
-    for j, step in enumerate(steps):
-        props[j + 1] = step @ props[j]
-    history = PropagatorHistory(t, props, w0, om)
+    # rows U00, U01, U10, U11 over t; column 0 is the identity, column j
+    # the step S_j, phase * element as in a step built alone
+    u = np.empty((4, t.size), dtype=complex)
+    u[:, 0] = 1.0, 0.0, 0.0, 1.0
+    phase = np.exp(-0.5j * h)
+    u[0, 1:] = phase * (c - 1j * s * nz)
+    u[1, 1:] = u[2, 1:] = phase * (-1j * s * nx)
+    u[3, 1:] = phase * (c + 1j * s * nz)
+    shift = 1
+    while shift < t.size:
+        p, q, r, v = u[:, shift:]          # later products
+        e, f, g, k = u[:, :-shift]         # the earlier ones they extend
+        u[:, shift:] = p * e + q * g, p * f + q * k, r * e + v * g, r * f + v * k
+        shift *= 2
+    # (n, 2, 2) view of the rows: propagators[:, i, j] is row 2i + j
+    history = PropagatorHistory(t, u.T.reshape(t.size, 2, 2), w0, om)
     defect = history.unitarity_defect()
     if defect > UNITARITY_TOL:
         raise NumericalConvergenceError(
@@ -137,14 +156,13 @@ def _emission_core(history: PropagatorHistory):
                 "drive has not decayed at the history endpoints; "
                 "extend the time window"
             )
-    u = history.propagators
-    ue = history.final
+    a, b, c, d = _elements(history.propagators)
+    e00, e01 = history.final[0]
     # m_j = [Ue Uj^dag sigma_x Uj]_{eg}
-    w = np.einsum("ij,njk->nik", ue, u.conj().transpose(0, 2, 1))
-    x = np.einsum("nij,jk,nkl->nil", w, _SIGMA_X, u)
-    m = x[:, 0, 1]
+    ac, bc, cc, dc = a.conj(), b.conj(), c.conj(), d.conj()
+    m = (e00 * ac + e01 * bc) * d + (e00 * cc + e01 * dc) * b
     n = m * np.exp(-1j * history.transition_frequency * history.times)
-    return n, complex(ue[0, 0]), complex(ue[1, 1])
+    return n, complex(e00), complex(history.final[1, 1])
 
 
 def oracle_emission_amplitude(history: PropagatorHistory, omega_k) -> complex:
@@ -175,12 +193,15 @@ def oracle_excitation_probability(
     history: PropagatorHistory,
     tls: TwoLevelSystem,
     rel_floor: float = 1e-6,
+    through: float | None = None,
 ) -> float:
     """p_e = Gamma0/(2 pi w0^3) int dw_k w_k^3 |M(w_k)|^2, panel quadrature.
 
     Panels extend until the integrand drops below rel_floor of its peak,
     and the tail over one more octave must stay below TAIL_TOL of the
-    total (`certified_tail_cutoff`).
+    total (`certified_tail_cutoff`). `through` (rad/s), the edge of the
+    emission spectrum when the caller knows it, lets the panels up to it
+    come from one Filon transform; it does not move the cutoff.
     """
     if abs(tls.transition_frequency - history.transition_frequency) > 1e-9 * history.transition_frequency:
         raise InvalidParameterError(
@@ -200,7 +221,8 @@ def oracle_excitation_probability(
 
     _, total = certified_tail_cutoff(integrand, step, step, TAIL_TOL, rel_floor,
                                      max_panels=80,
-                                     what="photon-frequency integral")
+                                     what="photon-frequency integral",
+                                     through=through)
     return float(total * tls.spontaneous_rate / (2.0 * np.pi * w0**3))
 
 

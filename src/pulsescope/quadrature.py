@@ -240,6 +240,27 @@ def _rows(x: np.ndarray, y, what: str) -> np.ndarray:
     return rows
 
 
+def _panels(integrand, start, step, through, max_panels):
+    """(right edge, x, integrand(x)) of each panel of certified_tail_cutoff
+    in turn, sampled when asked for: [0, start], then the step panels up
+    to `through` from one call on one grid (at most max_panels - 1 of
+    them), then one step panel per call."""
+    x = np.linspace(0.0, start, 256 * max(1, math.ceil(start / (2.0 * step))) + 1)
+    yield start, x, integrand(x)
+    hi = start
+    if through is not None:
+        count = min(max(math.ceil((through - start) / step) + 1, 1), max_panels - 1)
+        xs = np.linspace(start, start + count * step, 256 * count + 1)
+        ys = integrand(xs)
+        for i in range(0, 256 * count, 256):
+            hi += step
+            yield hi, xs[i:i + 257], ys[i:i + 257]
+    while True:
+        lo, hi = hi, hi + step
+        x = np.linspace(lo, hi, 257)
+        yield hi, x, integrand(x)
+
+
 def certified_tail_cutoff(
     integrand: Callable[[np.ndarray], np.ndarray],
     start: float,
@@ -248,6 +269,7 @@ def certified_tail_cutoff(
     rel_floor: float = 1e-12,
     max_panels: int = 64,
     what: str = "outer integral",
+    through: float | None = None,
 ):
     """Certified (cutoff, value) of the integral of integrand over [0, inf).
 
@@ -264,14 +286,21 @@ def certified_tail_cutoff(
     tail over its own cutoff, with the bits it has alone, and cutoff and
     value are arrays over the columns; panels run until the last column
     stops, and the columns that share a cutoff share one tail call.
+
+    `through`, the caller's estimate of the support's edge, changes only
+    how the panels are sampled: the ceil((through - start)/step) + 1 step
+    panels after [0, start] (at least one, at most max_panels - 1) come
+    from one integrand call on one uniform grid, and each is walked as its
+    own panel. A non-finite sample raises only in a panel the walk
+    reaches. Past them, and without `through`, each panel is one call.
+    The walk, its stopping rule and the tail are those of one call per
+    panel; only the sample positions round differently, so values agree
+    to rounding.
     """
     total = peak = cutoff = None
-    lo = 0.0
-    hi = start
-    intervals = 256 * max(1, math.ceil(start / (2.0 * step)))
+    panels = _panels(integrand, start, step, through, max_panels)
     for _ in range(max_panels):
-        x = np.linspace(lo, hi, intervals + 1)
-        y = integrand(x)
+        hi, x, y = next(panels)
         rows = _rows(x, y, what)
         if total is None:
             total, peak = np.zeros((2, rows.shape[0]))
@@ -284,10 +313,9 @@ def certified_tail_cutoff(
         cutoff[live & quiet & (peak > 0)] = hi
         if not np.isnan(cutoff).any():
             break
-        lo, hi, intervals = hi, hi + step, 256
     else:
         raise NumericalConvergenceError(
-            f"{what} cutoff not reached", panels=max_panels, last_edge=lo,
+            f"{what} cutoff not reached", panels=max_panels, last_edge=hi,
         )
     for edge in np.unique(cutoff):
         at = cutoff == edge

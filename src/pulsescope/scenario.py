@@ -16,10 +16,11 @@ import numpy as np
 
 from .config import ScenarioConfig, ScenarioReport, checked_number
 from .constants import C_LIGHT, HBAR
-from .errors import ConfigError, InvalidParameterError, RegimeViolationError
+from .errors import ConfigError, InvalidParameterError, PulsescopeError, RegimeViolationError
 from .excitation import (
     PulseAreaSynthesis,
     PulseTrainConfig,
+    _photon_band,
     eta,
     excitation_probability,
     excitation_resolution_curve,
@@ -293,7 +294,9 @@ def _oracle_single(cfg: ScenarioConfig, width_ratio: float, eta_target: float,
         -half, (n_pulses - 1) * period + half, cfg.grid_scale,
     )
     history = propagate_driven_tls(drive, grid, w0)
-    p_or = oracle_excitation_probability(history, tls)
+    # the photon-frequency panels through the emission bands' edge are one call
+    p_or = oracle_excitation_probability(
+        history, tls, through=_photon_band(spectrum, w0)[4] * w0)
     deviation = abs(p_or - p_an) / p_an
     flags = validity_flags(train, tls, base, spectrum, eta_row)
     flags["first_order_trust"] = bool(p_or <= FIRST_ORDER_TRUST)
@@ -312,7 +315,8 @@ def oracle_compare(cfg: ScenarioConfig, pairs) -> str:
     """CSV table of analytic vs oracle p_e over (Gamma/w0, eta) pairs.
 
     Every target is checked before the first row runs (ConfigError, exit 2);
-    a numerical failure of a valid target is written into its row.
+    a package error (`PulsescopeError`) of a valid target is written into
+    its row, and any other exception, a defect of the program, propagates.
     """
     pairs = [(checked_number("oracle width ratio", ratio),
               checked_number("oracle eta target", target)) for ratio, target in pairs]
@@ -328,7 +332,7 @@ def oracle_compare(cfg: ScenarioConfig, pairs) -> str:
                 f"{rep.width_over_transition!r},{rep.eta!r},"
                 f"{rep.p_e_analytic!r},{rep.p_e_oracle!r},"
                 f"{rep.relative_deviation!r},\n")
-        except Exception as exc:  # annotate, do not abort
+        except PulsescopeError as exc:  # annotate, do not abort
             rows.append(f"{ratio!r},{eta_target!r},,,,"
                         f"{type(exc).__name__}: {exc}\n")
     name = _write(cfg, "oracle_compare.csv", header + "".join(rows))

@@ -103,17 +103,32 @@ def make_spectrum(shape: Callable, carrier: float, width: float,
         raise InvalidParameterError(f"spectral width must be positive, got {width}")
 
     wmax = carrier + TAIL_WIDTHS * width
+    # shape on each refinement grid; the grid of 2n - 1 points keeps every
+    # point of the one of n, so only its midpoints are new, evaluated as
+    # one contiguous array (the bits of evaluating the whole grid)
+    samples = {}
+
+    def sampled(n: int):
+        w = np.linspace(0.0, wmax, n)
+        if n not in samples:
+            coarse = samples.get((n + 1) // 2)
+            if coarse is None:
+                samples[n] = np.asarray(shape(w))
+            else:
+                fine = samples[n] = np.empty(n, dtype=coarse.dtype)
+                fine[::2], fine[1::2] = coarse, shape(np.ascontiguousarray(w[1::2]))
+        return w, samples[n]
 
     def norm2(n: int) -> float:
-        w = np.linspace(0.0, wmax, n)
-        return np.trapezoid(np.abs(shape(w)) ** 2, w)
+        w, values = sampled(n)
+        return np.trapezoid(np.abs(values) ** 2, w)
 
     nrm = 1.0 / np.sqrt(refine_until_converged(norm2, 2001, rtol=rtol,
                                                what="spectrum normalization"))
 
     def first_moment(n: int) -> float:
-        w = np.linspace(0.0, wmax, n)
-        return np.trapezoid(w * np.abs(nrm * shape(w)) ** 2, w)
+        w, values = sampled(n)
+        return np.trapezoid(w * np.abs(nrm * values) ** 2, w)
 
     wbar = refine_until_converged(first_moment, 2001, rtol=rtol,
                                   what="mean frequency")

@@ -235,6 +235,20 @@ def test_oracle_target_past_float_range_is_a_typed_row_error(tmp_path):
         "1e+300 needs a pulse energy out of floating-point range"]
 
 
+def test_oracle_row_propagates_an_error_that_is_not_the_packages(tmp_path,
+                                                                monkeypatch):
+    # only a PulsescopeError is annotated in its row; a TypeError (a shape
+    # or broadcast defect of the program) ends the command, writing no CSV
+    def broken(drive, times, transition_frequency):
+        raise TypeError("broken propagator")
+
+    monkeypatch.setattr(scenario, "propagate_driven_tls", broken)
+    cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
+    with pytest.raises(TypeError, match="broken propagator"):
+        oracle_compare(cfg, [(10.0, 0.05)])
+    assert not (tmp_path / "oracle_compare.csv").exists()
+
+
 def test_oracle_row_does_not_depend_on_the_config_pulse_energy(tmp_path):
     # the eta target fixes the row's energy; a config energy whose own
     # p_e would exceed 1 (1e-4 J), or whose f overflows (1e200 J), still

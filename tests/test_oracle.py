@@ -12,6 +12,7 @@ import pytest
 from scipy.constants import c as C, hbar
 
 import pulsescope as ps
+from pulsescope import oracle
 from pulsescope.errors import (
     GridRangeError,
     InvalidParameterError,
@@ -92,23 +93,103 @@ def test_unitarity_and_composition(physical_run):
     assert _composition_defect(history) < 1e-8
 
 
+def _one_step(t0, t1, om0, om1, w0):
+    """The midpoint-exponential step from t0 to t1, built alone."""
+    h = (t1 - t0) * w0
+    om_mid = 0.5 * (om1 + om0) / w0
+    a = np.sqrt(om_mid * om_mid + 0.25)
+    c, s = np.cos(a * h), np.sin(a * h)
+    nx, nz = om_mid / a, 0.5 / a
+    return np.exp(-0.5j * h) * np.array(
+        [[c - 1j * s * nz, -1j * s * nx], [-1j * s * nx, c + 1j * s * nz]])
+
+
+def _step_loop(grid, om, w0):
+    """U(t_j, t_0) by one 2x2 product per step, the later step on the left
+    (the steps built as one array, by the formula of `_one_step`)."""
+    h = np.diff(grid) * w0
+    om_mid = 0.5 * (om[1:] + om[:-1]) / w0
+    a = np.sqrt(om_mid * om_mid + 0.25)
+    c, s, nx, nz = np.cos(a * h), np.sin(a * h), om_mid / a, 0.5 / a
+    steps = np.exp(-0.5j * h)[:, None, None] * np.moveaxis(np.array(
+        [[c - 1j * s * nz, -1j * s * nx], [-1j * s * nx, c + 1j * s * nz]]), -1, 0)
+    props = np.empty((grid.size, 2, 2), dtype=complex)
+    props[0] = np.eye(2)
+    for j, step in enumerate(steps):
+        props[j + 1] = step @ props[j]
+    return props
+
+
 def test_steps_match_the_one_step_loop(physical_run):
-    # the steps are built as one array; each has the bits of the 2x2
-    # step built alone, so U is bit-identical to the step loop
+    # the steps are built as one array, each with the bits of the step
+    # built alone (U(t_1, t_0) is the first step); the prefix scan
+    # reassociates their products, so U agrees with the loop to rounding
     history, drive, grid, tls, _ = physical_run
     w0 = tls.transition_frequency
     om = drive(grid)
-    u = np.eye(2, dtype=complex)
-    for j in range(1, grid.size):
-        h = (grid[j] - grid[j - 1]) * w0
-        om_mid = 0.5 * (om[j] + om[j - 1]) / w0
-        a = np.sqrt(om_mid * om_mid + 0.25)
-        c, s = np.cos(a * h), np.sin(a * h)
-        nx, nz = om_mid / a, 0.5 / a
-        step = np.exp(-0.5j * h) * np.array(
-            [[c - 1j * s * nz, -1j * s * nx], [-1j * s * nx, c + 1j * s * nz]])
-        u = step @ u
-        assert np.array_equal(history.propagators[j], u)
+    assert np.array_equal(history.propagators[1],
+                          _one_step(grid[0], grid[1], om[0], om[1], w0))
+    assert np.max(np.abs(history.propagators - _step_loop(grid, om, w0))) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prefix_scan_matches_the_step_loop_on_random_drives(seed):
+    # random drives of up to a third of the carrier on 3 to 700 points,
+    # and nonuniform steps
+    rng = np.random.default_rng(seed)
+    for n in (3, 4, 5, 17, 64, 65, 700):
+        grid = np.cumsum(rng.uniform(0.2, 1.0, n)) * 2.0 * np.pi / (20.0 * W0)
+        om = rng.uniform(-W0 / 3.0, W0 / 3.0, n)
+        h = ps.propagate_driven_tls(lambda t: om, grid, W0)
+        assert np.max(np.abs(h.propagators - _step_loop(grid, om, W0))) < 1e-12
+
+
+def test_prefix_scan_matches_the_step_loop_on_a_pulse_train():
+    # four pulses at width/carrier 10, two carrier periods apart (the
+    # oracle's resonant period there), on one grid of 15,720 steps
+    width, period = 10.0 * W0, 2.0 * 2.0 * np.pi / W0
+    grid = ps.default_time_grid(width, W0, -8.0 / width, 3 * period + 8.0 / width)
+    assert grid.size > 10_001
+    om = sum(_gaussian_drive(0.2 * W0, width, k * period)(grid) for k in range(4))
+    h = ps.propagate_driven_tls(lambda t: om, grid, W0)
+    assert np.max(np.abs(h.propagators - _step_loop(grid, om, W0))) < 1e-12
+
+
+def _einsum_unitarity_defect(u):
+    """max |U U^dag - 1| over the (n, 2, 2) stack, by einsum (the former
+    `PropagatorHistory.unitarity_defect`)."""
+    prod = np.einsum("nij,nkj->nik", u, u.conj())
+    prod[:, 0, 0] -= 1.0
+    prod[:, 1, 1] -= 1.0
+    return float(np.max(np.abs(prod)))
+
+
+def _einsum_emission_matrix_element(u):
+    """m_j = [U_final U_j^dag sigma_x U_j]_{eg} by einsum (the former
+    `_emission_core`)."""
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    w = np.einsum("ij,njk->nik", u[-1], u.conj().transpose(0, 2, 1))
+    return np.einsum("nij,jk,nkl->nil", w, sigma_x, u)[:, 0, 1]
+
+
+def test_element_wise_algebra_matches_einsum(physical_run):
+    history, *_ = physical_run
+    u = history.propagators
+    n, e0, gg = oracle._emission_core(history)
+    m = _einsum_emission_matrix_element(u)
+    ref = m * np.exp(-1j * history.transition_frequency * history.times)
+    assert np.max(np.abs(n - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert (e0, gg) == (u[-1, 0, 0], u[-1, 1, 1])
+    # within 1e-14 of U U^dag - 1 on the history (a defect of rounding, 1e-13)
+    # and on a stack drifted from unitarity by 1e-9
+    rng = np.random.default_rng(3)
+    drifted = u * (1.0 + 1e-9 * rng.standard_normal(u.shape))
+    for stack in (u, drifted):
+        got = oracle.PropagatorHistory(history.times, stack, history.transition_frequency,
+                                       history.drive_values).unitarity_defect()
+        want = _einsum_unitarity_defect(stack)
+        assert abs(got - want) <= 1e-14
+    assert _einsum_unitarity_defect(drifted) > 1e-10
 
 
 def test_step_refinement(physical_run):

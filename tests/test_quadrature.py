@@ -4,8 +4,9 @@ focal intensity, against the loops they replaced.
 
 The reference loops below are the package's former implementations of
 chi, the time-domain focal field, the inner emission transform, Filon's
-rule (complex exponentials and einsum) and the rephased focal intensity
-(one trapezoid per radius). The transforms sum the same terms in
+rule (complex exponentials and einsum), the rephased focal intensity
+(one trapezoid per radius) and the certified cutoff (one integrand call
+per panel). The transforms sum the same terms in
 another order, so results agree to float64 rounding: 1e-12 of the
 peak, fixed before comparing.
 """
@@ -489,3 +490,164 @@ def test_cutoff_samples_a_long_first_panel_at_the_step_resolution():
     cutoff, total = certified_tail_cutoff(narrow, 12.0, 1.0, 1e-6)
     assert cutoff == 12.0
     np.testing.assert_allclose(total, 0.01 * np.sqrt(2.0 * np.pi), rtol=1e-9)
+
+
+def panel_by_panel_cutoff(integrand, start, step, tail_tol, rel_floor=1e-12,
+                          max_panels=64, what="outer integral"):
+    """certified_tail_cutoff with one integrand call per panel, the form
+    before its `through` batch."""
+    def rows_of(x, y):
+        rows = np.ascontiguousarray(np.reshape(y, (x.size, -1)).T)
+        finite = np.isfinite(rows)
+        if not finite.all():
+            raise NumericalConvergenceError(
+                f"{what} is not finite", at=float(x[np.argmin(finite.all(axis=0))]))
+        return rows
+
+    total = peak = cutoff = None
+    lo, hi = 0.0, start
+    intervals = 256 * max(1, int(np.ceil(start / (2.0 * step))))
+    for _ in range(max_panels):
+        x = np.linspace(lo, hi, intervals + 1)
+        y = integrand(x)
+        rows = rows_of(x, y)
+        if total is None:
+            total, peak = np.zeros((2, rows.shape[0]))
+            cutoff = np.full(rows.shape[0], np.nan)
+        live = np.isnan(cutoff)
+        size = np.abs(rows)
+        total[live] += np.trapezoid(rows[live], x)
+        peak[live] = np.maximum(peak[live], size[live].max(axis=1))
+        quiet = size[:, -64:].max(axis=1) < rel_floor * peak
+        cutoff[live & quiet & (peak > 0)] = hi
+        if not np.isnan(cutoff).any():
+            break
+        lo, hi, intervals = hi, hi + step, 256
+    else:
+        raise NumericalConvergenceError(
+            f"{what} cutoff not reached", panels=max_panels, last_edge=lo)
+    for edge in np.unique(cutoff):
+        at = cutoff == edge
+        ext = np.linspace(edge, 2.0 * edge, 513)
+        extra = np.trapezoid(rows_of(ext, integrand(ext))[at], ext)
+        if np.any(np.abs(extra) > tail_tol * np.abs(total[at])):
+            raise NumericalConvergenceError(
+                f"{what} not converged at its cutoff", cutoff=float(edge),
+                relative_tail=float(np.max(np.abs(extra / total[at]))))
+        total[at] += extra
+    shape = np.shape(y)[1:]
+    return cutoff.reshape(shape)[()], total.reshape(shape)[()]
+
+
+def _rate_columns(x):
+    return x[:, None] ** 3 * np.exp(-np.outer(x, [1.0, 0.3, 2.0, 0.3]))
+
+
+def _two_bands(x):
+    return np.exp(-x**2) + np.exp(-4.0 * (x - 14.0)**2)
+
+
+def _overflowing(x):
+    return np.where(x > 9.0, np.inf, x)[:, None] * np.ones(2)
+
+
+def _narrow(x):
+    return np.exp(-0.5 * ((x - 10.0) / 0.01) ** 2)
+
+
+# (integrand, start, step): the integrands of the cutoff tests above
+CUTOFF_CASES = {
+    "columns": (_rate_columns, 2.0, 4.0),
+    "gap": (_two_bands, 8.0, 4.0),
+    "past-the-gap": (_two_bands, 14.0, 4.0),
+    "non-finite": (_overflowing, 2.0, 4.0),
+    "long-first-panel": (_narrow, 12.0, 1.0),
+}
+
+
+def _outcome(cutoff, *args, **kwargs):
+    try:
+        return cutoff(*args, **kwargs)
+    except NumericalConvergenceError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("through", [None, -5.0, 0.0, 3.0, 13.0, 40.0, 1e4])
+@pytest.mark.parametrize("case", sorted(CUTOFF_CASES))
+def test_cutoff_through_matches_the_panel_by_panel_walk(case, through):
+    # a through below start, one that falls short of the cutoff and one far
+    # past it give the cutoffs, values (to 1e-14) and errors of the walk
+    # with one call per panel
+    integrand, start, step = CUTOFF_CASES[case]
+    want = _outcome(panel_by_panel_cutoff, integrand, start, step, 1e-6)
+    got = _outcome(certified_tail_cutoff, integrand, start, step, 1e-6,
+                   through=through)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got[0], want[0])
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-14, atol=0)
+
+
+def test_cutoff_batch_takes_the_panels_through_the_edge_in_one_call():
+    edges = []
+
+    def counted(x):
+        edges.append((x[0], x[-1], x.size))
+        return _rate_columns(x)
+
+    cutoff, _ = certified_tail_cutoff(counted, 2.0, 4.0, 1e-6, through=130.0)
+    # [0, 2], then ceil(128 / 4) + 1 = 33 step panels in one call, then the
+    # tails of the three cutoffs (22, 42 and 130)
+    assert edges[:2] == [(0.0, 2.0, 257), (2.0, 134.0, 33 * 256 + 1)]
+    assert len(edges) == 2 + len(set(cutoff.tolist())) == 5
+
+
+def test_cutoff_ignores_a_non_finite_sample_past_its_cutoff():
+    # the batch through 200 samples inf past 60; the walk stops at 30 and
+    # the tail [30, 60] stays finite, so nothing raises
+    def decaying(x):
+        return np.where(x > 60.0, np.inf, np.exp(-x))
+
+    want = panel_by_panel_cutoff(decaying, 2.0, 4.0, 1e-6)
+    got = certified_tail_cutoff(decaying, 2.0, 4.0, 1e-6, through=200.0)
+    assert got[0] == want[0] == 30.0
+    np.testing.assert_allclose(got[1], want[1], rtol=1e-14, atol=0)
+
+
+def test_cutoff_through_still_exhausts_its_panels():
+    # max_panels bounds the batch: [0, 2] and four step panels, then the
+    # error of the walk with one call per panel
+    sizes = []
+
+    def never_quiet(x):
+        sizes.append(x.size)
+        return np.ones(x.size)
+
+    with pytest.raises(NumericalConvergenceError,
+                       match=r"cutoff not reached \[last_edge=18\.0, panels=5\]"):
+        certified_tail_cutoff(never_quiet, 2.0, 4.0, 1e-6, max_panels=5,
+                              through=1e4)
+    assert sizes == [257, 4 * 256 + 1]
+    with pytest.raises(NumericalConvergenceError,
+                       match=r"cutoff not reached \[last_edge=18\.0, panels=5\]"):
+        panel_by_panel_cutoff(never_quiet, 2.0, 4.0, 1e-6, max_panels=5)
+
+
+def test_oracle_row_makes_three_filon_transforms_per_integral(monkeypatch):
+    # [0, start], the panels through the band edge and the doubled tail
+    from pulsescope import oracle
+    from pulsescope.scenario import _oracle_single
+
+    calls = []
+    real = oracle.filon_transform
+
+    def counted(t, f, q):
+        calls.append(np.size(q))
+        return real(t, f, q)
+
+    monkeypatch.setattr(oracle, "filon_transform", counted)
+    for ratio in (10.0, 30.0):
+        calls.clear()
+        _oracle_single(ps.ScenarioConfig(), ratio, 0.05)
+        assert len(calls) <= 3

@@ -5,7 +5,13 @@ import pytest
 from numpy import trapezoid
 
 from pulsescope.errors import InvalidParameterError
-from pulsescope.spectra import make_gaussian_spectrum
+from pulsescope.quadrature import refine_until_converged
+from pulsescope.spectra import (
+    TAIL_WIDTHS,
+    _gaussian_shape,
+    make_gaussian_spectrum,
+    make_spectrum,
+)
 
 W0 = 2.0e15  # reference carrier, rad/s
 
@@ -107,3 +113,43 @@ def test_mean_wavelength_consistency(spectrum):
     np.testing.assert_allclose(
         spectrum.mean_wavelength, 2 * np.pi * c / spectrum.mean_frequency,
         rtol=1e-14)
+
+
+def four_evaluation_statistics(shape, carrier, width, rtol=1e-10):
+    """(normalization, mean frequency) by the former rule: each moment
+    refined on its own, the shape evaluated on every point of every grid."""
+    wmax = carrier + TAIL_WIDTHS * width
+
+    def norm2(n):
+        w = np.linspace(0.0, wmax, n)
+        return trapezoid(np.abs(shape(w)) ** 2, w)
+
+    nrm = 1.0 / np.sqrt(refine_until_converged(norm2, 2001, rtol=rtol))
+
+    def first_moment(n):
+        w = np.linspace(0.0, wmax, n)
+        return trapezoid(w * np.abs(nrm * shape(w)) ** 2, w)
+
+    return nrm, refine_until_converged(first_moment, 2001, rtol=rtol)
+
+
+@pytest.mark.parametrize("carrier_ratio", [0.5, 1.0, 2.0, 5.0])
+def test_statistics_sample_each_grid_point_once(carrier_ratio):
+    # both moments share one evaluation of each grid point, the finer grid
+    # adding only its midpoints, with the bits of the former four-evaluation
+    # rule; at rtol 1e-13 most widths refine through two more grids
+    carrier = carrier_ratio * W0
+    for width in np.geomspace(0.01, 100.0, 9) * W0:
+        for rtol in (1e-10, 1e-13):
+            shape = _gaussian_shape(carrier, width)
+            sizes = []
+
+            def counted(w, shape=shape):
+                sizes.append(w.size)
+                return shape(w)
+
+            spectrum = make_spectrum(counted, carrier, width, rtol=rtol)
+            nrm, wbar = four_evaluation_statistics(shape, carrier, width, rtol)
+            assert spectrum.normalization == nrm and spectrum.mean_frequency == wbar
+            assert sum(sizes) == 2000 * 2 ** (len(sizes) - 1) + 1
+            assert sizes[:2] == [2001, 2000]
