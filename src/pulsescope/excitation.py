@@ -190,8 +190,8 @@ class PulseAreaSynthesis:
     g the trapezoid-weighted spectrum times A/c (at unit prefactor, the
     factor in front). Alias-free for |tau| up to TAU_SPAN pulse widths,
     so no cumulative quadrature error enters the area. eta, f and p_e are
-    computed at unit prefactor and scaled last, so a pulse energy whose
-    p_e overflows is a p_e > 1, not a non-finite integral.
+    computed at unit prefactor and scaled last by the energy they are
+    given: an energy whose p_e overflows gives p_e > 1, not a non-finite f.
 
     The frequency grid, the trapezoid-weighted spectrum and the
     prefactor do not depend on rho, so one instance serves a whole run:
@@ -222,8 +222,7 @@ class PulseAreaSynthesis:
                                       * (self.aperture / C_LIGHT))
         # the transition's coupling times the pulse's field amplitude
         self._coupling = tls.dipole_magnitude / HBAR * FIELD_CALIBRATION / np.pi
-        self._amplitude = _amplitude_prefactor(pulse_energy)
-        self.prefactor = self._coupling * self._amplitude
+        self.prefactor = self._coupling * _amplitude_prefactor(pulse_energy)
         self._f_values = {}
 
     def chi(self, rho, unit: bool = False) -> Callable:
@@ -261,12 +260,12 @@ class PulseAreaSynthesis:
         return e.sum().real, (1j * w * e).sum().real, -(w * w * e).sum().real
 
     def probability(self, train: PulseTrainConfig, rho):
-        """(p_e, f) at one radius for a train of this synthesis' pulses, or
-        arrays of both over an array of radii. f is computed at unit
-        prefactor once per radius; the radii not yet computed go to
-        `f_integral` in blocks of RADII_PER_BLOCK. A p_e not finite at unit
-        field amplitude raises InvalidParameterError, and one above 1 (an
-        overflow too) RegimeViolationError."""
+        """(p_e, f) at the train's pulse energy, at one radius or as arrays
+        over an array of radii. f is computed at unit prefactor once per
+        radius; the radii not yet computed go to `f_integral` in blocks of
+        RADII_PER_BLOCK. A p_e not finite at unit field amplitude raises
+        InvalidParameterError, and one above 1 (an overflow too)
+        RegimeViolationError."""
         radii = np.asarray(rho, dtype=float)
         tls = self.tls
         f_unit = np.zeros(radii.shape)
@@ -280,7 +279,7 @@ class PulseAreaSynthesis:
                     self.grid_scale))))
             f_unit = np.array([self._f_values[r] for r in radii.ravel().tolist()]
                               ).reshape(radii.shape)
-        c, a = float(self._coupling), float(self._amplitude)
+        c, a = float(self._coupling), float(_amplitude_prefactor(train.pulse_energy))
         # one factor at a time, so a zero stays zero; f and p_e at unit
         # field amplitude depend on the transition alone
         with np.errstate(over="ignore"):
@@ -320,11 +319,11 @@ def eta(
     (dtau/2)^2 cannot hold it; every other lobe is polished, which a
     narrowband spectrum, with many lobes of nearly equal height, needs.
     The steps stop when tau stops changing, after NEWTON_STEPS, or at a
-    chi'' that is zero or not finite; eta is the prefactor times the
-    largest of the polished |chi| and the largest |sample|.
+    chi'' that is zero or not finite; eta is the prefactor at
+    `pulse_energy` times the largest polished |chi| or |sample|.
 
-    `synthesis`, built from the same inputs, supplies chi; without it eta
-    builds a synthesis of its own.
+    `synthesis`, built from the same inputs at any pulse energy, supplies
+    chi; without it eta builds a synthesis of its own.
     """
     if synthesis is None:
         synthesis = PulseAreaSynthesis(geometry, spectrum, pulse_energy, tls,
@@ -354,7 +353,7 @@ def eta(
             tau = new
             value, slope, curvature = synthesis._focal_sums(tau)
         best = max(best, abs(value))
-    return float(synthesis.prefactor * best)
+    return float(synthesis._coupling * _amplitude_prefactor(pulse_energy) * best)
 
 
 def _photon_band(spectrum: PulseSpectrum, w0: float):
@@ -389,12 +388,13 @@ def _photon_band(spectrum: PulseSpectrum, w0: float):
 def _tau_grid(band, grid_scale: float) -> np.ndarray:
     """Uniform tau grid, in 1/w0, of the inner emission transform: +/-
     TAU_SPAN pulse widths, resolving the photon frequencies up to the qmax
-    of band (`_photon_band`). A grid of more than MAX_TAU_POINTS points
-    raises GridRangeError.
+    of band (`_photon_band`) alias-free: 2 pi / dt >= qmax + edge, which
+    grid_scale 0.3, its floor, still gives, as qmax >= 2 edge. A grid of
+    more than MAX_TAU_POINTS points raises GridRangeError.
     """
     ghat, _, _, qmax, _ = band
     tau_span = TAU_SPAN / ghat               # in 1/w0
-    dt = 2.0 * np.pi / (5.0 * (qmax + 1.0)) / max(grid_scale, 0.05)
+    dt = 2.0 * np.pi / (5.0 * (qmax + 1.0)) / max(grid_scale, 0.3)
     count = 2.0 * tau_span / dt
     if not count <= MAX_TAU_POINTS:
         raise GridRangeError(

@@ -144,15 +144,6 @@ def _band_points(spectrum: PulseSpectrum, reach: float, grid_scale: float) -> in
     return int(np.ceil(spectrum.max_frequency / dw) + 1) | 1
 
 
-def _synthesis_grid(spectrum: PulseSpectrum, tau_span: float, grid_scale: float = 1.0) -> np.ndarray:
-    """Frequency grid dense enough that trapezoid synthesis at delay tau_span
-    has negligible aliasing."""
-    wmax = spectrum.max_frequency
-    n = int(max(4001, 16.0 * tau_span * wmax)) | 1
-    n = int(n * max(grid_scale, 0.05)) | 1
-    return np.linspace(0.0, wmax, n)
-
-
 def focal_field_time(
     geometry: FocusingGeometry,
     spectrum: PulseSpectrum,
@@ -170,7 +161,8 @@ def focal_field_time(
 
     The field is the real part of one `fourier_sum` of the conjugate
     kernel at tau = t - f/c: on a uniform t a chirp z-transform, which
-    corrects to first order the jitter tau takes from rounding f/c.
+    corrects to first order the jitter tau takes from rounding f/c, on
+    the `_band_points` grid of max|tau| + A rho / c + SPECTRUM_REACH / G.
     """
     if rho < 0:
         raise InvalidParameterError(f"radial coordinate must be >= 0, got {rho}")
@@ -187,8 +179,9 @@ def focal_field_time(
                 "time grid does not resolve the field oscillation",
                 max_step=float(np.max(dt)), required=needed,
             )
-    w = _synthesis_grid(spectrum, float(np.max(np.abs(tau))) + 1.0 / spectrum.spectral_width,
-                        grid_scale)
+    reach = (float(np.max(np.abs(tau))) + geometry.numerical_aperture * rho / C_LIGHT
+             + SPECTRUM_REACH / spectrum.spectral_width)
+    w = spectrum.frequency_grid(_band_points(spectrum, reach, grid_scale))
     kern = 1j * spectrum.value(w) * _airy_kernel(geometry, w, rho) * trapezoid_weights(w)
     out = fourier_sum(w, tau, kern.conj()).real * (
         _amplitude_prefactor(pulse_energy) * FIELD_CALIBRATION / np.pi)

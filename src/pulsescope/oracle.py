@@ -59,7 +59,7 @@ class PropagatorHistory:
     times: np.ndarray
     propagators: np.ndarray          # (n, 2, 2) complex
     transition_frequency: float
-    drive_values: np.ndarray = field(repr=False, default=None)
+    drive_values: np.ndarray = field(repr=False)   # Omega(t_j), rad/s
 
     @property
     def final(self) -> np.ndarray:
@@ -148,7 +148,7 @@ def oracle_c0(history: PropagatorHistory) -> complex:
 def _emission_core(history: PropagatorHistory):
     """Demodulated matrix element n(t) = m(t) e^{-i w0 t} and tail data."""
     om = history.drive_values
-    peak = float(np.max(np.abs(om))) if om is not None else 0.0
+    peak = float(np.max(np.abs(om)))
     if peak > 0.0:
         edge = max(abs(om[0]), abs(om[-1]))
         if edge > 1e-8 * peak:
@@ -208,7 +208,7 @@ def oracle_excitation_probability(
             "two-level system does not match the propagated transition frequency"
         )
     w0 = history.transition_frequency
-    if history.drive_values is not None and not np.any(history.drive_values):
+    if not np.any(history.drive_values):
         return 0.0
     core = _emission_core(history)
     dt = history.times[1] - history.times[0]

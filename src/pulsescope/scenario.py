@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ScenarioConfig, ScenarioReport, checked_number
 from .constants import C_LIGHT, HBAR
-from .errors import ConfigError, InvalidParameterError, PulsescopeError, RegimeViolationError
+from .errors import ConfigError, InvalidParameterError, PulsescopeError
 from .excitation import (
     PulseAreaSynthesis,
     PulseTrainConfig,
@@ -24,7 +24,6 @@ from .excitation import (
     eta,
     excitation_probability,
     excitation_resolution_curve,
-    f_integral,
     imaging_rate,
     validity_flags,
 )
@@ -246,8 +245,8 @@ def _oracle_single(cfg: ScenarioConfig, width_ratio: float, eta_target: float,
     spectrum = make_gaussian_spectrum(w0, width_ratio * w0)
     _, base, tls, _ = cfg.build()
     # pulse energy that realizes the requested focal area; eta ~ sqrt(U)
-    # and p_e ~ chi^4 exactly, so the one synthesis at the reference
-    # energy gives the row's eta and p_e
+    # exactly, so the one synthesis at the reference energy gives the
+    # row's eta, and its p_e at the row's energy
     u_ref = cfg.pulse_energy_J
     reference = PulseAreaSynthesis(base, spectrum, u_ref, tls, cfg.grid_scale)
     eta_ref = eta(base, spectrum, u_ref, tls, cfg.grid_scale, reference)
@@ -263,17 +262,7 @@ def _oracle_single(cfg: ScenarioConfig, width_ratio: float, eta_target: float,
     train = PulseTrainConfig(n_pulses, period, u)
     train.validate_against(spectrum, tls)
     eta_row = float(eta_ref * np.sqrt(u / u_ref))
-    # f of the area at unit peak, times eta_row^4 (products give inf, not
-    # OverflowError), is finite wherever the row's f is, whatever the
-    # config energy
-    chi_ref = reference.chi(0.0)
-    f_unit = f_integral(tls, lambda tau: chi_ref(tau) / eta_ref, spectrum,
-                        cfg.grid_scale)
-    p_an = (f_unit * (eta_row * eta_row) * (eta_row * eta_row) * 2.0 * n_pulses
-            * tls.spontaneous_rate / (np.pi * w0**3))
-    if not p_an <= 1.0:
-        raise RegimeViolationError(
-            f"p_e = {p_an:.3g} > 1: inputs are outside perturbative validity")
+    p_an = reference.probability(train, 0.0)[0]
 
     t_rephase = base.reference_sphere_radius / C_LIGHT
     d_over_hbar = tls.dipole_magnitude / HBAR

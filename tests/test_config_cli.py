@@ -294,6 +294,20 @@ def test_cli_focus_follows_grid_scale(tmp_path):
             geometry, spectrum, radii, gs))
 
 
+@pytest.mark.parametrize("grid_scale", [0.2, 0.05])
+def test_cli_excite_below_the_tau_grids_floor(tmp_path, grid_scale):
+    # the emission tau grid stops at grid scale 0.3, where it is still
+    # alias-free, so a coarser scale runs and matches grid scale 1
+    reports = {}
+    for gs in (1.0, grid_scale):
+        out = tmp_path / str(gs)
+        assert main(["--out", str(out), "--grid-scale", str(gs), "excite"]) == 0
+        reports[gs] = json.loads((out / "excitation.json").read_text())
+    for key in ("p_e", "eta", "f_value"):
+        fine = reports[1.0][key]
+        assert abs(reports[grid_scale][key] - fine) <= 1e-12 * abs(fine)
+
+
 @pytest.mark.parametrize("error, code", [
     (ConfigError, 2), (InvalidParameterError, 2), (InvalidStateError, 2),
     (GridRangeError, 3), (NumericalConvergenceError, 3),

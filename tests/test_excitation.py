@@ -374,6 +374,23 @@ def test_probability_energy_power_law(scenario):
     assert abs(slope - 2.0) < 0.01
 
 
+def test_probability_and_eta_scale_by_the_energy_given(scenario):
+    # one synthesis serves every pulse energy: p_e and f by the train's
+    # energy (~ U^2), eta by its argument (~ sqrt(U)); the synthesis' own
+    # energy scales only chi
+    _, spectrum, geometry, tls, train = scenario
+    synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls)
+    u = train.pulse_energy
+    t1 = ps.PulseTrainConfig(1, train.period, u)
+    t2 = ps.PulseTrainConfig(1, train.period, 2.0 * u)
+    (p1, f1), (p2, f2) = synthesis.probability(t1, 0.0), synthesis.probability(t2, 0.0)
+    assert abs(p2 - 4.0 * p1) <= 1e-14 * p2
+    assert abs(f2 - 4.0 * f1) <= 1e-14 * f2
+    e1 = ps.eta(geometry, spectrum, u, tls, 1.0, synthesis)
+    e2 = ps.eta(geometry, spectrum, 2.0 * u, tls, 1.0, synthesis)
+    assert abs(e2 - np.sqrt(2.0) * e1) <= 1e-14 * e2
+
+
 def test_probability_sign_flip_invariance(scenario):
     # global field sign flip: same spectrum shape with opposite sign
     _, spectrum, geometry, tls, train = scenario

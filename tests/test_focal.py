@@ -124,6 +124,18 @@ def test_time_field_peaks_at_rephasing_time(ultrafast):
     assert np.max(np.abs(e)) <= abs(focal_field_time(GEO, ultrafast, U, 0.0, t_r)) * (1 + 1e-9)
 
 
+def test_time_field_grid_is_converged(ultrafast, narrowband):
+    # the band-sized frequency grid (max|tau| + A rho / c + 8 / G) against
+    # one four times denser, on and off axis
+    t_r = GEO.reference_sphere_radius / C
+    for spectrum in (ultrafast, narrowband):
+        t = t_r + np.linspace(-6.0, 6.0, 1201) / spectrum.spectral_width
+        for rho in (0.0, spectrum.mean_wavelength / GEO.numerical_aperture):
+            fine = focal_field_time(GEO, spectrum, U, rho, t, grid_scale=4.0)
+            got = focal_field_time(GEO, spectrum, U, rho, t)
+            assert np.max(np.abs(got - fine)) <= 1e-12 * np.max(np.abs(fine))
+
+
 def test_time_field_rejects_coarse_grid(ultrafast):
     t_r = GEO.reference_sphere_radius / C
     coarse = np.linspace(t_r - 1e-15, t_r + 1e-15, 5)

@@ -20,7 +20,7 @@ from pulsescope import focal, quadrature
 from pulsescope.bessel import j1_over_x
 from pulsescope.constants import FIELD_CALIBRATION
 from pulsescope.excitation import PulseAreaSynthesis
-from pulsescope.focal import _synthesis_grid
+from pulsescope.focal import SPECTRUM_REACH, _band_points
 from pulsescope.errors import InvalidParameterError, NumericalConvergenceError
 from pulsescope.quadrature import (
     _filon_weights,
@@ -59,10 +59,12 @@ def reference_chi(geometry, spectrum, pulse_energy, tls, rho, tau, w):
 
 
 def reference_field(geometry, spectrum, pulse_energy, rho, t):
+    # on the grid of the production sum: this checks the transform
     tau = t - geometry.reference_sphere_radius / C
-    w = _synthesis_grid(spectrum, float(np.max(np.abs(tau)))
-                        + 1.0 / spectrum.spectral_width)
     a = geometry.numerical_aperture
+    reach = (float(np.max(np.abs(tau))) + a * rho / C
+             + SPECTRUM_REACH / spectrum.spectral_width)
+    w = spectrum.frequency_grid(_band_points(spectrum, reach, 1.0))
     kern = 1j * spectrum.value(w) * (a * w / C) * j1_over_x(a * w * rho / C)
     out = np.empty(t.shape)
     chunk = max(1, int(4e6 // w.size))
