@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 from .config import ScenarioConfig, load_config
@@ -133,6 +134,10 @@ def _cmd_oracle(cfg: ScenarioConfig, args) -> str:
     return f"wrote {oracle_compare(cfg, pairs)}"
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -142,6 +147,10 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 0
+    # a warning prints as one line, not as the package's source line; only
+    # its display changes, so the filters and a caller's recorder still act
+    standard_format = warnings.formatwarning
+    warnings.formatwarning = _format_warning
     try:
         print(args.handler(_load(args), args))
     except ConfigError as exc:
@@ -156,6 +165,8 @@ def main(argv=None) -> int:
     except PulsescopeError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        warnings.formatwarning = standard_format
     return 0
 
 

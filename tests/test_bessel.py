@@ -3,7 +3,9 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
+from pulsescope import bessel
 from pulsescope.bessel import j1, j1_over_x
 
 mpmath.mp.dps = 30
@@ -65,3 +67,37 @@ def test_j1_over_x_removable_singularity():
 def test_scalar_in_scalar_out():
     assert np.isscalar(float(j1(1.5)))
     assert isinstance(j1(np.array([1.0, 2.0])), np.ndarray)
+
+
+def _through_scipy(x):
+    # the scipy formula of j1_over_x, taken even when x has no nonzero element
+    x = np.asarray(x, dtype=float)
+    out = scipy.special.j1(x, out=np.empty(x.shape))
+    np.divide(out, x, out=out, where=x != 0)
+    out[x == 0] = 0.5
+    return out[()]
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, np.zeros(0), np.zeros(3),
+                               np.zeros((2, 4)), -np.zeros(2)],
+                         ids=["zero", "negative-zero", "empty", "zeros-3",
+                              "zeros-2x4", "negative-zeros"])
+def test_j1_over_x_without_a_nonzero_argument(x):
+    got, want = j1_over_x(x), _through_scipy(x)
+    assert type(got) is type(want)
+    assert got.dtype == want.dtype and np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
+def test_j1_over_x_mixed_and_nan():
+    x = np.array([[0.0, -0.0, 2.5, -1e-300], [7.0, 0.0, 1e300, -3.0]])
+    assert j1_over_x(x).tobytes() == _through_scipy(x).tobytes()
+    assert np.isnan(j1_over_x(np.nan))
+    got = j1_over_x(np.array([0.0, np.nan, 1.0]))
+    assert got[0] == 0.5 and np.isnan(got[1]) and got[2] == scipy.special.j1(1.0)
+
+
+def test_j1_is_scipys_and_other_names_raise():
+    assert bessel.j1 is scipy.special.j1
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bessel.no_such_name

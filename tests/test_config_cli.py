@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import sys
 import warnings
 from dataclasses import replace
 
@@ -320,6 +321,37 @@ def test_cli_maps_every_package_error(tmp_path, monkeypatch, capsys, error, code
     monkeypatch.setattr("pulsescope.cli.run_scenario", fail)
     assert main(["--out", str(tmp_path), "scenario"]) == code
     assert "injected" in capsys.readouterr().err
+
+
+def test_cli_prints_a_warning_as_one_line(tmp_path, capsys, monkeypatch):
+    # pytest records warnings instead of showing them; show them as Python
+    # does by default, through warnings.formatwarning to stderr
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                                lineno, line))
+
+    monkeypatch.setattr(warnings, "showwarning", show)
+    standard_format = warnings.formatwarning
+    assert main(["--out", str(tmp_path), "--grid-scale", "0.3",
+                 "scan", "T", "1e-20"]) == 0
+    err = capsys.readouterr().err
+    assert re.search(r"^warning: pulse period is not long against the pulse "
+                     r"duration \(T\*Gamma = .* < 10\)$", err, re.M)
+    assert ".py:" not in err
+    # library callers keep the standard format
+    assert warnings.formatwarning is standard_format
+
+
+def test_cli_warning_display_leaves_the_filters(tmp_path, monkeypatch):
+    # the suite's error::RuntimeWarning filter still raises under main
+    def warn(cfg):
+        warnings.warn("injected", RuntimeWarning)
+
+    monkeypatch.setattr("pulsescope.cli.emit_spectrum", warn)
+    standard_format = warnings.formatwarning
+    with pytest.raises(RuntimeWarning, match="injected"):
+        main(["--out", str(tmp_path), "spectrum"])
+    assert warnings.formatwarning is standard_format
 
 
 def test_cli_regime_violation_exit_code(tmp_path):
