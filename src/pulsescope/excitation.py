@@ -228,11 +228,12 @@ class PulseAreaSynthesis:
     def chi(self, rho, unit: bool = False) -> Callable:
         """chi(rho, tau) as a function of tau (s, scalar or array), at unit
         prefactor if `unit`. For an array of radii it returns one column
-        per radius, all from one transform. A radius past `max_radius`,
-        where the grid would alias, raises GridRangeError."""
+        per radius, all from one transform. A radius that is not finite
+        and >= 0 raises InvalidParameterError, one past `max_radius`
+        (where the grid would alias) GridRangeError."""
         radii = np.atleast_1d(np.asarray(rho, dtype=float))
-        if np.any(radii < 0):
-            raise InvalidParameterError(f"radial coordinate must be >= 0, got {rho}")
+        if not np.all((radii >= 0) & (radii < np.inf)):
+            raise InvalidParameterError(f"radial coordinate must be finite and >= 0, got {rho}")
         if np.any(radii > self.max_radius):
             raise GridRangeError(f"chi at radius {float(np.max(radii))!r} m is past "
                                  f"the {self.max_radius!r} m its grid resolves")

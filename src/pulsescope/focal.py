@@ -152,25 +152,25 @@ def focal_field_time(
     t,
     grid_scale: float = 1.0,
 ):
-    """Real time-domain field at radius rho in the focal plane (V/m).
+    """Real time-domain field at radius rho in the focal plane (V/m), at
+    times t (s) from the rephasing instant f/c: it peaks at t = 0.
 
-    Synthesized as (kappa / pi) * Re int_0^inf E(rho, w) e^{-i w t} dw
-    using the reality fold phi(w) = conj(phi(-w)); kappa is the package
-    field calibration constant. The peak sits at the rephasing time
-    t = f/c.
+    Synthesized as (kappa / pi) * Re int_0^inf E(rho, w) e^{-i w (t + f/c)}
+    dw using the reality fold phi(w) = conj(phi(-w)); kappa is the package
+    field calibration constant.
 
     The field is the real part of one `fourier_sum` of the conjugate
-    kernel at tau = t - f/c: on a uniform t a chirp z-transform, which
-    corrects to first order the jitter tau takes from rounding f/c, on
-    the `_band_points` grid of max|tau| + A rho / c + SPECTRUM_REACH / G.
+    kernel at t (a chirp z-transform on a uniform t) on the `_band_points`
+    grid of max|t| + A rho / c + SPECTRUM_REACH / G. A radius that is not
+    finite and >= 0, or a t that is not finite, raises InvalidParameterError.
     """
-    if rho < 0:
-        raise InvalidParameterError(f"radial coordinate must be >= 0, got {rho}")
+    if not 0.0 <= rho < np.inf:
+        raise InvalidParameterError(f"radial coordinate must be finite and >= 0, got {rho}")
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    t_rephase = geometry.reference_sphere_radius / C_LIGHT
-    tau = t - t_rephase
+    if not np.all(np.isfinite(t)):
+        raise InvalidParameterError("times must be finite")
     if t.size > 1:
         dt = np.diff(t)
         needed = 2.0 * np.pi / (spectrum.carrier_frequency + 6.0 * spectrum.spectral_width) / 4.0
@@ -179,11 +179,11 @@ def focal_field_time(
                 "time grid does not resolve the field oscillation",
                 max_step=float(np.max(dt)), required=needed,
             )
-    reach = (float(np.max(np.abs(tau))) + geometry.numerical_aperture * rho / C_LIGHT
+    reach = (float(np.max(np.abs(t))) + geometry.numerical_aperture * rho / C_LIGHT
              + SPECTRUM_REACH / spectrum.spectral_width)
     w = spectrum.frequency_grid(_band_points(spectrum, reach, grid_scale))
     kern = 1j * spectrum.value(w) * _airy_kernel(geometry, w, rho) * trapezoid_weights(w)
-    out = fourier_sum(w, tau, kern.conj()).real * (
+    out = fourier_sum(w, t, kern.conj()).real * (
         _amplitude_prefactor(pulse_energy) * FIELD_CALIBRATION / np.pi)
     return float(out[0]) if scalar else out
 

@@ -294,11 +294,12 @@ def default_time_grid(
     grid_scale: float = 1.0,
 ) -> np.ndarray:
     """Grid resolving both the carrier and the pulse:
-    dt = min(2 pi / (40 w0), 1 / (40 Gamma)) / grid_scale.
+    dt = min(2 pi / (40 w0), 1 / (40 Gamma)) / max(grid_scale, 1); a
+    coarser step biases p_e low (26% at grid scale 0.1 and width 10 w0).
 
     The grid is uniform, as Filon's rule needs: its Fourier sum is one
     chirp z-transform."""
     dt = min(2.0 * np.pi / (40.0 * transition_frequency),
-             1.0 / (40.0 * spectrum_width)) / max(grid_scale, 0.05)
+             1.0 / (40.0 * spectrum_width)) / max(grid_scale, 1.0)
     n = int(np.ceil((t_end - t_start) / dt)) + 1
     return np.linspace(t_start, t_end, n)

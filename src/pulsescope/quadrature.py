@@ -5,12 +5,12 @@ Spectral moments integrate smooth Gaussian-tailed kernels, where
 composite trapezoid converges fast but must be *certified* by grid
 refinement. Every sum_j c_j e^{i y_k x_j} in the package - chi, the
 field, the inner emission transform and Filon's rule - is one call of
-`fourier_sum`: one chirp z-transform on numpy.fft between uniform grids,
-else blocks of exp(i outer(y, x)). Filon-type weights treat an e^{i q t}
-oscillation far above the grid Nyquist scale exactly; they need only
-that sum plus two endpoint terms. One routine, `certified_tail_cutoff`,
-cuts an outer integral off panel by panel and certifies the cutoff by
-the tail over its doubling.
+`fourier_sum`: one chirp z-transform on numpy.fft when both grids lie on
+their lines, else blocks of exp(i outer(y, x)). Filon-type weights treat
+an e^{i q t} oscillation far above the grid Nyquist scale exactly; they
+need only that sum plus two endpoint terms. One routine,
+`certified_tail_cutoff`, cuts an outer integral off panel by panel and
+certifies the cutoff by the tail over its doubling.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def filon_transform(t: np.ndarray, f: np.ndarray, q) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     f = np.asarray(f)
-    if t.ndim != 1 or t.size < 2 or not _line(t)[3]:
+    if t.ndim != 1 or t.size < 2 or not _line(t)[2]:
         raise InvalidParameterError("Filon's rule needs a uniform time grid")
     if f.shape != t.shape:
         raise InvalidParameterError(
@@ -133,8 +133,6 @@ def _chunk(x: np.ndarray) -> int:
 
 # a grid is uniform within this many ulps of max|grid| of its end-point line
 UNIFORM_ULPS = 8
-# max|jitter| * max|x| corrected to first order (the second order < 5e-15)
-MAX_JITTER_PHASE = 1e-7
 # fewer points, and a block beats three FFTs; no Fourier sum of the scenario,
 # oracle or figure commands is that short, only a direct evaluation of chi
 # or the field at a few times
@@ -142,12 +140,11 @@ MIN_CHIRP_POINTS = 12
 
 
 def _line(v: np.ndarray):
-    """(v[0], step, v minus the line from v[0] to v[-1], whether that
-    deviation stays within UNIFORM_ULPS of max|v|)."""
+    """(v[0], step, whether v lies within UNIFORM_ULPS of max|v| of the
+    line from v[0] to v[-1])."""
     step = (v[-1] - v[0]) / (v.size - 1) if v.size > 1 else 0.0
-    deviation = v - (v[0] + step * np.arange(v.size))
-    return v[0], step, deviation, bool(
-        np.abs(deviation).max() <= UNIFORM_ULPS * np.spacing(np.abs(v).max()))
+    deviation = np.abs(v - (v[0] + step * np.arange(v.size))).max()
+    return v[0], step, bool(deviation <= UNIFORM_ULPS * np.spacing(np.abs(v).max()))
 
 
 @functools.lru_cache(maxsize=4)
@@ -174,39 +171,35 @@ def _chirp_z(x, y, c):
     x_j = x0 + j dx, y_k = y0 + k dy and a = dx dy, y_k x_j = y0 x_j
     + k dy x0 + a (k^2 + j^2 - (k - j)^2) / 2, so the sum is one
     convolution, by numpy.fft along the last axis of all columns at once.
-    x must be uniform to UNIFORM_ULPS; y may leave its line by a jitter
-    delta, as tau = t - t_rephase does, which up to MAX_JITTER_PHASE
-    enters to first order: Z(c) + i delta Z(x c). Other grids, or fewer
-    than MIN_CHIRP_POINTS points, give None."""
+    x and y must both lie on their lines to UNIFORM_ULPS; other grids, or
+    fewer than MIN_CHIRP_POINTS points, give None."""
     if min(x.size, y.size) < MIN_CHIRP_POINTS:
         return None
-    x0, dx, _, uniform = _line(x)
-    y0, dy, jitter, exact = _line(y)
-    if not (uniform and np.isfinite(dx * dy)
-            and np.abs(jitter).max() * np.abs(x).max() <= MAX_JITTER_PHASE):
+    x0, dx, x_uniform = _line(x)
+    y0, dy, y_uniform = _line(y)
+    if not (x_uniform and y_uniform and np.isfinite(dx * dy)):
         return None
-    cols = c.T if exact else np.concatenate([c.T, c.T * x])
     n, m = x.size, y.size
     # the shortest 5-smooth FFT length >= n + m - 1, to a few per cent
     size = min(f << ((n + m - 2) // f).bit_length()
                for f in (1, 3, 5, 9, 15, 25, 27, 45, 75, 81, 125))
     w, kernel = _chirp(float(dx * dy), m, size)
-    u = np.zeros((cols.shape[0], size), dtype=complex)
+    u = np.zeros((c.shape[1], size), dtype=complex)
     pre = w[-np.arange(n)]
-    u[:, :n] = cols * (pre if y0 == 0 else np.exp(1j * y0 * x) * pre)
+    u[:, :n] = c.T * (pre if y0 == 0 else np.exp(1j * y0 * x) * pre)
     z = np.fft.ifft(np.fft.fft(u) * kernel)[:, :m] * w[:m]
     if x0 != 0:
         z *= np.exp(1j * (dy * x0) * np.arange(m))
-    return z.T if exact else (z[:c.shape[1]] + 1j * jitter * z[c.shape[1]:]).T
+    return z.T
 
 
 def fourier_sum(x, y, c):
     """sum_j c_j e^{i y_k x_j} for every y_k, for real or complex c on the
     grid x (quadrature weights applied): a vector, or a matrix with one
     column per right-hand side. All columns go through one chirp
-    z-transform between grids `_chirp_z` takes, else through blocks of
-    exp(i outer(y, x)) @ c of at most CHUNK_ELEMENTS elements. A scalar
-    y drops the output axis."""
+    z-transform when x and y both lie on their lines, else through
+    blocks of exp(i outer(y, x)) @ c of at most CHUNK_ELEMENTS elements.
+    A scalar y drops the output axis."""
     x, c = np.asarray(x, dtype=float), np.asarray(c)
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     cols = c.reshape(x.size, -1)

@@ -165,12 +165,12 @@ def emit_figure_data(cfg: ScenarioConfig, figure: str) -> str:
 
     if figure == "1b":
         half = FIGURE_1B_HALF_WINDOW / spectrum.spectral_width
-        t_rephase = geometry.reference_sphere_radius / C_LIGHT
         n = int(max(2001, 32.0 * half * spectrum.max_frequency / np.pi)) | 1
-        t = t_rephase + np.linspace(-half, half, n)
-        e = focal_field_time(geometry, spectrum, train.pulse_energy, 0.0, t,
+        tau = np.linspace(-half, half, n)
+        e = focal_field_time(geometry, spectrum, train.pulse_energy, 0.0, tau,
                              grid_scale=cfg.grid_scale)
         e = e / np.max(np.abs(e))
+        t = geometry.reference_sphere_radius / C_LIGHT + tau  # absolute time
         rows = "".join(f"{float(wbar * ti)!r},{float(ei)!r}\n" for ti, ei in zip(t, e))
         return _write(cfg, "figure_1b.csv", "omega_bar_t,field_arbitrary\n" + rows)
 
@@ -264,7 +264,6 @@ def _oracle_single(cfg: ScenarioConfig, width_ratio: float, eta_target: float,
     eta_row = float(eta_ref * np.sqrt(u / u_ref))
     p_an = reference.probability(train, 0.0)[0]
 
-    t_rephase = base.reference_sphere_radius / C_LIGHT
     d_over_hbar = tls.dipole_magnitude / HBAR
 
     def drive(t):
@@ -272,7 +271,7 @@ def _oracle_single(cfg: ScenarioConfig, width_ratio: float, eta_target: float,
         total = np.zeros(t.shape)
         for s_idx in range(n_pulses):
             total = total - d_over_hbar * focal_field_time(
-                base, spectrum, u, 0.0, t + t_rephase - s_idx * period,
+                base, spectrum, u, 0.0, t - s_idx * period,
                 grid_scale=cfg.grid_scale,
             )
         return total

@@ -153,7 +153,6 @@ def test_criterion_7_c0_suppression(cfg, built):
     spectrum, geometry, tls, _ = built
     w0 = tls.transition_frequency
     dh = tls.dipole_magnitude / hbar
-    t_r = geometry.reference_sphere_radius / C
     c0_sq = []
     transients = []
     for ratio in (3.0, 10.0, 30.0):
@@ -164,8 +163,7 @@ def test_criterion_7_c0_suppression(cfg, built):
         grid = ps.default_time_grid(s.spectral_width, w0, -half, half)
 
         def drive(t, s=s, u=u):
-            return -dh * ps.focal_field_time(geometry, s, u, 0.0,
-                                             np.asarray(t) + t_r)
+            return -dh * ps.focal_field_time(geometry, s, u, 0.0, t)
 
         h = ps.propagate_driven_tls(drive, grid, w0)
         c0_sq.append(abs(ps.oracle_c0(h)) ** 2)
@@ -197,12 +195,10 @@ def test_criterion_8_invariant_suite(cfg, built):
     grid = ps.default_time_grid(spectrum.spectral_width,
                                 tls.transition_frequency, -half, half)
     dh = tls.dipole_magnitude / hbar
-    t_r = geometry.reference_sphere_radius / C
 
     def drive(t):
         return -dh * ps.focal_field_time(geometry, spectrum,
-                                         cfg.pulse_energy_J, 0.0,
-                                         np.asarray(t) + t_r)
+                                         cfg.pulse_energy_J, 0.0, t)
 
     history = ps.propagate_driven_tls(drive, grid, tls.transition_frequency)
     checks["unitarity"] = history.unitarity_defect() < 1e-10

@@ -14,7 +14,6 @@ import pulsescope as ps
 from pulsescope import excitation, focal, quadrature, scenario
 from pulsescope.cli import main
 from pulsescope.config import load_config, loads_config
-from pulsescope.constants import C_LIGHT
 from pulsescope.errors import (
     ConfigError,
     GridRangeError,
@@ -593,6 +592,20 @@ def test_run_scenario_transforms_tau_grids_by_chirp_z(tmp_path, monkeypatch):
     assert not [b for b in built if b[0] == "exp"]
 
 
+def test_tau_axes_lie_on_their_lines(tmp_path, monkeypatch):
+    # figure 1b and the oracle's drive sample the field in tau, the time
+    # from the rephasing instant, as chi and the emission transform do, so
+    # every output grid of a Fourier sum lies on its line and is one chirp
+    # z-transform
+    transforms = _watch_chirps(monkeypatch)
+    cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
+    emit_figure_data(cfg, "1b")
+    oracle_compare(cfg, [(10.0, 0.05)])
+    run_scenario(cfg)
+    assert transforms
+    assert all(quadrature._line(y)[-1] and chirped for _, y, chirped in transforms)
+
+
 def test_oracle_row_builds_no_exp_block(tmp_path, monkeypatch):
     # chi, the drive and Filon's rule of an oracle row are chirp
     # z-transforms: the row builds no block of complex exponentials
@@ -676,8 +689,8 @@ def test_spot_sizes_replay_the_plain_bisection(tmp_path, monkeypatch):
 
 
 def test_figure_1b_is_one_field_transform(tmp_path, monkeypatch):
-    # the field over the whole window is one chirp z-transform, written
-    # even in tau = t - t_rephase
+    # the field over the whole window, sampled in tau, the time from the
+    # rephasing instant, is one chirp z-transform and even in tau
     times = []
     real_field = scenario.focal_field_time
 
@@ -690,8 +703,7 @@ def test_figure_1b_is_one_field_transform(tmp_path, monkeypatch):
     built = _watch_blocks(monkeypatch)
     cfg = loads_config("output_dir = " + str(tmp_path) + "\n")
     name = emit_figure_data(cfg, "1b")
-    tau = times[0] - cfg.build()[1].reference_sphere_radius / C_LIGHT
-    assert len(times) == 1 and tau.size == 2001
+    assert len(times) == 1 and times[0].size == 2001
     assert [(y.size, chirped) for _, y, chirped in transforms] == [(2001, True)]
     assert not built
     field = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)[:, 1]

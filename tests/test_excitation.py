@@ -101,15 +101,14 @@ def test_chi_is_odd_on_the_tau_grid(scenario, width_ratio):
 def test_chi_matches_cumulative_field_integral(scenario):
     # independent route: cumulative trapezoid of the synthesized field
     _, spectrum, geometry, tls, train = scenario
-    t_r = geometry.reference_sphere_radius / C
     half = 10.0 / spectrum.spectral_width
-    t = np.linspace(t_r - half, t_r + half, 20001)
+    t = np.linspace(-half, half, 20001)
     e = ps.focal_field_time(geometry, spectrum, train.pulse_energy, 0.0, t)
     d = tls.dipole_magnitude
     cum = -d / hbar * np.concatenate(
         ([0.0], np.cumsum(0.5 * (e[1:] + e[:-1]) * np.diff(t))))
     chi = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls).chi(0.0)
-    direct = chi(t - t_r)
+    direct = chi(t)
     peak = np.max(np.abs(direct))
     assert np.max(np.abs(cum - direct)) < 2e-3 * peak
 

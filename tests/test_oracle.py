@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.constants import c as C, hbar
+from scipy.constants import hbar
 
 import pulsescope as ps
 from pulsescope import oracle
@@ -45,12 +45,10 @@ def physical_run():
     half = 8.0 / s.spectral_width
     grid = ps.default_time_grid(s.spectral_width, tls.transition_frequency,
                                 -half, half)
-    t_r = geometry.reference_sphere_radius / C
     dh = tls.dipole_magnitude / hbar
 
     def drive(t):
-        return -dh * ps.focal_field_time(geometry, s, u, 0.0,
-                                         np.asarray(t) + t_r)
+        return -dh * ps.focal_field_time(geometry, s, u, 0.0, t)
 
     history = ps.propagate_driven_tls(drive, grid, tls.transition_frequency)
     return history, drive, grid, tls, s
@@ -269,7 +267,6 @@ def test_c0_suppression_with_width(physical_run):
     spectrum, geometry, tls, _ = cfg.build()
     w0 = tls.transition_frequency
     dh = tls.dipole_magnitude / hbar
-    t_r = geometry.reference_sphere_radius / C
     c0s = []
     for ratio in (3.0, 10.0, 30.0):
         s = ps.make_gaussian_spectrum(w0, ratio * w0)
@@ -277,8 +274,7 @@ def test_c0_suppression_with_width(physical_run):
         u = cfg.pulse_energy_J * (0.3 / e1) ** 2
         half = 8.0 / s.spectral_width
         grid = ps.default_time_grid(s.spectral_width, w0, -half, half)
-        drive = lambda t: -dh * ps.focal_field_time(geometry, s, u, 0.0,
-                                                    np.asarray(t) + t_r)
+        drive = lambda t: -dh * ps.focal_field_time(geometry, s, u, 0.0, t)
         h = ps.propagate_driven_tls(drive, grid, w0)
         c0s.append(abs(ps.oracle_c0(h)) ** 2)
         # suppression relative to the peak transient excitation
@@ -359,6 +355,19 @@ def test_oracle_converges_at_second_order():
     p1, p2, p4 = (_oracle_single(replace(cfg, grid_scale=g), 10.0, 0.05).p_e_oracle
                   for g in (1.0, 2.0, 4.0))
     assert 3.5 <= (p2 - p1) / (p4 - p2) <= 4.5
+
+
+def test_oracle_time_grid_is_never_coarser_than_grid_scale_1():
+    # a coarser time step biases p_e_oracle low (26% at grid scale 0.1),
+    # so below grid scale 1 the oracle keeps the time grid of scale 1
+    cfg = ps.ScenarioConfig()
+    p1 = _oracle_single(cfg, 10.0, 0.05).p_e_oracle
+    for g in (0.1, 0.3):
+        got = _oracle_single(replace(cfg, grid_scale=g), 10.0, 0.05).p_e_oracle
+        assert abs(got - p1) <= 1e-10 * p1
+    grid = ps.default_time_grid(10.0 * W0, W0, -1e-15, 1e-15)
+    assert np.array_equal(ps.default_time_grid(10.0 * W0, W0, -1e-15, 1e-15, 0.1),
+                          grid)
 
 
 def test_oracle_report_json():

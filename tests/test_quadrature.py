@@ -59,18 +59,18 @@ def reference_chi(geometry, spectrum, pulse_energy, tls, rho, tau, w):
 
 
 def reference_field(geometry, spectrum, pulse_energy, rho, t):
-    # on the grid of the production sum: this checks the transform
-    tau = t - geometry.reference_sphere_radius / C
+    # on the grid of the production sum: this checks the transform; t is
+    # counted from the rephasing instant
     a = geometry.numerical_aperture
-    reach = (float(np.max(np.abs(tau))) + a * rho / C
+    reach = (float(np.max(np.abs(t))) + a * rho / C
              + SPECTRUM_REACH / spectrum.spectral_width)
     w = spectrum.frequency_grid(_band_points(spectrum, reach, 1.0))
     kern = 1j * spectrum.value(w) * (a * w / C) * j1_over_x(a * w * rho / C)
     out = np.empty(t.shape)
     chunk = max(1, int(4e6 // w.size))
-    for i0 in range(0, tau.size, chunk):
+    for i0 in range(0, t.size, chunk):
         sl = slice(i0, i0 + chunk)
-        phase = np.exp(-1j * np.outer(tau[sl], w))
+        phase = np.exp(-1j * np.outer(t[sl], w))
         out[sl] = np.trapezoid((phase * kern[None, :]).real, w, axis=1)
     return out * np.sqrt(2.0 * pulse_energy / (epsilon_0 * C)) * FIELD_CALIBRATION / np.pi
 
@@ -153,9 +153,8 @@ def test_focal_field_time_matches_complex_exp_loop(scenario, rho, with_phase):
     spectrum, geometry, _, train = scenario
     if with_phase:
         spectrum = phased(spectrum)
-    t_r = geometry.reference_sphere_radius / C
     half = 6.0 / spectrum.spectral_width
-    t = np.linspace(t_r - half, t_r + half, 1201)
+    t = np.linspace(-half, half, 1201)
     got = ps.focal_field_time(geometry, spectrum, train.pulse_energy, rho, t)
     _close_to_peak(got, reference_field(geometry, spectrum, train.pulse_energy,
                                         rho, t))
@@ -354,15 +353,17 @@ def test_chirp_z_matches_complex_exp_sums(x, y):
 
 
 def test_chirp_z_corrects_a_jittered_output_grid():
-    # tau = (t_r + s) - t_r, as focal_field_time forms it, leaves its line
-    # by about 1e-8 of a step; uncorrected that moves the sums by ~1e-8
+    # tau = (t_r + s) - t_r leaves its line by about 1e-8 of a step from
+    # the rounding of t_r; a chirp z-transform would move its sums by ~1e-8,
+    # so such a grid takes the blocks and its sums stay exact
     t_r = 3.3356409519815204e-09
     tau = (t_r + np.linspace(-2e-14, 2e-14, 1201)) - t_r
     w = np.linspace(0.0, 2e16, 4001)
     c = w * np.exp(-((w - 1e16) / 3e15) ** 2)
-    assert not quadrature._line(tau)[3]
+    assert not quadrature._line(tau)[-1]
+    assert quadrature._chirp_z(w, tau, c[:, None]) is None
     _close_to_peak(fourier_sum(w, tau, c), reference_fourier(w, tau, c))
-    # a real and an imaginary column, both corrected in one transform
+    # a real and an imaginary column in one sum
     pair = np.stack([c, 1j * c], axis=1)
     _close_to_peak(fourier_sum(w, tau, pair), reference_fourier(w, tau, pair))
 
@@ -370,7 +371,7 @@ def test_chirp_z_corrects_a_jittered_output_grid():
 def test_grids_that_are_not_uniform_fall_back_to_blocks(monkeypatch):
     uniform = np.linspace(0.0, 3.0, 101)
     y = np.linspace(0.0, 20.0, 257)
-    # a bent grid, and a jitter 30 times past what is corrected
+    # a bent grid, and a jitter 30 times past the grid's rounding
     cases = [(uniform**2 / 3.0, y), (uniform, y + 1e-6 * np.sin(y))]
     # several blocks per call, so the chunk seams are covered too
     monkeypatch.setattr(quadrature, "CHUNK_ELEMENTS", 20 * uniform.size)
