@@ -230,7 +230,10 @@ class PulseAreaSynthesis:
         prefactor if `unit`. For an array of radii it returns one column
         per radius, all from one transform. A radius that is not finite
         and >= 0 raises InvalidParameterError, one past `max_radius`
-        (where the grid would alias) GridRangeError."""
+        (where the grid would alias) GridRangeError. So does a tau that is
+        not finite, and one past 2 pi / dw - A max(rho) / c -
+        SPECTRUM_REACH / G, the reach the grid resolves at these radii
+        (TAU_SPAN pulse widths at `max_radius`)."""
         radii = np.atleast_1d(np.asarray(rho, dtype=float))
         if not np.all((radii >= 0) & (radii < np.inf)):
             raise InvalidParameterError(f"radial coordinate must be finite and >= 0, got {rho}")
@@ -241,8 +244,16 @@ class PulseAreaSynthesis:
         c = np.empty((w.size, radii.size), dtype=complex)
         for j, r in enumerate(radii):
             c[:, j] = self._conj_weighted * j1_over_x(a * w * r / C_LIGHT)
+        reach = (TAU_SPAN / self.spectrum.spectral_width
+                 + a * (self.max_radius - radii.max(initial=0.0)) / C_LIGHT)
 
         def chi(tau):
+            span = np.abs(np.asarray(tau, dtype=float))
+            if not np.all(span < np.inf):
+                raise InvalidParameterError(f"tau must be finite, got {tau}")
+            if np.any(span > reach):
+                raise GridRangeError(f"chi at tau {float(span.max())!r} s is past "
+                                     f"the {float(reach)!r} s its grid resolves")
             out = fourier_sum(w, tau, c).real
             if not unit:
                 out *= self.prefactor
@@ -367,15 +378,14 @@ def _photon_band(spectrum: PulseSpectrum, w0: float):
     spectrum each is a Gaussian exp(-dq^2 / 4 ghat^2) in the integrand,
     below 1e-12 of its peak 10.5 ghat out, so the support ends at edge =
     2 w_c + w0 + 11 ghat. Narrower than w0, the bands stand apart: the
-    first panel runs to the edge, so the stop of `certified_tail_cutoff`
-    neither falls in a gap nor joins two panel grids across a band. As
-    wide as w0 (the `ultrafast` flag), they merge into one, whose
-    integrand stops near 14 ghat, on panels of 4 ghat (at least to the top
-    band) and then 2 ghat. The step, max(2 ghat, 1), is at most 64 ghat,
-    so the cutoff's spacing of at most step/128 samples every band at
-    ghat/2 or finer. qmax holds every such cutoff doubled, and the step
-    panels `certified_tail_cutoff` samples in one call through the edge
-    (they end before edge + 2 step).
+    first panel runs to the edge, so no junction of two panel grids falls
+    in a band. As wide as w0 (the `ultrafast` flag), they merge into one,
+    on a first panel of 4 ghat (at least to the top band) and then steps
+    of 2 ghat. The step, max(2 ghat, 1), is at most 64 ghat, so the
+    spacing of at most step/128 of `certified_tail_cutoff` samples every
+    band at ghat/2 or finer. Its step panels through the edge end before
+    edge + 2 step, and qmax holds their end doubled, the reach of its
+    tail.
     """
     pulse_width = 1.0 / spectrum.spectral_width   # the unit of the tau span
     ghat = 1.0 / (w0 * pulse_width)
@@ -423,13 +433,16 @@ def f_integral(
     whole call.
 
     The inner transform runs on one uniform tau grid, one chirp
-    z-transform per photon-frequency panel for all columns. The grid and
-    the panels come from the kernel's spectral support (`_photon_band`);
-    `certified_tail_cutoff` cuts each column off where its integrand
-    falls below 1e-12 of its peak and certifies the cutoff by doubling.
-    A photon frequency past the band the grid resolves, or an integrand
-    that overflows, raises NumericalConvergenceError, and a grid of more
-    than MAX_TAU_POINTS GridRangeError.
+    z-transform per integrand call for all columns. The grid and the
+    panels come from the kernel's spectral support (`_photon_band`):
+    `certified_tail_cutoff` samples [0, start] and then the step panels
+    through the support edge in one call each, integrates every column
+    to their common end, checks that each has fallen below 1e-12 of its
+    peak there and certifies the end by the tail over its doubling. A
+    photon frequency past the band the grid resolves (where a column
+    that has not fallen would double the panels), or an integrand that
+    overflows, raises NumericalConvergenceError, and a grid of more than
+    MAX_TAU_POINTS GridRangeError.
     """
     w0 = tls.transition_frequency
     # dimensionless time and frequency, in units of w0
@@ -460,9 +473,8 @@ def f_integral(
             with np.errstate(over="ignore", invalid="ignore"):
                 return qhat[:, None] ** 3 * np.abs(inner) ** 2
 
-        f[live] = certified_tail_cutoff(integrand, start, step, 1e-6,
-                                        what="photon-frequency integral",
-                                        through=support)[1]
+        f[live] = certified_tail_cutoff(integrand, start, step, support, 1e-6,
+                                        what="photon-frequency integral")[1]
     f = (f * w0**2).reshape(shape)
     return f if f.ndim else float(f)
 

@@ -48,6 +48,9 @@ FAR_FIELD_WAVELENGTHS = 50.0
 
 CURVE_KINDS = ("intensity", "resolution")
 SPECTRUM_REACH = 8.0  # exp(-G^2 t^2), the spectrum's transform, < e^-64 past 8 / G
+# bound on the points of a `_band_points` frequency grid; the largest in
+# use, an N = 64 oracle train's drive at grid scale 4, takes 2.4e5
+MAX_FREQUENCY_POINTS = 1_000_000
 # spot_size's regula falsi keeps its steps SECANT_MARGIN * hi inside its
 # bracket, far above any evaluator's rounding, and stops after
 # SECANT_BUDGET evaluations
@@ -139,9 +142,15 @@ def _airy_kernel(geometry: FocusingGeometry, omega, rho: float):
 def _band_points(spectrum: PulseSpectrum, reach: float, grid_scale: float) -> int:
     """Odd point count of a grid on [0, max_frequency] of step at most 2 pi /
     (4 reach max(grid_scale, 1/4)): 4 times, and never under, the alias-free
-    count for an integrand whose Fourier transform vanishes past |t| = reach."""
+    count for an integrand whose Fourier transform vanishes past |t| = reach.
+    A count above MAX_FREQUENCY_POINTS raises GridRangeError."""
     dw = 2.0 * np.pi / (4.0 * max(grid_scale, 0.25) * reach)
-    return int(np.ceil(spectrum.max_frequency / dw) + 1) | 1
+    count = np.ceil(spectrum.max_frequency / dw) + 1
+    if not count <= MAX_FREQUENCY_POINTS:
+        raise GridRangeError(
+            f"frequency grid needs {count:.3g} points for a reach of {reach:.3g} s, "
+            f"above the limit of {MAX_FREQUENCY_POINTS}")
+    return int(count) | 1
 
 
 def focal_field_time(
@@ -162,7 +171,8 @@ def focal_field_time(
     The field is the real part of one `fourier_sum` of the conjugate
     kernel at t (a chirp z-transform on a uniform t) on the `_band_points`
     grid of max|t| + A rho / c + SPECTRUM_REACH / G. A radius that is not
-    finite and >= 0, or a t that is not finite, raises InvalidParameterError.
+    finite and >= 0, or a t that is not finite, raises InvalidParameterError,
+    and a grid of more than MAX_FREQUENCY_POINTS GridRangeError.
     """
     if not 0.0 <= rho < np.inf:
         raise InvalidParameterError(f"radial coordinate must be finite and >= 0, got {rho}")

@@ -25,7 +25,7 @@ exactly) and the infinite tails are summed analytically, which also
 makes M vanish identically for zero drive. Second, an independent
 second-order (in the drive) perturbative evaluation of M is provided as
 a cross-check of the propagator route at small pulse areas. The outer
-photon-frequency integral uses the package's certified panel cutoff and
+photon-frequency integral uses the package's certified cutoff and
 doubling-tail check from `quadrature`, as the analytic chain does.
 """
 
@@ -46,6 +46,8 @@ FIRST_ORDER_TRUST = 0.1
 # bound on the photon-frequency tail over [cutoff, 2 cutoff], relative to
 # the integral up to the cutoff
 TAIL_TOL = 1e-3
+# the integrand's last samples must fall below this fraction of its peak
+REL_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -192,16 +194,13 @@ def _window_plus_tails(history: PropagatorHistory, n, e0, gg, qs):
 def oracle_excitation_probability(
     history: PropagatorHistory,
     tls: TwoLevelSystem,
-    rel_floor: float = 1e-6,
-    through: float | None = None,
+    edge: float,
 ) -> float:
-    """p_e = Gamma0/(2 pi w0^3) int dw_k w_k^3 |M(w_k)|^2, panel quadrature.
-
-    Panels extend until the integrand drops below rel_floor of its peak,
-    and the tail over one more octave must stay below TAIL_TOL of the
-    total (`certified_tail_cutoff`). `through` (rad/s), the edge of the
-    emission spectrum when the caller knows it, lets the panels up to it
-    come from one Filon transform; it does not move the cutoff.
+    """p_e = Gamma0/(2 pi w0^3) int dw_k w_k^3 |M(w_k)|^2 by
+    `certified_tail_cutoff`: the panels through `edge` (rad/s), the edge
+    of the emission spectrum, come from one Filon transform; they double
+    while the integrand is not yet below REL_FLOOR of its peak, and the
+    tail over one more octave must stay below TAIL_TOL of the total.
     """
     if abs(tls.transition_frequency - history.transition_frequency) > 1e-9 * history.transition_frequency:
         raise InvalidParameterError(
@@ -219,10 +218,8 @@ def oracle_excitation_probability(
     def integrand(q):
         return q**3 * np.abs(_window_plus_tails(history, *core, q)) ** 2
 
-    _, total = certified_tail_cutoff(integrand, step, step, TAIL_TOL, rel_floor,
-                                     max_panels=80,
-                                     what="photon-frequency integral",
-                                     through=through)
+    _, total = certified_tail_cutoff(integrand, step, step, edge, TAIL_TOL,
+                                     REL_FLOOR, what="photon-frequency integral")
     return float(total * tls.spontaneous_rate / (2.0 * np.pi * w0**3))
 
 

@@ -9,8 +9,9 @@ field, the inner emission transform and Filon's rule - is one call of
 their lines, else blocks of exp(i outer(y, x)). Filon-type weights treat
 an e^{i q t} oscillation far above the grid Nyquist scale exactly; they
 need only that sum plus two endpoint terms. One routine,
-`certified_tail_cutoff`, cuts an outer integral off panel by panel and
-certifies the cutoff by the tail over its doubling.
+`certified_tail_cutoff`, integrates an outer integral through the
+caller's support edge on one grid and certifies the end by the tail over
+its doubling.
 """
 
 from __future__ import annotations
@@ -233,92 +234,60 @@ def _rows(x: np.ndarray, y, what: str) -> np.ndarray:
     return rows
 
 
-def _panels(integrand, start, step, through, max_panels):
-    """(right edge, x, integrand(x)) of each panel of certified_tail_cutoff
-    in turn, sampled when asked for: [0, start], then the step panels up
-    to `through` from one call on one grid (at most max_panels - 1 of
-    them), then one step panel per call."""
-    x = np.linspace(0.0, start, 256 * max(1, math.ceil(start / (2.0 * step))) + 1)
-    yield start, x, integrand(x)
-    hi = start
-    if through is not None:
-        count = min(max(math.ceil((through - start) / step) + 1, 1), max_panels - 1)
-        xs = np.linspace(start, start + count * step, 256 * count + 1)
-        ys = integrand(xs)
-        for i in range(0, 256 * count, 256):
-            hi += step
-            yield hi, xs[i:i + 257], ys[i:i + 257]
-    while True:
-        lo, hi = hi, hi + step
-        x = np.linspace(lo, hi, 257)
-        yield hi, x, integrand(x)
+# bound on the step panels the doubling reaches: as far as the 64 panels
+# (about 11 times the band edge) that one panel per call used to walk
+MAX_PANELS = 64
 
 
 def certified_tail_cutoff(
     integrand: Callable[[np.ndarray], np.ndarray],
     start: float,
     step: float,
+    edge: float,
     tail_tol: float,
     rel_floor: float = 1e-12,
-    max_panels: int = 64,
     what: str = "outer integral",
-    through: float | None = None,
 ):
-    """Certified (cutoff, value) of the integral of integrand over [0, inf).
+    """Certified (end, value) of the integral of integrand over [0, inf).
 
-    Panels [0, start], then one step each, run until the integrand falls
-    below rel_floor of its running peak; the value is their trapezoid
-    integral. A step panel takes 257 points and [0, start] 256 intervals
-    per two steps (at least 256), so the step sets the resolution: no
-    sample spacing exceeds step/128. The tail over [cutoff, 2 cutoff] is
-    then added, certified by requiring it to stay within tail_tol of the
-    value; a larger one, or a non-finite integrand value, raises
-    NumericalConvergenceError. integrand(x)
-    may return a matrix with one column per integrand (one per radius in
-    `f_integral`). Each column then stops at its own panel and takes its
-    tail over its own cutoff, with the bits it has alone, and cutoff and
-    value are arrays over the columns; panels run until the last column
-    stops, and the columns that share a cutoff share one tail call.
-
-    `through`, the caller's estimate of the support's edge, changes only
-    how the panels are sampled: the ceil((through - start)/step) + 1 step
-    panels after [0, start] (at least one, at most max_panels - 1) come
-    from one integrand call on one uniform grid, and each is walked as its
-    own panel. A non-finite sample raises only in a panel the walk
-    reaches. Past them, and without `through`, each panel is one call.
-    The walk, its stopping rule and the tail are those of one call per
-    panel; only the sample positions round differently, so values agree
-    to rounding.
+    [0, start] takes 256 intervals per two steps (at least 256), then the
+    k = max(ceil((edge - start)/step) + 1, 1) step panels through the
+    caller's support edge come from one integrand call on one uniform
+    grid at step/256, so no sample spacing exceeds step/128. Every column
+    of a matrix integrand (one per radius in `f_integral`) is integrated
+    by the trapezoid to the one common end, start + k step, and no column
+    depends on another. While the last 64 samples of some column are not
+    below rel_floor of its peak, k doubles, up to MAX_PANELS (only the new
+    panels are sampled); past that, or for an all-zero column, the cutoff
+    is not reached and NumericalConvergenceError is raised. The tail over
+    [end, 2 end] is then added, certified by requiring it to stay within
+    tail_tol of each column's value; a larger one, or a non-finite sample
+    anywhere, raises NumericalConvergenceError. value is an array over
+    the columns.
     """
-    total = peak = cutoff = None
-    panels = _panels(integrand, start, step, through, max_panels)
-    for _ in range(max_panels):
-        hi, x, y = next(panels)
-        rows = _rows(x, y, what)
-        if total is None:
-            total, peak = np.zeros((2, rows.shape[0]))
-            cutoff = np.full(rows.shape[0], np.nan)
-        live = np.isnan(cutoff)
+    x = np.linspace(0.0, start, 256 * max(1, math.ceil(start / (2.0 * step))) + 1)
+    y = integrand(x)
+    rows = _rows(x, y, what)
+    total, peak = np.trapezoid(rows, x), np.abs(rows).max(axis=1)
+    done, k = 0, max(math.ceil((edge - start) / step) + 1, 1)
+    while True:
+        x = np.linspace(start + done * step, start + k * step, 256 * (k - done) + 1)
+        rows = _rows(x, integrand(x), what)
         size = np.abs(rows)
-        total[live] += np.trapezoid(rows[live], x)
-        peak[live] = np.maximum(peak[live], size[live].max(axis=1))
-        quiet = size[:, -64:].max(axis=1) < rel_floor * peak
-        cutoff[live & quiet & (peak > 0)] = hi
-        if not np.isnan(cutoff).any():
+        total += np.trapezoid(rows, x)
+        peak = np.maximum(peak, size.max(axis=1))
+        if np.all(size[:, -64:].max(axis=1) < rel_floor * peak):
             break
-    else:
-        raise NumericalConvergenceError(
-            f"{what} cutoff not reached", panels=max_panels, last_edge=hi,
-        )
-    for edge in np.unique(cutoff):
-        at = cutoff == edge
-        ext = np.linspace(edge, 2.0 * edge, 513)
-        extra = np.trapezoid(_rows(ext, integrand(ext), what)[at], ext)
-        if np.any(np.abs(extra) > tail_tol * np.abs(total[at])):
+        if k >= MAX_PANELS:
             raise NumericalConvergenceError(
-                f"{what} not converged at its cutoff", cutoff=float(edge),
-                relative_tail=float(np.max(np.abs(extra / total[at]))),
-            )
-        total[at] += extra
-    shape = np.shape(y)[1:]
-    return cutoff.reshape(shape)[()], total.reshape(shape)[()]
+                f"{what} cutoff not reached", panels=k, end=float(x[-1]))
+        done, k = k, min(2 * k, MAX_PANELS)
+    end = float(x[-1])
+    ext = np.linspace(end, 2.0 * end, 513)
+    extra = np.trapezoid(_rows(ext, integrand(ext), what), ext)
+    if np.any(np.abs(extra) > tail_tol * np.abs(total)):
+        raise NumericalConvergenceError(
+            f"{what} not converged at its cutoff", cutoff=end,
+            relative_tail=float(np.max(np.abs(extra / total))),
+        )
+    return end, (total + extra).reshape(np.shape(y)[1:])[()]

@@ -282,9 +282,8 @@ def _oracle_single(cfg: ScenarioConfig, width_ratio: float, eta_target: float,
         -half, (n_pulses - 1) * period + half, cfg.grid_scale,
     )
     history = propagate_driven_tls(drive, grid, w0)
-    # the photon-frequency panels through the emission bands' edge are one call
-    p_or = oracle_excitation_probability(
-        history, tls, through=_photon_band(spectrum, w0)[4] * w0)
+    p_or = oracle_excitation_probability(history, tls,
+                                         _photon_band(spectrum, w0)[4] * w0)
     deviation = abs(p_or - p_an) / p_an
     flags = validity_flags(train, tls, base, spectrum, eta_row)
     flags["first_order_trust"] = bool(p_or <= FIRST_ORDER_TRUST)

@@ -499,8 +499,8 @@ def _curve_radii(spectrum, geometry):
 
 def _f_alone_and_in_one_block(scenario, grid_scale, monkeypatch,
                               spectrum=None):
-    """(f of each curve radius alone, f of all in one block, the cutoffs
-    of the radii alone, the certified_tail_cutoff calls of the block), for
+    """(f of each curve radius alone, f of all in one block, the ends of
+    the radii alone, the certified_tail_cutoff calls of the block), for
     the scenario's spectrum or another."""
     _, reference, geometry, tls, train = scenario
     spectrum = spectrum or reference
@@ -530,7 +530,7 @@ def _f_alone_and_in_one_block(scenario, grid_scale, monkeypatch,
 def test_f_block_equals_each_radius_alone(scenario, grid_scale, monkeypatch):
     alone, block, cutoffs, block_calls = _f_alone_and_in_one_block(
         scenario, grid_scale, monkeypatch)
-    assert len(set(cutoffs)) > 1  # the columns stop at different panels
+    assert len(set(cutoffs)) == 1  # every radius ends where the block does
     assert len(block_calls) == 1 and block.shape == alone.shape
     np.testing.assert_allclose(block, alone, rtol=1e-13, atol=0)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.constants import c as C
 from test_bessel import J1_FIRST_ZERO
 
-from pulsescope import focal
+from pulsescope import excitation, focal
 from pulsescope.bessel import j1_over_x
 from pulsescope.errors import (
     GridRangeError,
@@ -19,8 +19,10 @@ from pulsescope.errors import (
     NumericalConvergenceError,
 )
 from pulsescope.excitation import PulseAreaSynthesis, PulseTrainConfig, TwoLevelSystem
+from pulsescope.config import ScenarioConfig
 from pulsescope.focal import (
     SECANT_BUDGET,
+    SPECTRUM_REACH,
     FocusingGeometry,
     RadialCurve,
     _airy_kernel,
@@ -46,6 +48,15 @@ def ultrafast():
 @pytest.fixture(scope="module")
 def narrowband():
     return make_gaussian_spectrum(W0, 0.01 * W0)
+
+
+@pytest.fixture(scope="module")
+def scenario_parts():
+    """Spectrum, transition and train of the reference config, whose
+    geometry is GEO."""
+    spectrum, geometry, tls, train = ScenarioConfig().build()
+    assert geometry == GEO
+    return spectrum, tls, train
 
 
 def test_geometry_validation():
@@ -282,6 +293,37 @@ def test_chi_past_its_grids_band_raises(ultrafast):
     assert np.all(np.isfinite(synthesis.chi(rho_edge)(taus)))
     with pytest.raises(GridRangeError, match="radius"):
         synthesis.chi(np.array([0.0, 3.0 * rho_edge]))
+
+
+def test_chi_past_its_grids_tau_reach_raises(scenario_parts):
+    # the grid resolves 2 pi / dw - A rho / c - SPECTRUM_REACH / G of tau,
+    # about 88 pulse widths at rho = 0 and TAU_SPAN at max_radius; past it
+    # chi(0)(1 s) read -0.0737 against a peak of 0.498
+    spectrum, tls, train = scenario_parts
+    synthesis = PulseAreaSynthesis(GEO, spectrum, train.pulse_energy, tls)
+    width = 1.0 / spectrum.spectral_width
+    reach = 2.0 * np.pi / synthesis.frequencies[1] - SPECTRUM_REACH * width
+    assert 80.0 * width < reach < 100.0 * width
+    inside = (1.0 - 1e-12) * reach
+    assert np.isfinite(synthesis.chi(0.0)(np.array([-inside, inside]))).all()
+    for tau in (1.0, 1.001 * reach, np.array([0.0, -1.001 * reach])):
+        with pytest.raises(GridRangeError, match="past the .* s its grid resolves"):
+            synthesis.chi(0.0)(tau)
+    for tau in (np.nan, np.array([0.0, np.inf])):
+        with pytest.raises(InvalidParameterError, match="tau must be finite"):
+            synthesis.chi(0.0)(tau)
+    edge = synthesis.chi(synthesis.max_radius, unit=True)
+    span = excitation.TAU_SPAN * width
+    assert np.isfinite(edge(np.array([-span, span]))).all()
+    with pytest.raises(GridRangeError):
+        edge(1.001 * span)
+
+
+def test_field_grid_past_its_point_limit_raises(scenario_parts):
+    # |t| = 1 ns would take 2.0e8 frequencies (1.6 GB per array)
+    spectrum, _, train = scenario_parts
+    with pytest.raises(GridRangeError, match=r"frequency grid needs 2\.02e\+08 points"):
+        focal_field_time(GEO, spectrum, train.pulse_energy, 0.0, 1e-9)
 
 
 def test_resolution_bounds_and_value_at_zero(ultrafast):

@@ -20,7 +20,7 @@ from pulsescope.errors import (
     InvalidParameterError,
     NumericalConvergenceError,
 )
-from pulsescope.excitation import PulseAreaSynthesis
+from pulsescope.excitation import PulseAreaSynthesis, _photon_band
 from pulsescope.scenario import _oracle_single
 
 W0 = 2.0e15
@@ -52,6 +52,12 @@ def physical_run():
 
     history = ps.propagate_driven_tls(drive, grid, tls.transition_frequency)
     return history, drive, grid, tls, s
+
+
+def _edge(spectrum, tls):
+    """The photon-frequency support edge (rad/s) of a spectrum's emission."""
+    w0 = tls.transition_frequency
+    return _photon_band(spectrum, w0)[4] * w0
 
 
 def test_free_evolution():
@@ -237,7 +243,7 @@ def test_emission_on_a_grid_that_is_not_uniform_raises():
     with pytest.raises(InvalidParameterError, match="uniform"):
         ps.oracle_emission_amplitude(h, W0)
     with pytest.raises(InvalidParameterError, match="uniform"):
-        ps.oracle_excitation_probability(h, tls)
+        ps.oracle_excitation_probability(h, tls, 20.0 * W0)
     with pytest.raises(InvalidParameterError, match="uniform"):
         ps.second_order_emission_amplitude(drive, bent, W0, W0)
 
@@ -285,22 +291,22 @@ def test_c0_suppression_with_width(physical_run):
 
 def test_oracle_probability_eta_scaling(physical_run):
     history, drive, grid, tls, s = physical_run
-    p1 = ps.oracle_excitation_probability(history, tls)
+    p1 = ps.oracle_excitation_probability(history, tls, _edge(s, tls))
 
     def half_drive(t):
         return 0.5 * drive(t)
 
     h2 = ps.propagate_driven_tls(half_drive, grid, tls.transition_frequency)
-    p2 = ps.oracle_excitation_probability(h2, tls)
+    p2 = ps.oracle_excitation_probability(h2, tls, _edge(s, tls))
     np.testing.assert_allclose(p1 / p2, 16.0, rtol=5e-3)
 
 
 def test_oracle_probability_sign_flip(physical_run):
-    history, drive, grid, tls, _ = physical_run
+    history, drive, grid, tls, s = physical_run
     h2 = ps.propagate_driven_tls(lambda t: -drive(t), grid,
                                  tls.transition_frequency)
-    p1 = ps.oracle_excitation_probability(history, tls)
-    p2 = ps.oracle_excitation_probability(h2, tls)
+    p1 = ps.oracle_excitation_probability(history, tls, _edge(s, tls))
+    p2 = ps.oracle_excitation_probability(h2, tls, _edge(s, tls))
     np.testing.assert_allclose(p1, p2, rtol=1e-10)
 
 
@@ -308,7 +314,7 @@ def test_oracle_probability_zero_drive():
     grid = np.linspace(-20.0 / W0, 20.0 / W0, 8001)
     h = ps.propagate_driven_tls(lambda t: np.zeros_like(np.asarray(t)), grid, W0)
     tls = ps.TwoLevelSystem(W0, 1e-6 * W0)
-    assert ps.oracle_excitation_probability(h, tls) < 1e-30
+    assert ps.oracle_excitation_probability(h, tls, 20.0 * W0) < 1e-30
 
 
 def test_oracle_vs_analytic_regression():
@@ -379,7 +385,9 @@ def test_oracle_report_json():
     assert data["relative_deviation"] == rep.relative_deviation
 
 
-def test_oracle_probability_unreachable_floor_raises(physical_run):
-    history, _, _, tls, _ = physical_run
+def test_oracle_probability_unreachable_floor_raises(physical_run,
+                                                    monkeypatch):
+    history, _, _, tls, s = physical_run
+    monkeypatch.setattr(oracle, "REL_FLOOR", 0.0)
     with pytest.raises(NumericalConvergenceError, match="cutoff not reached"):
-        ps.oracle_excitation_probability(history, tls, rel_floor=0.0)
+        ps.oracle_excitation_probability(history, tls, _edge(s, tls))

@@ -435,42 +435,56 @@ def test_refinement_stops_at_the_first_non_finite_value():
 
 
 def test_cutoff_columns_stop_where_each_stops_alone():
-    # each column of a matrix integrand stops, and takes its doubled tail,
-    # at its own panel, with the bits it has alone
+    # every column of a matrix integrand is integrated to the one common
+    # end, which a column alone reaches too when no doubling runs: each
+    # then has the bits it has alone
     rates = np.array([1.0, 0.3, 2.0, 0.3])
 
     def columns(x):
         return x[:, None] ** 3 * np.exp(-np.outer(x, rates))
 
-    cutoff, total = certified_tail_cutoff(columns, 2.0, 4.0, 1e-6)
-    assert len(set(cutoff.tolist())) == 3
+    end, total = certified_tail_cutoff(columns, 2.0, 4.0, 130.0, 1e-6)
+    assert end == 134.0 and total.shape == rates.shape
     for j, rate in enumerate(rates):
         def alone(x, rate=rate):
             return x**3 * np.exp(-rate * x)
 
-        c, v = certified_tail_cutoff(alone, 2.0, 4.0, 1e-6)
-        assert np.ndim(c) == 0 and np.ndim(v) == 0
-        assert cutoff[j] == c and total[j] == v
+        e, v = certified_tail_cutoff(alone, 2.0, 4.0, 130.0, 1e-6)
+        assert np.ndim(e) == 0 and np.ndim(v) == 0
+        assert end == e and total[j] == v
     np.testing.assert_allclose(total, 6.0 / rates**4, rtol=1e-5)
 
 
 def test_cutoff_in_a_gap_fails_its_doubled_tail():
-    # a second band past the first quiet panel: the stop rule cuts off in
-    # the gap, and the tail over [cutoff, 2 cutoff] finds the band
-    def two_bands(x):
-        return np.exp(-x**2) + np.exp(-4.0 * (x - 14.0)**2)
+    # a second band in [end, 2 end], past the quiet end of the panels
+    # through the edge: the tail over [end, 2 end] finds it
+    def far_bands(x):
+        return np.exp(-x**2) + np.exp(-4.0 * (x - 20.0)**2)
 
     with pytest.raises(NumericalConvergenceError,
                        match=r"test integral not converged at its cutoff "
-                             r"\[cutoff=8\.0, relative_tail="):
-        certified_tail_cutoff(two_bands, 8.0, 4.0, 1e-6, what="test integral")
-    cutoff, total = certified_tail_cutoff(two_bands, 14.0, 4.0, 1e-6)
-    assert cutoff == 18.0
+                             r"\[cutoff=12\.0, relative_tail="):
+        certified_tail_cutoff(far_bands, 8.0, 4.0, 8.0, 1e-6, what="test integral")
+
+
+def test_cutoff_integrates_a_band_inside_its_doubled_end():
+    # the band at 14 is not quiet at the end 12 of the panels through the
+    # edge, nor at 16: the panels double twice, to 24, and take it in
+    calls = []
+
+    def counted(x):
+        calls.append((x[0], x[-1]))
+        return _two_bands(x)
+
+    end, total = certified_tail_cutoff(counted, 8.0, 4.0, 8.0, 1e-6)
+    assert end == 24.0
+    assert calls == [(0.0, 8.0), (8.0, 12.0), (12.0, 16.0), (16.0, 24.0),
+                     (24.0, 48.0)]
     np.testing.assert_allclose(total, np.sqrt(np.pi), rtol=1e-9)
 
 
 def test_cutoff_stops_at_the_first_non_finite_sample():
-    # the third panel, [6, 10], turns inf past 9: no running peak can be
+    # the panels through the edge turn inf past 9: no peak can be
     # certified against it, so the cutoff raises there
     edges = []
 
@@ -480,8 +494,22 @@ def test_cutoff_stops_at_the_first_non_finite_sample():
 
     with pytest.raises(NumericalConvergenceError,
                        match=r"test integral is not finite \[at=9\.015625\]"):
-        certified_tail_cutoff(overflowing, 2.0, 4.0, 1e-6, what="test integral")
-    assert edges == [2.0, 6.0, 10.0]
+        certified_tail_cutoff(overflowing, 2.0, 4.0, 13.0, 1e-6,
+                              what="test integral")
+    assert edges == [2.0, 18.0]
+
+
+def test_cutoff_raises_at_a_non_finite_sample_anywhere_on_its_band():
+    # every sample through the edge is integrated, so an inf past the
+    # point where the integrand went quiet (the walk with one call per
+    # panel stopped at 30 and never saw it) raises too
+    def decaying(x):
+        return np.where(x > 60.0, np.inf, np.exp(-x))
+
+    assert panel_by_panel_cutoff(decaying, 2.0, 4.0, 1e-6)[0] == 30.0
+    with pytest.raises(NumericalConvergenceError,
+                       match=r"outer integral is not finite \[at=60\.015625\]"):
+        certified_tail_cutoff(decaying, 2.0, 4.0, 200.0, 1e-6)
 
 
 def test_cutoff_samples_a_long_first_panel_at_the_step_resolution():
@@ -490,15 +518,17 @@ def test_cutoff_samples_a_long_first_panel_at_the_step_resolution():
     def narrow(x):
         return np.exp(-0.5 * ((x - 10.0) / 0.01) ** 2)
 
-    cutoff, total = certified_tail_cutoff(narrow, 12.0, 1.0, 1e-6)
-    assert cutoff == 12.0
+    end, total = certified_tail_cutoff(narrow, 12.0, 1.0, 12.0, 1e-6)
+    assert end == 13.0
     np.testing.assert_allclose(total, 0.01 * np.sqrt(2.0 * np.pi), rtol=1e-9)
 
 
 def panel_by_panel_cutoff(integrand, start, step, tail_tol, rel_floor=1e-12,
                           max_panels=64, what="outer integral"):
-    """certified_tail_cutoff with one integrand call per panel, the form
-    before its `through` batch."""
+    """The former certified_tail_cutoff: one integrand call per panel,
+    each column stopped at the first panel whose last 64 samples are
+    below rel_floor of its running peak and given the tail over its own
+    doubled cutoff."""
     def rows_of(x, y):
         rows = np.ascontiguousarray(np.reshape(y, (x.size, -1)).T)
         finite = np.isfinite(rows)
@@ -575,20 +605,23 @@ def _outcome(cutoff, *args, **kwargs):
         return str(err)
 
 
-@pytest.mark.parametrize("through", [None, -5.0, 0.0, 3.0, 13.0, 40.0, 1e4])
+@pytest.mark.parametrize("edge", [-5.0, 0.0, 3.0, 13.0, 40.0, 1e4])
 @pytest.mark.parametrize("case", sorted(CUTOFF_CASES))
-def test_cutoff_through_matches_the_panel_by_panel_walk(case, through):
-    # a through below start, one that falls short of the cutoff and one far
-    # past it give the cutoffs, values (to 1e-14) and errors of the walk
-    # with one call per panel
+def test_cutoff_through_matches_the_panel_by_panel_walk(case, edge):
+    # an edge below start, one that falls short of the walk's cutoff and
+    # one far past it give the values (to 1e-14) and the non-finite error
+    # of the walk with one call per panel; in the gap the common end
+    # reaches the second band, which the walk stops short of
     integrand, start, step = CUTOFF_CASES[case]
     want = _outcome(panel_by_panel_cutoff, integrand, start, step, 1e-6)
-    got = _outcome(certified_tail_cutoff, integrand, start, step, 1e-6,
-                   through=through)
-    if isinstance(want, str):
+    got = _outcome(certified_tail_cutoff, integrand, start, step, edge, 1e-6)
+    if case == "gap":
+        assert "not converged at its cutoff [cutoff=8.0" in want
+        np.testing.assert_allclose(got[1], np.sqrt(np.pi), rtol=1e-9)
+    elif isinstance(want, str):
         assert got == want
     else:
-        assert np.array_equal(got[0], want[0])
+        assert np.all(got[0] >= want[0])
         np.testing.assert_allclose(got[1], want[1], rtol=1e-14, atol=0)
 
 
@@ -599,46 +632,40 @@ def test_cutoff_batch_takes_the_panels_through_the_edge_in_one_call():
         edges.append((x[0], x[-1], x.size))
         return _rate_columns(x)
 
-    cutoff, _ = certified_tail_cutoff(counted, 2.0, 4.0, 1e-6, through=130.0)
-    # [0, 2], then ceil(128 / 4) + 1 = 33 step panels in one call, then the
-    # tails of the three cutoffs (22, 42 and 130)
-    assert edges[:2] == [(0.0, 2.0, 257), (2.0, 134.0, 33 * 256 + 1)]
-    assert len(edges) == 2 + len(set(cutoff.tolist())) == 5
-
-
-def test_cutoff_ignores_a_non_finite_sample_past_its_cutoff():
-    # the batch through 200 samples inf past 60; the walk stops at 30 and
-    # the tail [30, 60] stays finite, so nothing raises
-    def decaying(x):
-        return np.where(x > 60.0, np.inf, np.exp(-x))
-
-    want = panel_by_panel_cutoff(decaying, 2.0, 4.0, 1e-6)
-    got = certified_tail_cutoff(decaying, 2.0, 4.0, 1e-6, through=200.0)
-    assert got[0] == want[0] == 30.0
-    np.testing.assert_allclose(got[1], want[1], rtol=1e-14, atol=0)
+    end, _ = certified_tail_cutoff(counted, 2.0, 4.0, 130.0, 1e-6)
+    # [0, 2], then ceil(128 / 4) + 1 = 33 step panels in one call, then
+    # one tail for every column
+    assert edges == [(0.0, 2.0, 257), (2.0, 134.0, 33 * 256 + 1),
+                     (134.0, 268.0, 513)]
+    assert end == 134.0
 
 
 def test_cutoff_through_still_exhausts_its_panels():
-    # max_panels bounds the batch: [0, 2] and four step panels, then the
-    # error of the walk with one call per panel
+    # the 4 panels through the edge double up to MAX_PANELS, only the new
+    # ones sampled, then the cutoff is not reached; an all-zero column has
+    # no peak to fall below, and the walk's panels run out too
     sizes = []
 
     def never_quiet(x):
         sizes.append(x.size)
         return np.ones(x.size)
 
+    assert quadrature.MAX_PANELS == 64
     with pytest.raises(NumericalConvergenceError,
-                       match=r"cutoff not reached \[last_edge=18\.0, panels=5\]"):
-        certified_tail_cutoff(never_quiet, 2.0, 4.0, 1e-6, max_panels=5,
-                              through=1e4)
-    assert sizes == [257, 4 * 256 + 1]
+                       match=r"cutoff not reached \[end=258\.0, panels=64\]"):
+        certified_tail_cutoff(never_quiet, 2.0, 4.0, 13.0, 1e-6)
+    assert sizes == [257] + [n * 256 + 1 for n in (4, 4, 8, 16, 32)]
+    with pytest.raises(NumericalConvergenceError, match=r"cutoff not reached"):
+        certified_tail_cutoff(lambda x: np.zeros((x.size, 2)), 2.0, 4.0, 13.0,
+                              1e-6)
     with pytest.raises(NumericalConvergenceError,
                        match=r"cutoff not reached \[last_edge=18\.0, panels=5\]"):
         panel_by_panel_cutoff(never_quiet, 2.0, 4.0, 1e-6, max_panels=5)
 
 
 def test_oracle_row_makes_three_filon_transforms_per_integral(monkeypatch):
-    # [0, start], the panels through the band edge and the doubled tail
+    # [0, start], the panels through the band edge and the doubled tail:
+    # at eta 0.05 no doubling runs
     from pulsescope import oracle
     from pulsescope.scenario import _oracle_single
 
@@ -654,3 +681,37 @@ def test_oracle_row_makes_three_filon_transforms_per_integral(monkeypatch):
         calls.clear()
         _oracle_single(ps.ScenarioConfig(), ratio, 0.05)
         assert len(calls) <= 3
+
+
+def test_oracle_row_doubles_its_panels_as_the_walk_needed(monkeypatch):
+    # at eta 1 and width 10 the walk's cutoff lies past the panels through
+    # the band edge (1.22 times their end), so they double once; the value
+    # is the walk's on the same integrand
+    from pulsescope import oracle
+    from pulsescope.scenario import _oracle_single
+
+    seen = []
+    real = oracle.certified_tail_cutoff
+
+    def recorded(integrand, start, step, edge, *args, **kwargs):
+        sizes = []
+
+        def counted(q):
+            sizes.append(q.size)
+            return integrand(q)
+
+        seen.append((integrand, start, step, edge, sizes,
+                     real(counted, start, step, edge, *args, **kwargs)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(oracle, "certified_tail_cutoff", recorded)
+    _oracle_single(ps.ScenarioConfig(), 10.0, 1.0)
+    [(integrand, start, step, edge, sizes, (end, value))] = seen
+    k = int(np.ceil((edge - start) / step)) + 1
+    assert sizes[1:] == [256 * k + 1, 256 * k + 1, 513]
+    np.testing.assert_allclose(end, start + 2 * k * step, rtol=1e-15)
+    cutoff, want = panel_by_panel_cutoff(
+        integrand, start, step, oracle.TAIL_TOL, oracle.REL_FLOOR,
+        max_panels=80)
+    assert start + k * step < cutoff < end
+    np.testing.assert_allclose(value, want, rtol=1e-10, atol=0)
