@@ -195,13 +195,14 @@ class PulseAreaSynthesis:
 
     The frequency grid, the trapezoid-weighted spectrum and the
     prefactor do not depend on rho, so one instance serves a whole run:
-    `eta` scans chi(0, tau) on the first tau grid of `f_integral` through
-    it, and f is computed once per radius and kept, so `probability` at a
-    radius already computed is a lookup. Each chi evaluation is one
-    `fourier_sum` of conj(g), one column per radius; nothing else is
-    kept. The radii of an array (the excitation curve's samples) are
-    computed RADII_PER_BLOCK at a time, each block as the columns of one
-    `f_integral` call, so they share every chi and emission transform.
+    `eta` scans chi(0, tau) through it on the tau grid of `f_integral`
+    at four times its density (`_eta_taus`), and f is computed once per
+    radius and kept, so `probability` at a radius already computed is a
+    lookup. Each chi evaluation is one `fourier_sum` of conj(g), one
+    column per radius; nothing else is kept. The radii of an array (the
+    excitation curve's samples) are computed RADII_PER_BLOCK at a time,
+    each block as the columns of one `f_integral` call, so they share
+    every chi and emission transform.
     """
 
     def __init__(self, geometry: FocusingGeometry, spectrum: PulseSpectrum,
@@ -321,7 +322,8 @@ def eta(
     synthesis: PulseAreaSynthesis | None = None,
 ) -> float:
     """Maximum pulse area at the focus: a scan of chi(0, tau) on the tau
-    grid of `f_integral` (one chirp z-transform), then Newton steps
+    grid of `f_integral` at four times its density (`_eta_taus`, one
+    chirp z-transform), then Newton steps
     tau <- tau - chi'/chi'' on one-point sums (`_focal_sums`) from every
     lobe the peak may lie on, each step clamped to the two scan intervals
     around the lobe's largest sample. The peak lies within half a scan
@@ -340,9 +342,7 @@ def eta(
     if synthesis is None:
         synthesis = PulseAreaSynthesis(geometry, spectrum, pulse_energy, tls,
                                        grid_scale)
-    w0 = tls.transition_frequency
-    taus = _tau_grid(_photon_band(synthesis.spectrum, w0),
-                     synthesis.grid_scale) / w0
+    taus = _eta_taus(synthesis)
     scan = np.abs(synthesis.chi(0.0, unit=True)(taus))
     w = synthesis.frequencies
     curvature_bound = 0.5 * np.sum(np.abs(synthesis._conj_weighted) * w * w)
@@ -366,6 +366,17 @@ def eta(
             value, slope, curvature = synthesis._focal_sums(tau)
         best = max(best, abs(value))
     return float(synthesis._coupling * _amplitude_prefactor(pulse_energy) * best)
+
+
+def _eta_taus(synthesis: PulseAreaSynthesis) -> np.ndarray:
+    """The tau grid, in s, on which `eta` scans chi(0, tau): the emission
+    transform's at four times its density. eta's lobe-admission bound
+    grows as dtau^2, so on the alias-free grid itself a narrowband
+    spectrum would admit about four times as many lobes, each polished
+    by Newton steps."""
+    w0 = synthesis.tls.transition_frequency
+    return _tau_grid(_photon_band(synthesis.spectrum, w0),
+                     4.0 * max(synthesis.grid_scale, 1.0)) / w0
 
 
 def _photon_band(spectrum: PulseSpectrum, w0: float):
@@ -398,21 +409,24 @@ def _photon_band(spectrum: PulseSpectrum, w0: float):
 
 def _tau_grid(band, grid_scale: float) -> np.ndarray:
     """Uniform tau grid, in 1/w0, of the inner emission transform: +/-
-    TAU_SPAN pulse widths, resolving the photon frequencies up to the qmax
-    of band (`_photon_band`) alias-free: 2 pi / dt >= qmax + edge, which
-    grid_scale 0.3, its floor, still gives, as qmax >= 2 edge. A grid of
-    more than MAX_TAU_POINTS points raises GridRangeError.
+    TAU_SPAN pulse widths on an even count of intervals, at a step dt of
+    at most 2 pi / ((qmax + edge) max(grid_scale, 1)), qmax and the
+    support edge from band (`_photon_band`). The kernel's spectrum ends
+    at the edge, so its images on that step lie 2 pi / dt - edge >= qmax
+    or farther from 0: every photon frequency f integrates is resolved
+    alias-free. A grid scale below 1 gives the grid of scale 1, one
+    above refines it. A grid of more than MAX_TAU_POINTS points raises
+    GridRangeError.
     """
-    ghat, _, _, qmax, _ = band
+    ghat, _, _, qmax, edge = band
     tau_span = TAU_SPAN / ghat               # in 1/w0
-    dt = 2.0 * np.pi / (5.0 * (qmax + 1.0)) / max(grid_scale, 0.3)
-    count = 2.0 * tau_span / dt
+    count = tau_span * (qmax + edge) * max(grid_scale, 1.0) / np.pi
     if not count <= MAX_TAU_POINTS:
         raise GridRangeError(
             f"emission tau grid needs {count:.3g} points, above the limit of "
             f"{MAX_TAU_POINTS}, at spectral width / transition frequency "
             f"= {ghat:.3g}")
-    return np.linspace(-tau_span, tau_span, int(count) | 1)
+    return np.linspace(-tau_span, tau_span, 2 * int(np.ceil(count / 2.0)) + 1)
 
 
 def f_integral(
@@ -433,8 +447,10 @@ def f_integral(
     whole call.
 
     The inner transform runs on one uniform tau grid, one chirp
-    z-transform per integrand call for all columns. The grid and the
-    panels come from the kernel's spectral support (`_photon_band`):
+    z-transform per integrand call for all columns, at the alias-free
+    step for the photon frequencies up to qmax (`_tau_grid`; a grid
+    scale below 1 gives the grid of scale 1). The grid and the panels
+    come from the kernel's spectral support (`_photon_band`):
     `certified_tail_cutoff` samples [0, start] and then the step panels
     through the support edge in one call each, integrates every column
     to their common end, checks that each has fallen below 1e-12 of its

@@ -294,10 +294,11 @@ def test_cli_focus_follows_grid_scale(tmp_path):
             geometry, spectrum, radii, gs))
 
 
-@pytest.mark.parametrize("grid_scale", [0.2, 0.05])
+@pytest.mark.parametrize("grid_scale", [0.5, 0.2, 0.05])
 def test_cli_excite_below_the_tau_grids_floor(tmp_path, grid_scale):
-    # the emission tau grid stops at grid scale 0.3, where it is still
-    # alias-free, so a coarser scale runs and matches grid scale 1
+    # the emission tau grid stops at grid scale 1, its alias-free step,
+    # so a coarser scale runs and matches grid scale 1 (chi's frequency
+    # grid still coarsens, to its own alias-free count)
     reports = {}
     for gs in (1.0, grid_scale):
         out = tmp_path / str(gs)

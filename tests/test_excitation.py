@@ -4,6 +4,8 @@ Reference values frozen from converged runs are regression anchors; the
 headline acceptance targets live in test_acceptance.py.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from scipy.constants import c as C, epsilon_0, hbar
@@ -87,15 +89,18 @@ def test_chi_is_odd_on_the_tau_grid(scenario, width_ratio):
     w0 = tls.transition_frequency
     spectrum = ps.make_gaussian_spectrum(w0, width_ratio * w0)
     for grid_scale in (0.3, 1.0, 2.0):
-        taus = excitation._tau_grid(excitation._photon_band(spectrum, w0),
-                                    grid_scale)
         synthesis = excitation.PulseAreaSynthesis(
             geometry, spectrum, train.pulse_energy, tls, grid_scale)
-        for rho in (0.0, 5e-8):
-            chi = synthesis.chi(rho)(taus / w0)
-            peak = np.max(np.abs(chi))
-            assert peak > 0
-            assert np.max(np.abs(chi + chi[::-1])) <= 1e-12 * peak
+        # the emission transform's grid and eta's scan grid
+        grids = (excitation._tau_grid(excitation._photon_band(spectrum, w0),
+                                      grid_scale) / w0,
+                 excitation._eta_taus(synthesis))
+        for taus in grids:
+            for rho in (0.0, 5e-8):
+                chi = synthesis.chi(rho)(taus)
+                peak = np.max(np.abs(chi))
+                assert peak > 0
+                assert np.max(np.abs(chi + chi[::-1])) <= 1e-12 * peak
 
 
 def test_chi_matches_cumulative_field_integral(scenario):
@@ -179,12 +184,11 @@ def _lobe_samples(synthesis, taus, scan):
 
 
 def _zoomed_eta(synthesis, w0):
-    """eta by twelve zooms: a scan of the tau grid of f_integral, then
-    twelve 9-point resamplings of the two intervals around the largest
-    sample, each 4x finer, from every lobe that may hold the peak; the
-    search Newton's steps replaced."""
-    taus = excitation._tau_grid(
-        excitation._photon_band(synthesis.spectrum, w0), synthesis.grid_scale) / w0
+    """eta by twelve zooms: a scan of eta's tau grid, then twelve 9-point
+    resamplings of the two intervals around the largest sample, each 4x
+    finer, from every lobe that may hold the peak; the search Newton's
+    steps replaced."""
+    taus = excitation._eta_taus(synthesis)
     chi = synthesis.chi(0.0, unit=True)
     best = 0.0
     for i in _lobe_samples(synthesis, taus, np.abs(chi(taus))):
@@ -197,7 +201,7 @@ def _zoomed_eta(synthesis, w0):
     return synthesis.prefactor * best
 
 
-@pytest.mark.parametrize("grid_scale", [0.3, 1.0])
+@pytest.mark.parametrize("grid_scale", [0.3, 1.0, 2.0])
 @pytest.mark.parametrize("carrier_ratio", [1.0, 3.0])
 def test_eta_matches_the_twelve_zoom_search(scenario, carrier_ratio, grid_scale):
     # 21 widths from 0.01 to 100 w0; at the narrow ones chi oscillates at
@@ -205,7 +209,8 @@ def test_eta_matches_the_twelve_zoom_search(scenario, carrier_ratio, grid_scale)
     # polish every lobe that may hold the peak (the largest sample's lobe
     # alone is low by 2e-3 at carrier 1, width 0.01, grid scale 0.3). Each
     # spectrum also runs times 1 + 0.5i, whose real part the built-in
-    # purely imaginary spectrum lacks
+    # purely imaginary spectrum lacks. Grid scales 0.3 and 1 scan one tau
+    # grid, on chi from two frequency grids; grid scale 2 scans a finer one
     _, _, geometry, tls, train = scenario
     w0 = tls.transition_frequency
     for width_ratio in np.geomspace(0.01, 100.0, 21):
@@ -218,8 +223,7 @@ def test_eta_matches_the_twelve_zoom_search(scenario, carrier_ratio, grid_scale)
             got = ps.eta(geometry, spectrum, train.pulse_energy, tls, grid_scale,
                          synthesis)
             np.testing.assert_allclose(got, _zoomed_eta(synthesis, w0), rtol=1e-12)
-            taus = excitation._tau_grid(excitation._photon_band(spectrum, w0),
-                                        grid_scale) / w0
+            taus = excitation._eta_taus(synthesis)
             assert got >= np.max(np.abs(synthesis.chi(0.0)(taus)))
 
 
@@ -227,30 +231,106 @@ def test_eta_steps_stay_in_the_scan_bracket(scenario, monkeypatch):
     # derivatives whose steps overflow, then a zero or non-finite chi'',
     # keep every tau in the two scan intervals around each polished lobe's
     # largest sample (no RuntimeWarning), and eta at the scan's largest
-    # sample; the reference scan has two lobes, chi being odd in tau
+    # sample; the reference scan has two lobes, chi being odd in tau. Grid
+    # scale 0.3 scans the grid of scale 1, and grid scale 2 a finer one
     _, spectrum, geometry, tls, train = scenario
+    for grid_scale in (0.3, 2.0):
+        synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy,
+                                       tls, grid_scale)
+        taus = excitation._eta_taus(synthesis)
+        scan = np.abs(synthesis.chi(0.0, unit=True)(taus))
+        lobes = _lobe_samples(synthesis, taus, scan)
+        assert len(lobes) == 2 and int(np.argmax(scan)) in lobes
+        for curvatures in ([1e-300, -1e-300, 1e-300], [0.0], [np.nan], [-np.inf]):
+            seen = []
+            rest = {}
+
+            def sums(tau):
+                # each lobe's steps start at its sample and draw the curvatures anew
+                if tau in taus[lobes]:
+                    rest["it"] = iter(curvatures + [0.0])
+                seen.append(tau)
+                return np.array([0.0, 1e300, next(rest["it"])])
+
+            monkeypatch.setattr(synthesis, "_focal_sums", sums)
+            got = ps.eta(geometry, spectrum, train.pulse_energy, tls, grid_scale,
+                         synthesis)
+            steps = int(len(curvatures) > 1)
+            assert set(seen) == {tau for i in lobes
+                                 for tau in taus[i - steps:i + steps + 1]}
+            assert got == float(synthesis.prefactor * scan.max())
+
+
+@pytest.mark.parametrize("width_ratio", [0.03, 1.0, 100.0])
+def test_tau_grid_step_is_the_alias_free_one(scenario, width_ratio):
+    # the kernel's images on a step dt lie 2 pi / dt - edge from 0, so the
+    # step resolves every photon frequency up to qmax at 2 pi / dt >=
+    # qmax + edge, and at no more than two intervals past that count; a
+    # grid scale below 1 gives the grid of scale 1, one above refines it
+    _, _, _, tls, _ = scenario
     w0 = tls.transition_frequency
-    synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls, 0.3)
-    taus = excitation._tau_grid(excitation._photon_band(spectrum, w0), 0.3) / w0
-    scan = np.abs(synthesis.chi(0.0, unit=True)(taus))
-    lobes = _lobe_samples(synthesis, taus, scan)
-    assert len(lobes) == 2 and int(np.argmax(scan)) in lobes
-    for curvatures in ([1e-300, -1e-300, 1e-300], [0.0], [np.nan], [-np.inf]):
-        seen = []
-        rest = {}
+    band = excitation._photon_band(ps.make_gaussian_spectrum(w0, width_ratio * w0), w0)
+    qmax, edge = band[3], band[4]
+    base = excitation._tau_grid(band, 1.0)
+    for grid_scale in (0.05, 0.5, 1.0, 2.0, 3.7):
+        taus = excitation._tau_grid(band, grid_scale)
+        assert taus.size % 2 == 1 and taus[-1] == -taus[0] == base[-1]
+        bandwidth = 2.0 * np.pi / np.diff(taus)
+        rule = (qmax + edge) * max(grid_scale, 1.0)
+        assert bandwidth.min() >= rule * (1.0 - 1e-12)
+        assert bandwidth.max() <= rule * (1.0 + 2.0 / (taus.size - 3))
+    for grid_scale in (0.05, 0.5):
+        np.testing.assert_array_equal(excitation._tau_grid(band, grid_scale), base)
+    fine = excitation._tau_grid(band, 2.0)
+    assert fine[0] == base[0] and fine.size >= 2 * base.size - 3
 
-        def sums(tau):
-            # each lobe's steps start at its sample and draw the curvatures anew
-            if tau in taus[lobes]:
-                rest["it"] = iter(curvatures + [0.0])
-            seen.append(tau)
-            return np.array([0.0, 1e300, next(rest["it"])])
 
-        monkeypatch.setattr(synthesis, "_focal_sums", sums)
-        got = ps.eta(geometry, spectrum, train.pulse_energy, tls, 0.3, synthesis)
-        steps = int(len(curvatures) > 1)
-        assert set(seen) == {tau for i in lobes for tau in taus[i - steps:i + steps + 1]}
-        assert got == float(synthesis.prefactor * scan.max())
+@pytest.mark.parametrize("carrier_ratio", [0.5, 1.0, 3.0])
+def test_f_and_eta_agree_with_a_four_times_finer_tau_grid(scenario, carrier_ratio):
+    # f (radii 0 to 0.4 mean wavelengths / A) and eta on the default tau
+    # grids, alias-free for the photon frequencies f integrates, against
+    # the same chi on tau grids four times finer; at 0.9 times the
+    # alias-free density f moves by 1e-9 or more, or fails to certify
+    _, _, geometry, tls, train = scenario
+    w0 = tls.transition_frequency
+    for width_ratio in np.geomspace(0.03, 100.0, 6):
+        spectrum = ps.make_gaussian_spectrum(carrier_ratio * w0, width_ratio * w0)
+        synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls)
+        finer = copy.copy(synthesis)
+        finer.grid_scale = 4.0
+        radii = (np.array([0.0, 0.1, 0.2, 0.4]) * spectrum.mean_wavelength
+                 / geometry.numerical_aperture)
+        chi = synthesis.chi(radii, unit=True)
+        np.testing.assert_allclose(ps.f_integral(tls, chi, spectrum),
+                                   ps.f_integral(tls, chi, spectrum, 4.0),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            ps.eta(geometry, spectrum, train.pulse_energy, tls, 1.0, synthesis),
+            ps.eta(geometry, spectrum, train.pulse_energy, tls, 4.0, finer),
+            rtol=1e-12)
+
+
+def test_eta_polishes_few_lobes_of_a_narrowband_spectrum(scenario, monkeypatch):
+    # at width 0.001 x carrier chi(0, tau) has many lobes of nearly equal
+    # height. The admission bound grows as dtau^2, so a scan on the
+    # alias-free emission grid itself would polish about four times as
+    # many lobes (492 one-point sums); on eta's grid, four times denser,
+    # it takes 108, under the 118 of a scan at 2 pi / dtau = 5 (qmax + 1)
+    cfg, _, geometry, tls, train = scenario
+    carrier = cfg.carrier_frequency_rad_per_s
+    spectrum = ps.make_gaussian_spectrum(carrier, 0.001 * carrier)
+    synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls)
+    real, taus = synthesis._focal_sums, []
+
+    def sums(tau):
+        taus.append(tau)
+        return real(tau)
+
+    monkeypatch.setattr(synthesis, "_focal_sums", sums)
+    got = ps.eta(geometry, spectrum, train.pulse_energy, tls, 1.0, synthesis)
+    assert 0 < len(taus) <= 118
+    np.testing.assert_allclose(got, _zoomed_eta(synthesis, tls.transition_frequency),
+                               rtol=1e-12)
 
 
 def test_f_integral_zero_for_zero_area(scenario):
