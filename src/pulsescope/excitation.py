@@ -17,7 +17,8 @@ regime the paper's sudden-approximation formula for that probability is
                sin(w0 tau) chi^2(rho, tau) |^2,
 
 with tau measured from the pulse center (the rephasing time), where
-chi(rho, tau) is exactly odd and chi^2 even. p_e depends on the field
+chi(rho, tau) is exactly odd and chi^2 even. chi sums the focused
+spectrum of the field, `focal.AirySpectrum`. p_e depends on the field
 intensity, not its sign, which is what makes the excitation profile as
 narrow as the focused intensity itself.
 
@@ -40,7 +41,6 @@ from typing import Callable
 
 import numpy as np
 
-from .bessel import j1_over_x
 from .constants import C_LIGHT, EPSILON_0, FIELD_CALIBRATION, HBAR
 from .errors import (
     GridRangeError,
@@ -50,6 +50,7 @@ from .errors import (
 )
 from .focal import (
     SPECTRUM_REACH,
+    AirySpectrum,
     FocusingGeometry,
     RadialCurve,
     _amplitude_prefactor,
@@ -60,7 +61,6 @@ from .quadrature import (
     certified_tail_cutoff,
     fourier_sum,
     oscillatory_cos_sin,
-    trapezoid_weights,
 )
 from .spectra import PulseSpectrum
 
@@ -106,12 +106,12 @@ class TwoLevelSystem:
     inhomogeneous_broadening: float = 0.0
 
     def __post_init__(self):
-        if self.transition_frequency <= 0:
-            raise InvalidParameterError("transition frequency must be positive")
-        if self.spontaneous_rate <= 0:
-            raise InvalidParameterError("spontaneous rate must be positive")
-        if self.inhomogeneous_broadening < 0:
-            raise InvalidParameterError("inhomogeneous broadening must be >= 0")
+        if not 0 < self.transition_frequency < np.inf:
+            raise InvalidParameterError("transition frequency must be finite and positive")
+        if not 0 < self.spontaneous_rate < np.inf:
+            raise InvalidParameterError("spontaneous rate must be finite and positive")
+        if not 0 <= self.inhomogeneous_broadening < np.inf:
+            raise InvalidParameterError("inhomogeneous broadening must be finite and >= 0")
 
     @property
     def dephasing_rate(self) -> float:
@@ -132,12 +132,12 @@ class PulseTrainConfig:
     pulse_energy: float
 
     def __post_init__(self):
-        if self.pulse_count < 0 or int(self.pulse_count) != self.pulse_count:
+        if not 0 <= self.pulse_count < np.inf or int(self.pulse_count) != self.pulse_count:
             raise InvalidParameterError("pulse count must be a nonnegative integer")
-        if self.period <= 0:
-            raise InvalidParameterError("pulse period must be positive")
-        if self.pulse_energy <= 0:
-            raise InvalidParameterError("pulse energy must be positive")
+        if not 0 < self.period < np.inf:
+            raise InvalidParameterError("pulse period must be finite and positive")
+        if not 0 < self.pulse_energy < np.inf:
+            raise InvalidParameterError("pulse energy must be finite and positive")
 
     def resonance_offset(self, transition_frequency: float) -> float:
         """Distance of w0 T / (2 pi) from the nearest integer (nan if w0 T overflows)."""
@@ -174,7 +174,7 @@ class ExcitationResult:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
-class PulseAreaSynthesis:
+class PulseAreaSynthesis(AirySpectrum):
     """Single-pulse area chi(rho, tau) for one spectrum, geometry, pulse
     energy and transition, at radii up to `max_radius`.
 
@@ -185,42 +185,34 @@ class PulseAreaSynthesis:
                         * Re int_0^inf (phi(w) B(w, rho) / w) e^{-i w tau} dw
 
     with B the Airy kernel J1(A w rho / c)/rho and tau measured from the
-    rephasing time. On the frequency grid that is the real part of
-    sum_j conj(g_j) J1(x_j)/x_j e^{i w_j tau}, x_j = A w_j rho / c, with
-    g the trapezoid-weighted spectrum times A/c (at unit prefactor, the
-    factor in front). Alias-free for |tau| up to TAU_SPAN pulse widths,
-    so no cumulative quadrature error enters the area. eta, f and p_e are
-    computed at unit prefactor and scaled last by the energy they are
-    given: an energy whose p_e overflows gives p_e > 1, not a non-finite f.
+    rephasing time: at unit prefactor (the factor in front), the real part
+    of the `fourier_sum` at tau of the order-0 column of the synthesis, the
+    `AirySpectrum` of chi's band. Alias-free for |tau| up to TAU_SPAN pulse
+    widths, so no cumulative quadrature error enters the area. eta, f and
+    p_e are computed at unit prefactor and scaled last by the energy they
+    are given: an energy whose p_e overflows gives p_e > 1, not a
+    non-finite f.
 
-    The frequency grid, the trapezoid-weighted spectrum and the
-    prefactor do not depend on rho, so one instance serves a whole run:
-    `eta` scans chi(0, tau) through it on the tau grid of `f_integral`
-    at four times its density (`_eta_taus`), and f is computed once per
+    The grid does not depend on rho, so one instance serves a whole run
+    (`eta`, p_e(0) and the excitation curve), and f is computed once per
     radius and kept, so `probability` at a radius already computed is a
-    lookup. Each chi evaluation is one `fourier_sum` of conj(g), one
-    column per radius; nothing else is kept. The radii of an array (the
-    excitation curve's samples) are computed RADII_PER_BLOCK at a time,
-    each block as the columns of one `f_integral` call, so they share
-    every chi and emission transform.
+    lookup. The radii of an array (the excitation curve's samples) are
+    computed RADII_PER_BLOCK at a time, each block as the columns of one
+    chi and one `f_integral` call, so they share every emission transform.
     """
 
     def __init__(self, geometry: FocusingGeometry, spectrum: PulseSpectrum,
                  pulse_energy: float, tls: TwoLevelSystem,
                  grid_scale: float = 1.0):
+        # chi's band: TAU_SPAN pulse widths of tau out to a mean wavelength / A
+        span = (TAU_SPAN + SPECTRUM_REACH) / spectrum.spectral_width
+        super().__init__(spectrum, geometry.numerical_aperture, _band_points(
+            spectrum, span + spectrum.mean_wavelength / C_LIGHT, grid_scale))
         self.tls = tls
         self.spectrum = spectrum
         self.grid_scale = grid_scale
-        self.aperture = geometry.numerical_aperture
-        # chi's band: TAU_SPAN pulse widths of tau out to a mean wavelength / A
-        span = (TAU_SPAN + SPECTRUM_REACH) / spectrum.spectral_width
-        self.frequencies = spectrum.frequency_grid(_band_points(
-            spectrum, span + spectrum.mean_wavelength / C_LIGHT, grid_scale))
         self.max_radius = ((2.0 * np.pi / self.frequencies[1] - span)
                            * C_LIGHT / self.aperture)
-        self._conj_weighted = np.conj(spectrum.value(self.frequencies)
-                                      * trapezoid_weights(self.frequencies)
-                                      * (self.aperture / C_LIGHT))
         # the transition's coupling times the pulse's field amplitude
         self._coupling = tls.dipole_magnitude / HBAR * FIELD_CALIBRATION / np.pi
         self.prefactor = self._coupling * _amplitude_prefactor(pulse_energy)
@@ -235,18 +227,13 @@ class PulseAreaSynthesis:
         not finite, and one past 2 pi / dw - A max(rho) / c -
         SPECTRUM_REACH / G, the reach the grid resolves at these radii
         (TAU_SPAN pulse widths at `max_radius`)."""
-        radii = np.atleast_1d(np.asarray(rho, dtype=float))
-        if not np.all((radii >= 0) & (radii < np.inf)):
-            raise InvalidParameterError(f"radial coordinate must be finite and >= 0, got {rho}")
-        if np.any(radii > self.max_radius):
-            raise GridRangeError(f"chi at radius {float(np.max(radii))!r} m is past "
+        c = self.columns(rho)
+        far = float(np.max(rho, initial=0.0))
+        if far > self.max_radius:
+            raise GridRangeError(f"chi at radius {far!r} m is past "
                                  f"the {self.max_radius!r} m its grid resolves")
-        w, a = self.frequencies, self.aperture
-        c = np.empty((w.size, radii.size), dtype=complex)
-        for j, r in enumerate(radii):
-            c[:, j] = self._conj_weighted * j1_over_x(a * w * r / C_LIGHT)
         reach = (TAU_SPAN / self.spectrum.spectral_width
-                 + a * (self.max_radius - radii.max(initial=0.0)) / C_LIGHT)
+                 + self.aperture * (self.max_radius - far) / C_LIGHT)
 
         def chi(tau):
             span = np.abs(np.asarray(tau, dtype=float))
@@ -255,22 +242,12 @@ class PulseAreaSynthesis:
             if np.any(span > reach):
                 raise GridRangeError(f"chi at tau {float(span.max())!r} s is past "
                                      f"the {float(reach)!r} s its grid resolves")
-            out = fourier_sum(w, tau, c).real
+            out = fourier_sum(self.frequencies, tau, c).real
             if not unit:
                 out *= self.prefactor
-            out = out.reshape(np.shape(tau) + np.shape(rho))
             return out if out.ndim else float(out)
 
         return chi
-
-    def _focal_sums(self, tau: float):
-        """chi(0, tau) and its first two tau derivatives at unit prefactor,
-        as one-point sums over the frequency grid: with e = conj(g) e^{i w
-        tau} / 2 (J1(0)/0 = 1/2), they are Re sum e, Re sum i w e and
-        -Re sum w^2 e."""
-        w = self.frequencies
-        e = 0.5 * self._conj_weighted * np.exp(1j * (w * tau))
-        return e.sum().real, (1j * w * e).sum().real, -(w * w * e).sum().real
 
     def probability(self, train: PulseTrainConfig, rho):
         """(p_e, f) at the train's pulse energy, at one radius or as arrays
@@ -323,18 +300,19 @@ def eta(
 ) -> float:
     """Maximum pulse area at the focus: a scan of chi(0, tau) on the tau
     grid of `f_integral` at four times its density (`_eta_taus`, one
-    chirp z-transform), then Newton steps
-    tau <- tau - chi'/chi'' on one-point sums (`_focal_sums`) from every
-    lobe the peak may lie on, each step clamped to the two scan intervals
-    around the lobe's largest sample. The peak lies within half a scan
-    interval dtau of a sample, and |chi''| <= 1/2 sum |g_j| w_j^2 (unit
-    prefactor), so a lobe whose largest sample (a local maximum of the
-    scan) is lower than the largest sample by more than 1/2 max|chi''|
-    (dtau/2)^2 cannot hold it; every other lobe is polished, which a
-    narrowband spectrum, with many lobes of nearly equal height, needs.
-    The steps stop when tau stops changing, after NEWTON_STEPS, or at a
-    chi'' that is zero or not finite; eta is the prefactor at
-    `pulse_energy` times the largest polished |chi| or |sample|.
+    chirp z-transform), then Newton steps tau <- tau - chi'/chi'' on one
+    `fourier_sum` at tau of the order-0, -1 and -2 columns at rho = 0,
+    from every lobe the peak may lie on, each step clamped to the two scan
+    intervals around the lobe's largest sample. The peak lies within half
+    a scan interval dtau of a sample, and |chi''| <= the summed moduli of
+    the order-2 column (unit prefactor), so a lobe whose largest sample (a
+    local maximum of the scan) is lower than the largest sample by more
+    than 1/2 max|chi''| (dtau/2)^2 cannot hold it; every other lobe is
+    polished, which a narrowband spectrum, with many lobes of nearly equal
+    height, needs. The steps stop when tau stops changing, after
+    NEWTON_STEPS, or at a chi'' that is zero or not finite; eta is the
+    prefactor at `pulse_energy` times the largest polished |chi| or
+    |sample|.
 
     `synthesis`, built from the same inputs at any pulse energy, supplies
     chi; without it eta builds a synthesis of its own.
@@ -345,8 +323,8 @@ def eta(
     taus = _eta_taus(synthesis)
     scan = np.abs(synthesis.chi(0.0, unit=True)(taus))
     w = synthesis.frequencies
-    curvature_bound = 0.5 * np.sum(np.abs(synthesis._conj_weighted) * w * w)
-    loss = 0.5 * curvature_bound * (0.5 * (taus[1] - taus[0])) ** 2
+    orders = np.stack([synthesis.columns(0.0, k) for k in range(3)], axis=1)
+    loss = 0.5 * np.abs(orders[:, 2]).sum() * (0.5 * (taus[1] - taus[0])) ** 2
     padded = np.concatenate(([-np.inf], scan, [-np.inf]))
     lobes = np.flatnonzero((scan > padded[:-2]) & (scan >= padded[2:])
                            & (scan >= scan.max() - loss))
@@ -354,7 +332,7 @@ def eta(
     for i in lobes:
         lo, hi = taus[max(i - 1, 0)], taus[min(i + 1, taus.size - 1)]
         tau = float(taus[i])
-        value, slope, curvature = synthesis._focal_sums(tau)
+        value, slope, curvature = fourier_sum(w, tau, orders).real
         for _step in range(NEWTON_STEPS):
             if not (np.isfinite(curvature) and curvature != 0.0):
                 break
@@ -363,7 +341,7 @@ def eta(
             if new == tau:
                 break
             tau = new
-            value, slope, curvature = synthesis._focal_sums(tau)
+            value, slope, curvature = fourier_sum(w, tau, orders).real
         best = max(best, abs(value))
     return float(synthesis._coupling * _amplitude_prefactor(pulse_energy) * best)
 

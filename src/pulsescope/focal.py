@@ -16,6 +16,9 @@ radial dependence enters only through A*w*rho/c; resolution curves are
 therefore exactly scale invariant in the product A*rho. J1(A w rho/c)
 has Fourier support |t| <= A rho/c in w, so every integral over w is
 band-limited and takes a grid sized from its band (`_band_points`).
+That spectrum, Airy-weighted, is one object, `AirySpectrum`: the field
+and chi are Fourier sums of its columns, and the rephased intensity the
+squared plain sum of one.
 
 Intensities here are reported in arbitrary units (only ratios enter the
 resolution function); field amplitudes carry full SI prefactors because
@@ -66,10 +69,10 @@ class FocusingGeometry:
     waist: float
 
     def __post_init__(self):
-        if self.reference_sphere_radius <= 0:
-            raise InvalidParameterError("reference sphere radius must be positive")
-        if self.waist <= 0:
-            raise InvalidParameterError("waist must be positive")
+        if not 0 < self.reference_sphere_radius < np.inf:
+            raise InvalidParameterError("reference sphere radius must be finite and positive")
+        if not 0 < self.waist < np.inf:
+            raise InvalidParameterError("waist must be finite and positive")
         if self.numerical_aperture > PARAXIAL_LIMIT:
             warnings.warn(
                 f"numerical aperture {self.numerical_aperture:.3g} exceeds the "
@@ -132,13 +135,6 @@ def _amplitude_prefactor(pulse_energy: float) -> float:
     return np.sqrt(2.0 * pulse_energy / (EPSILON_0 * C_LIGHT))
 
 
-def _airy_kernel(geometry: FocusingGeometry, omega, rho: float):
-    """J1(A w rho / c) / rho with the removable rho -> 0 limit A w / (2 c)."""
-    a = geometry.numerical_aperture
-    x = a * np.asarray(omega, dtype=float) * rho / C_LIGHT
-    return (a * np.asarray(omega, dtype=float) / C_LIGHT) * j1_over_x(x)
-
-
 def _band_points(spectrum: PulseSpectrum, reach: float, grid_scale: float) -> int:
     """Odd point count of a grid on [0, max_frequency] of step at most 2 pi /
     (4 reach max(grid_scale, 1/4)): 4 times, and never under, the alias-free
@@ -151,6 +147,37 @@ def _band_points(spectrum: PulseSpectrum, reach: float, grid_scale: float) -> in
             f"frequency grid needs {count:.3g} points for a reach of {reach:.3g} s, "
             f"above the limit of {MAX_FREQUENCY_POINTS}")
     return int(count) | 1
+
+
+class AirySpectrum:
+    """The focused spectrum of one spectrum and aperture A on the n-point
+    grid `frequencies` of [0, max_frequency]: for radius rho and order k
+    the column conj(phi h) (A/c) (i w)^k J1(x)/x, x = A w rho / c, h the
+    trapezoid weights. Its Fourier sum at tau is the k-th tau derivative
+    of the sum of order 0, and the plain sum of order 1 is i conj of the
+    rephased amplitude int phi(w) J1(A w rho / c) / rho dw."""
+
+    def __init__(self, spectrum: PulseSpectrum, aperture: float, n: int):
+        w = self.frequencies = spectrum.frequency_grid(n)
+        self.aperture = aperture
+        self._weights = np.conj(spectrum.value(w) * trapezoid_weights(w)
+                                * (aperture / C_LIGHT))
+
+    @staticmethod
+    def radii(rho) -> np.ndarray:
+        """rho as a float array; one not finite and >= 0 raises InvalidParameterError."""
+        radii = np.asarray(rho, dtype=float)
+        if not np.all((radii >= 0) & (radii < np.inf)):
+            raise InvalidParameterError(f"radial coordinate must be finite and >= 0, got {rho}")
+        return radii
+
+    def columns(self, rho, order: int = 0) -> np.ndarray:
+        """The order-k columns of rho, one J1(x)/x array of shape (n,) + shape(rho)."""
+        radii = self.radii(rho)
+        w = self.frequencies.reshape((-1,) + (1,) * radii.ndim)
+        j1 = j1_over_x(self.aperture * w * radii / C_LIGHT)
+        # i^k w^k, as numpy's power of the complex 1j w is slow at k = 1
+        return self._weights.reshape(w.shape) * (1j ** order * w ** order) * j1
 
 
 def focal_field_time(
@@ -166,16 +193,14 @@ def focal_field_time(
 
     Synthesized as (kappa / pi) * Re int_0^inf E(rho, w) e^{-i w (t + f/c)}
     dw using the reality fold phi(w) = conj(phi(-w)); kappa is the package
-    field calibration constant.
-
-    The field is the real part of one `fourier_sum` of the conjugate
-    kernel at t (a chirp z-transform on a uniform t) on the `_band_points`
-    grid of max|t| + A rho / c + SPECTRUM_REACH / G. A radius that is not
-    finite and >= 0, or a t that is not finite, raises InvalidParameterError,
-    and a grid of more than MAX_FREQUENCY_POINTS GridRangeError.
+    field calibration constant: -(kappa/pi) sqrt(2U/(eps0 c)) times the
+    real part of one `fourier_sum` at t (a chirp z-transform on a uniform
+    t) of the order-1 `AirySpectrum` column, on the `_band_points` grid of
+    max|t| + A rho / c + SPECTRUM_REACH / G. A radius that is not finite
+    and >= 0, or a t that is not finite, raises InvalidParameterError, and
+    a grid of more than MAX_FREQUENCY_POINTS GridRangeError.
     """
-    if not 0.0 <= rho < np.inf:
-        raise InvalidParameterError(f"radial coordinate must be finite and >= 0, got {rho}")
+    rho = float(AirySpectrum.radii(rho))        # it sizes the grid
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
@@ -191,10 +216,10 @@ def focal_field_time(
             )
     reach = (float(np.max(np.abs(t))) + geometry.numerical_aperture * rho / C_LIGHT
              + SPECTRUM_REACH / spectrum.spectral_width)
-    w = spectrum.frequency_grid(_band_points(spectrum, reach, grid_scale))
-    kern = 1j * spectrum.value(w) * _airy_kernel(geometry, w, rho) * trapezoid_weights(w)
-    out = fourier_sum(w, t, kern.conj()).real * (
-        _amplitude_prefactor(pulse_energy) * FIELD_CALIBRATION / np.pi)
+    airy = AirySpectrum(spectrum, geometry.numerical_aperture,
+                        _band_points(spectrum, reach, grid_scale))
+    out = fourier_sum(airy.frequencies, t, airy.columns(rho, 1)).real * (
+        -_amplitude_prefactor(pulse_energy) * FIELD_CALIBRATION / np.pi)
     return float(out[0]) if scalar else out
 
 
@@ -205,29 +230,23 @@ def focal_intensity_rephased(
     grid_scale: float = 1.0,
 ) -> np.ndarray:
     """Rephasing-time intensity |int_0^inf dw phi(w) J1(A w rho/c)/rho|^2
-    in arbitrary units (only ratios are meaningful downstream): J1(x)/x
-    at x = outer(rho, A w / c), times the trapezoid-weighted phi A w / c,
-    for all radii, in blocks of at most CHUNK_ELEMENTS elements, on a grid
+    in arbitrary units (only ratios are meaningful downstream): the
+    squared modulus of the plain sum of the order-1 `AirySpectrum` column,
+    for blocks of radii of at most CHUNK_ELEMENTS elements, on a grid
     holding the band max(A rho, mean wavelength) / c + SPECTRUM_REACH / G
     (so a curve's samples and later radii share it), refined n -> 2n - 1
     until the amplitudes agree within 1e-12 of their peak (a real part of
     phi converges only as h^4)."""
-    rhos = np.atleast_1d(np.asarray(rho, dtype=float))
-    if not np.all((rhos >= 0) & (rhos < np.inf)):   # they size the grid
-        raise InvalidParameterError("radial coordinates must be finite and >= 0")
+    rhos = np.atleast_1d(AirySpectrum.radii(rho))   # they size the grid
     a = geometry.numerical_aperture
     reach = (max(a * np.max(rhos, initial=0.0), spectrum.mean_wavelength) / C_LIGHT
              + SPECTRUM_REACH / spectrum.spectral_width)
 
     def amplitudes(n: int) -> np.ndarray:
-        w = spectrum.frequency_grid(n)
-        scale = a * w / C_LIGHT
-        g = spectrum.value(w) * scale * trapezoid_weights(w)
-        amp = np.empty(rhos.size, dtype=complex)
-        rows = _chunk(scale)
-        for i0 in range(0, rhos.size, rows):
-            amp[i0:i0 + rows] = j1_over_x(np.outer(rhos[i0:i0 + rows], scale)) @ g
-        return amp
+        airy = AirySpectrum(spectrum, a, n)
+        rows = _chunk(airy.frequencies)
+        return np.concatenate([airy.columns(rhos[i0:i0 + rows], 1).sum(axis=0)
+                               for i0 in range(0, rhos.size, rows)])
 
     amp = refine_until_converged(amplitudes, _band_points(spectrum, reach, grid_scale),
                                  rtol=1e-12, what="rephased focal amplitude")

@@ -239,11 +239,12 @@ def scan(cfg: ScenarioConfig, parameter: str, values) -> str:
     return _write(cfg, f"scan_{parameter}.csv", header + "".join(rows))
 
 
-def _oracle_single(cfg: ScenarioConfig, width_ratio: float, eta_target: float,
-                   n_pulses: int = 1) -> OracleReport:
+def _oracle_single(cfg: ScenarioConfig, physics, width_ratio: float,
+                   eta_target: float, n_pulses: int = 1) -> OracleReport:
+    """One oracle row on the built config `physics`, with its own spectrum."""
     w0 = cfg.transition_frequency_rad_per_s
     spectrum = make_gaussian_spectrum(w0, width_ratio * w0)
-    _, base, tls, _ = cfg.build()
+    _, base, tls, _ = physics
     # pulse energy that realizes the requested focal area; eta ~ sqrt(U)
     # exactly, so the one synthesis at the reference energy gives the
     # row's eta, and its p_e at the row's energy
@@ -301,19 +302,20 @@ def _oracle_single(cfg: ScenarioConfig, width_ratio: float, eta_target: float,
 def oracle_compare(cfg: ScenarioConfig, pairs) -> str:
     """CSV table of analytic vs oracle p_e over (Gamma/w0, eta) pairs.
 
-    Every target is checked before the first row runs (ConfigError, exit 2);
-    a package error (`PulsescopeError`) of a valid target is written into
-    its row, and any other exception, a defect of the program, propagates.
+    Every target is checked and the config built before the first row runs
+    (ConfigError, exit 2); a package error (`PulsescopeError`) of a valid
+    target is written into its row; any other, a program defect, propagates.
     """
     pairs = [(checked_number("oracle width ratio", ratio),
               checked_number("oracle eta target", target)) for ratio, target in pairs]
+    physics = cfg.build()
     header = ("width_over_transition,eta,p_e_analytic,p_e_oracle,"
               "relative_deviation,error\n")
     rows = []
     reports = []
     for ratio, eta_target in pairs:
         try:
-            rep = _oracle_single(cfg, ratio, eta_target)
+            rep = _oracle_single(cfg, physics, ratio, eta_target)
             reports.append(rep)
             rows.append(
                 f"{rep.width_over_transition!r},{rep.eta!r},"

@@ -97,10 +97,10 @@ def make_spectrum(shape: Callable, carrier: float, width: float,
     real omega and satisfy shape(w) = conj(shape(-w)) and shape(0) = 0;
     these are enforced as invariants by the test suite rather than here.
     """
-    if carrier <= 0:
-        raise InvalidParameterError(f"carrier frequency must be positive, got {carrier}")
-    if width <= 0:
-        raise InvalidParameterError(f"spectral width must be positive, got {width}")
+    if not 0 < carrier < np.inf:
+        raise InvalidParameterError(f"carrier frequency must be finite and positive, got {carrier}")
+    if not 0 < width < np.inf:
+        raise InvalidParameterError(f"spectral width must be finite and positive, got {width}")
 
     wmax = carrier + TAIL_WIDTHS * width
     # shape on each refinement grid; the grid of 2n - 1 points keeps every

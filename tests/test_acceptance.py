@@ -137,8 +137,8 @@ def test_criterion_5_excitation_spot_formula(built):
 
 
 def test_criterion_6_oracle_equivalence(cfg):
-    r10 = _oracle_single(cfg, 10.0, 0.05)
-    r30 = _oracle_single(cfg, 30.0, 0.05)
+    r10 = _oracle_single(cfg, cfg.build(), 10.0, 0.05)
+    r30 = _oracle_single(cfg, cfg.build(), 30.0, 0.05)
     ok_10 = r10.relative_deviation <= 0.05
     ok_30 = r30.relative_deviation <= 0.05
     ok_trend = r30.relative_deviation < r10.relative_deviation

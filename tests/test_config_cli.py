@@ -214,6 +214,20 @@ def test_scan_unknown_parameter(tmp_path):
         scan(cfg, "Q", [1.0])
 
 
+@pytest.mark.parametrize("line", ["spectral_width_rad_per_s = 1e160",
+                                  "carrier_frequency_rad_per_s = 1e-300"])
+def test_oracle_on_an_unbuildable_config_exits_2_before_any_row(tmp_path, capsys,
+                                                                line):
+    # the config's spectrum cannot be built; every row used to build it
+    # anew and write the ConfigError into the row, exiting 0
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "oracle", "10", "0.05"]) == 2
+    assert "invalid scenario" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "oracle_compare.csv").exists()
+
+
 def test_oracle_compare_empty_grid(tmp_path):
     cfg = loads_config("output_dir = " + str(tmp_path) + "\n")
     name = oracle_compare(cfg, [])
@@ -501,24 +515,27 @@ def test_huge_pulse_period_excites_without_traceback(tmp_path):
 
 def _watch_blocks(monkeypatch):
     """Every block of a blocked product from now on: ("j1_over_x", shape,
-    bytes) of each matrix the focal intensity takes J1(x)/x of, and
-    ("exp", x, rows per block) of each Fourier sum that falls back to
-    blocks of complex exponentials."""
+    bytes) of each matrix of Airy-weighted columns (the focal intensity's
+    radius blocks, chi's radii) that J1(x)/x is taken of, and ("exp", x,
+    outputs) of each Fourier sum of MIN_CHIRP_POINTS or more outputs that
+    falls back to blocks of complex exponentials. A shorter sum is a block
+    by design: `eta`'s one-point Newton sums are."""
     built = []
-    real_j1, real_chunk = focal.j1_over_x, quadrature._chunk
+    real_j1, real_chirp = focal.j1_over_x, quadrature._chirp_z
 
     def j1_block(x):
         if np.ndim(x) == 2:
             built.append(("j1_over_x", x.shape, x.tobytes()))
         return real_j1(x)
 
-    def exp_blocks(x):
-        rows = real_chunk(x)
-        built.append(("exp", x.tobytes(), rows))
-        return rows
+    def exp_blocks(x, y, c):
+        z = real_chirp(x, y, c)
+        if z is None and y.size >= quadrature.MIN_CHIRP_POINTS:
+            built.append(("exp", x.tobytes(), y.size))
+        return z
 
     monkeypatch.setattr(focal, "j1_over_x", j1_block)
-    monkeypatch.setattr(quadrature, "_chunk", exp_blocks)
+    monkeypatch.setattr(quadrature, "_chirp_z", exp_blocks)
     return built
 
 
@@ -538,8 +555,9 @@ def _watch_chirps(monkeypatch):
 
 
 def test_run_scenario_builds_each_block_once(tmp_path, monkeypatch):
-    # every Fourier sum is a chirp z-transform, so the only blocks are the
-    # J1(x)/x blocks of the focal intensity; none is built twice
+    # every Fourier sum of many outputs is a chirp z-transform, so the only
+    # blocks are the J1(x)/x blocks of the Airy-weighted columns; none is
+    # built twice
     built = _watch_blocks(monkeypatch)
     run_scenario(loads_config("grid_scale = 0.3\noutput_dir = "
                               + str(tmp_path) + "\n"))
@@ -559,7 +577,6 @@ def test_run_scenario_evaluates_few_bessel_points(tmp_path, monkeypatch):
         return real_j1(x)
 
     monkeypatch.setattr(focal, "j1_over_x", counted)
-    monkeypatch.setattr(excitation, "j1_over_x", counted)
     run_scenario(loads_config("output_dir = " + str(tmp_path) + "\n"))
     assert 0 < sum(points) < 100_000
 
@@ -604,7 +621,8 @@ def test_tau_axes_lie_on_their_lines(tmp_path, monkeypatch):
     oracle_compare(cfg, [(10.0, 0.05)])
     run_scenario(cfg)
     assert transforms
-    assert all(quadrature._line(y)[-1] and chirped for _, y, chirped in transforms)
+    assert all(quadrature._line(y)[-1] and chirped for _, y, chirped in transforms
+               if y.size >= quadrature.MIN_CHIRP_POINTS)
 
 
 def test_oracle_row_builds_no_exp_block(tmp_path, monkeypatch):
@@ -618,7 +636,7 @@ def test_oracle_row_builds_no_exp_block(tmp_path, monkeypatch):
     assert row.endswith(",")  # no error
     assert transforms and all(chirped or y.size < quadrature.MIN_CHIRP_POINTS
                               for _, y, chirped in transforms)
-    assert not built
+    assert not [b for b in built if b[0] == "exp"]
 
 
 def _f_calls(monkeypatch):

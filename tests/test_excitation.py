@@ -172,10 +172,9 @@ def test_eta_matches_a_bounded_scalar_maximum(scenario, width_ratio):
 def _lobe_samples(synthesis, taus, scan):
     """Indices of the local maxima of a scan of |chi(0, tau)| at unit
     prefactor that lie within 1/2 max|chi''| (dtau/2)^2 of its largest
-    sample, max|chi''| bounded by 1/2 sum |g| w^2: every lobe that may
-    hold the peak."""
-    w = synthesis.frequencies
-    bound = 0.5 * np.sum(np.abs(synthesis._conj_weighted) * w**2)
+    sample, max|chi''| bounded by the summed moduli of the order-2 column
+    at rho = 0: every lobe that may hold the peak."""
+    bound = np.sum(np.abs(synthesis.columns(0.0, 2)))
     loss = 0.5 * bound * (0.5 * (taus[1] - taus[0])) ** 2
     return [i for i in range(taus.size)
             if (i == 0 or scan[i] > scan[i - 1])
@@ -234,6 +233,7 @@ def test_eta_steps_stay_in_the_scan_bracket(scenario, monkeypatch):
     # sample; the reference scan has two lobes, chi being odd in tau. Grid
     # scale 0.3 scans the grid of scale 1, and grid scale 2 a finer one
     _, spectrum, geometry, tls, train = scenario
+    real_sum = excitation.fourier_sum
     for grid_scale in (0.3, 2.0):
         synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy,
                                        tls, grid_scale)
@@ -245,14 +245,17 @@ def test_eta_steps_stay_in_the_scan_bracket(scenario, monkeypatch):
             seen = []
             rest = {}
 
-            def sums(tau):
-                # each lobe's steps start at its sample and draw the curvatures anew
+            def sums(w, tau, c):
+                # the scan passes through; each lobe's one-point sums start
+                # at its sample and draw the curvatures anew
+                if np.ndim(tau):
+                    return real_sum(w, tau, c)
                 if tau in taus[lobes]:
                     rest["it"] = iter(curvatures + [0.0])
                 seen.append(tau)
                 return np.array([0.0, 1e300, next(rest["it"])])
 
-            monkeypatch.setattr(synthesis, "_focal_sums", sums)
+            monkeypatch.setattr(excitation, "fourier_sum", sums)
             got = ps.eta(geometry, spectrum, train.pulse_energy, tls, grid_scale,
                          synthesis)
             steps = int(len(curvatures) > 1)
@@ -320,13 +323,14 @@ def test_eta_polishes_few_lobes_of_a_narrowband_spectrum(scenario, monkeypatch):
     carrier = cfg.carrier_frequency_rad_per_s
     spectrum = ps.make_gaussian_spectrum(carrier, 0.001 * carrier)
     synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls)
-    real, taus = synthesis._focal_sums, []
+    real, taus = excitation.fourier_sum, []
 
-    def sums(tau):
-        taus.append(tau)
-        return real(tau)
+    def sums(w, tau, c):
+        if not np.ndim(tau):
+            taus.append(tau)
+        return real(w, tau, c)
 
-    monkeypatch.setattr(synthesis, "_focal_sums", sums)
+    monkeypatch.setattr(excitation, "fourier_sum", sums)
     got = ps.eta(geometry, spectrum, train.pulse_energy, tls, 1.0, synthesis)
     assert 0 < len(taus) <= 118
     np.testing.assert_allclose(got, _zoomed_eta(synthesis, tls.transition_frequency),

@@ -23,9 +23,9 @@ from pulsescope.config import ScenarioConfig
 from pulsescope.focal import (
     SECANT_BUDGET,
     SPECTRUM_REACH,
+    AirySpectrum,
     FocusingGeometry,
     RadialCurve,
-    _airy_kernel,
     _amplitude_prefactor,
     focal_field_time,
     focal_intensity_rephased,
@@ -33,6 +33,7 @@ from pulsescope.focal import (
     resolution_curve,
     spot_size,
 )
+from pulsescope.quadrature import trapezoid_weights
 from pulsescope.spectra import make_gaussian_spectrum, make_spectrum
 
 W0 = 2.0e15
@@ -72,18 +73,21 @@ def test_far_field_flag(ultrafast):
     assert not tight.far_field_valid(ultrafast)
 
 
-def spectral_field(spectrum, rho, w):
-    """E(rho, w) e^{-i w f / c}, the focal spectral amplitude, from the
-    factors focal_field_time, chi and the intensity transform share."""
-    return (1j * _amplitude_prefactor(U) * spectrum.value(w)
-            * _airy_kernel(GEO, w, rho))
+def spectral_field(spectrum, rho, n):
+    """(w, E(rho, w) e^{-i w f / c}) on the n-point grid of the Airy-weighted
+    spectrum that focal_field_time, chi and the intensity share: its
+    order-1 column is -conj(E) h / sqrt(2U/(eps0 c)), h the trapezoid
+    weights."""
+    airy = AirySpectrum(spectrum, GEO.numerical_aperture, n)
+    w = airy.frequencies
+    return w, (-_amplitude_prefactor(U) * np.conj(airy.columns(rho, 1))
+               / trapezoid_weights(w))
 
 
 def test_spectral_field_removable_singularity(ultrafast):
-    w = ultrafast.mean_frequency
     lam = ultrafast.mean_wavelength
-    at_zero = spectral_field(ultrafast, 0.0, w)
-    near = spectral_field(ultrafast, 1e-9 * lam, w)
+    w, at_zero = spectral_field(ultrafast, 0.0, 41)
+    _, near = spectral_field(ultrafast, 1e-9 * lam, 41)
     np.testing.assert_allclose(near, at_zero, rtol=1e-6)
     # limit value A w / (2 c) times the spectral amplitude
     a = GEO.numerical_aperture
@@ -93,12 +97,16 @@ def test_spectral_field_removable_singularity(ultrafast):
 
 
 def test_spectral_field_against_mpmath_bessel(ultrafast):
+    # J1(A w rho / c) / rho, the Airy kernel, at grid frequencies around
+    # the mean one
     mpmath.mp.dps = 30
-    w = ultrafast.mean_frequency
     rho = ultrafast.mean_wavelength / GEO.numerical_aperture
-    x = GEO.numerical_aperture * w * rho / C
-    kernel = float(mpmath.besselj(1, x)) / rho
-    np.testing.assert_allclose(_airy_kernel(GEO, w, rho), kernel, rtol=1e-8)
+    w, field = spectral_field(ultrafast, rho, 41)
+    for j in range(2, 30, 3):
+        kernel = field[j] / (1j * _amplitude_prefactor(U) * ultrafast.value(w[j]))
+        x = GEO.numerical_aperture * w[j] * rho / C
+        np.testing.assert_allclose(kernel, float(mpmath.besselj(1, x)) / rho,
+                                   rtol=1e-8)
 
 
 def test_fields_reject_negative_rho(ultrafast):
@@ -166,10 +174,21 @@ def test_parseval(ultrafast):
     t = np.linspace(-half, half, 60001)
     e = focal_field_time(GEO, ultrafast, U, 0.0, t)
     lhs = np.trapezoid(e**2, t)
-    w = ultrafast.frequency_grid(60001)
-    ew = spectral_field(ultrafast, 0.0, w)
+    w, ew = spectral_field(ultrafast, 0.0, 60001)
     rhs = FIELD_CALIBRATION**2 / np.pi * np.trapezoid(np.abs(ew) ** 2, w)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-6)
+
+
+def test_intensity_is_the_squared_field_at_the_rephasing_instant(scenario_parts):
+    # one Airy-weighted spectrum behind both: for the built-in, purely
+    # imaginary spectrum the rephased amplitude is real, so the intensity
+    # ratio is the squared field ratio at tau = 0
+    spectrum, _, train = scenario_parts
+    rhos = np.linspace(0.0, spectrum.mean_wavelength / GEO.numerical_aperture, 9)
+    intensity = focal_intensity_rephased(GEO, spectrum, rhos)
+    field = np.array([focal_field_time(GEO, spectrum, train.pulse_energy, r, 0.0)
+                      for r in rhos])
+    assert np.max(np.abs(intensity / intensity[0] - (field / field[0]) ** 2)) <= 1e-13
 
 
 def test_intensity_nonnegative_and_narrowband_airy(narrowband):

@@ -8,13 +8,21 @@ import io
 import math
 from dataclasses import fields
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pulsescope import scenario
 from pulsescope.cli import main
 from pulsescope.config import ScenarioConfig
-from pulsescope.errors import InvalidStateError, NumericalConvergenceError
+from pulsescope.errors import (
+    InvalidParameterError,
+    InvalidStateError,
+    NumericalConvergenceError,
+)
+from pulsescope.excitation import PulseTrainConfig, TwoLevelSystem
+from pulsescope.focal import FocusingGeometry
+from pulsescope.spectra import make_gaussian_spectrum, make_spectrum
 
 DEFAULTS = ScenarioConfig()
 KEYS = [f.name for f in fields(ScenarioConfig) if f.name != "output_dir"]
@@ -117,7 +125,7 @@ def test_oracle_targets_are_checked_before_the_first_row(tmp_path, monkeypatch,
                                                          pairs):
     rows = []
 
-    def failing_row(cfg, ratio, eta_target):
+    def failing_row(cfg, physics, ratio, eta_target):
         rows.append((ratio, eta_target))
         raise NumericalConvergenceError("row failed")
 
@@ -131,3 +139,29 @@ def test_oracle_targets_are_checked_before_the_first_row(tmp_path, monkeypatch,
         assert table.count("row failed") == len(pairs)
     else:
         assert code == 2 and rows == []
+
+
+# the physics objects, built directly, by positional field: a valid value
+# at every field, and the field under test replaced
+PHYSICS = [
+    (TwoLevelSystem, (2e15, 1e9, 1e10)),
+    (PulseTrainConfig, (453, 3.36e-14, 7e-10)),
+    (FocusingGeometry, (0.01, 0.001)),
+    (make_spectrum, (lambda w: 1j * w, 2e15, 2e16)),
+    (make_gaussian_spectrum, (2e15, 2e16)),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build, args, index", [
+    pytest.param(build, args, i, id=f"{build.__name__}-{i}")
+    for build, args in PHYSICS for i in range(len(args))
+    if not callable(args[i])])
+def test_physics_objects_reject_values_that_are_not_finite(build, args, index,
+                                                          value):
+    # a NaN passes a <= 0 check; each field is checked as not 0 < x < inf
+    # (0 <= x < inf where zero is allowed)
+    drawn = list(args)
+    drawn[index] = value
+    with pytest.raises(InvalidParameterError):
+        build(*drawn)

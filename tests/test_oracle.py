@@ -321,8 +321,8 @@ def test_oracle_vs_analytic_regression():
     # measured deviations of the sudden/weak-field chain from the exact
     # first-order dynamics (the headline targets live in acceptance)
     cfg = ps.ScenarioConfig()
-    r10 = _oracle_single(cfg, 10.0, 0.05)
-    r30 = _oracle_single(cfg, 30.0, 0.05)
+    r10 = _oracle_single(cfg, cfg.build(), 10.0, 0.05)
+    r30 = _oracle_single(cfg, cfg.build(), 30.0, 0.05)
     np.testing.assert_allclose(r10.relative_deviation, 0.820, atol=0.02)
     np.testing.assert_allclose(r30.relative_deviation, 0.833, atol=0.02)
     assert r10.flags["first_order_trust"]
@@ -331,8 +331,8 @@ def test_oracle_vs_analytic_regression():
 
 def test_oracle_train_linearity():
     cfg = ps.ScenarioConfig()
-    r1 = _oracle_single(cfg, 10.0, 0.05, n_pulses=1)
-    r2 = _oracle_single(cfg, 10.0, 0.05, n_pulses=2)
+    r1 = _oracle_single(cfg, cfg.build(), 10.0, 0.05, n_pulses=1)
+    r2 = _oracle_single(cfg, cfg.build(), 10.0, 0.05, n_pulses=2)
     np.testing.assert_allclose(r2.p_e_oracle / r1.p_e_oracle, 2.0, rtol=5e-2)
     np.testing.assert_allclose(r2.p_e_analytic / r1.p_e_analytic, 2.0,
                                rtol=1e-9)
@@ -349,7 +349,7 @@ def test_oracle_row_takes_p_e_from_the_reference_synthesis():
     reference = PulseAreaSynthesis(geometry, spectrum, u_ref, tls, cfg.grid_scale)
     ratio = 0.05 / ps.eta(geometry, spectrum, u_ref, tls, cfg.grid_scale, reference)
     train = ps.PulseTrainConfig(1, 1.0, u_ref * (ratio * ratio))
-    row = _oracle_single(cfg, 10.0, 0.05)
+    row = _oracle_single(cfg, cfg.build(), 10.0, 0.05)
     assert row.p_e_analytic == reference.probability(train, 0.0)[0]
 
 
@@ -358,7 +358,7 @@ def test_oracle_converges_at_second_order():
     # shrinks the change fourfold (measured 3.99), so grid scale 1 is
     # about 0.3% below the limit at this width
     cfg = ps.ScenarioConfig()
-    p1, p2, p4 = (_oracle_single(replace(cfg, grid_scale=g), 10.0, 0.05).p_e_oracle
+    p1, p2, p4 = (_oracle_single(replace(cfg, grid_scale=g), cfg.build(), 10.0, 0.05).p_e_oracle
                   for g in (1.0, 2.0, 4.0))
     assert 3.5 <= (p2 - p1) / (p4 - p2) <= 4.5
 
@@ -367,9 +367,9 @@ def test_oracle_time_grid_is_never_coarser_than_grid_scale_1():
     # a coarser time step biases p_e_oracle low (26% at grid scale 0.1),
     # so below grid scale 1 the oracle keeps the time grid of scale 1
     cfg = ps.ScenarioConfig()
-    p1 = _oracle_single(cfg, 10.0, 0.05).p_e_oracle
+    p1 = _oracle_single(cfg, cfg.build(), 10.0, 0.05).p_e_oracle
     for g in (0.1, 0.3):
-        got = _oracle_single(replace(cfg, grid_scale=g), 10.0, 0.05).p_e_oracle
+        got = _oracle_single(replace(cfg, grid_scale=g), cfg.build(), 10.0, 0.05).p_e_oracle
         assert abs(got - p1) <= 1e-10 * p1
     grid = ps.default_time_grid(10.0 * W0, W0, -1e-15, 1e-15)
     assert np.array_equal(ps.default_time_grid(10.0 * W0, W0, -1e-15, 1e-15, 0.1),
@@ -378,7 +378,7 @@ def test_oracle_time_grid_is_never_coarser_than_grid_scale_1():
 
 def test_oracle_report_json():
     cfg = ps.ScenarioConfig()
-    rep = _oracle_single(cfg, 10.0, 0.05)
+    rep = _oracle_single(cfg, cfg.build(), 10.0, 0.05)
     import json
     data = json.loads(rep.to_json())
     assert data["p_e_oracle"] == rep.p_e_oracle

@@ -1,6 +1,6 @@
 """The Fourier sum - a chirp z-transform between uniform grids, blocks of
-complex exponentials otherwise - and the blocked J1(x)/x product of the
-focal intensity, against the loops they replaced.
+complex exponentials otherwise - and the radius blocks of the focal
+intensity's Airy-weighted columns, against the loops they replaced.
 
 The reference loops below are the package's former implementations of
 chi, the time-domain focal field, the inner emission transform, Filon's
@@ -230,7 +230,8 @@ def test_focal_intensity_matches_trapezoid_loop(scenario, monkeypatch):
     complex_spectrum = ps.make_spectrum(
         lambda w: (1.0 + 0.5j) * w * np.exp(-((w - 3e15) / 2e15) ** 2),
         3e15, 1e15)
-    # blocks of 7 radii, so the chunk seams are covered too
+    # blocks of 7 radii, each one J1(x)/x array of the Airy-weighted
+    # spectrum's columns, so the chunk seams are covered too
     monkeypatch.setattr(focal, "_chunk", lambda x: 7)
     blocks = []
     real_j1 = focal.j1_over_x
@@ -253,7 +254,7 @@ def test_focal_intensity_matches_trapezoid_loop(scenario, monkeypatch):
         n = int(np.ceil(4.0 * s.max_frequency * reach / (2.0 * np.pi)) + 1) | 1
         grids = []
         while len(grids) < len(blocks):
-            grids += [(7, n)] * 4 + [(5, n)]
+            grids += [(n, 7)] * 4 + [(n, 5)]
             n = 2 * n - 1
         assert len(grids) >= 10 and blocks == grids
         scalar = ps.focal_intensity_rephased(geometry, s, float(rhos[5]))
@@ -677,9 +678,10 @@ def test_oracle_row_makes_three_filon_transforms_per_integral(monkeypatch):
         return real(t, f, q)
 
     monkeypatch.setattr(oracle, "filon_transform", counted)
+    cfg = ps.ScenarioConfig()
     for ratio in (10.0, 30.0):
         calls.clear()
-        _oracle_single(ps.ScenarioConfig(), ratio, 0.05)
+        _oracle_single(cfg, cfg.build(), ratio, 0.05)
         assert len(calls) <= 3
 
 
@@ -705,7 +707,8 @@ def test_oracle_row_doubles_its_panels_as_the_walk_needed(monkeypatch):
         return seen[-1][-1]
 
     monkeypatch.setattr(oracle, "certified_tail_cutoff", recorded)
-    _oracle_single(ps.ScenarioConfig(), 10.0, 1.0)
+    cfg = ps.ScenarioConfig()
+    _oracle_single(cfg, cfg.build(), 10.0, 1.0)
     [(integrand, start, step, edge, sizes, (end, value))] = seen
     k = int(np.ceil((edge - start) / step)) + 1
     assert sizes[1:] == [256 * k + 1, 256 * k + 1, 513]
