@@ -17,10 +17,10 @@ regime the paper's sudden-approximation formula for that probability is
                sin(w0 tau) chi^2(rho, tau) |^2,
 
 with tau measured from the pulse center (the rephasing time), where
-chi(rho, tau) is exactly odd and chi^2 even. chi sums the focused
-spectrum of the field, `focal.AirySpectrum`. p_e depends on the field
-intensity, not its sign, which is what makes the excitation profile as
-narrow as the focused intensity itself.
+chi(rho, tau), a sum of the focused spectrum `focal.AirySpectrum`, is
+exactly odd and chi^2 even. p_e depends on the field intensity, not its
+sign, which is what makes the excitation profile as narrow as the
+focused intensity itself.
 
 This formula is not the first-order emission probability: it keeps
 the sin(w0 tau) phase but drops propagator phases of the same order,
@@ -184,21 +184,20 @@ class PulseAreaSynthesis(AirySpectrum):
         chi(rho, tau) = (d/hbar) (kappa/pi) sqrt(2U/(eps0 c))
                         * Re int_0^inf (phi(w) B(w, rho) / w) e^{-i w tau} dw
 
-    with B the Airy kernel J1(A w rho / c)/rho and tau measured from the
-    rephasing time: at unit prefactor (the factor in front), the real part
-    of the `fourier_sum` at tau of the order-0 column of the synthesis, the
-    `AirySpectrum` of chi's band. Alias-free for |tau| up to TAU_SPAN pulse
-    widths, so no cumulative quadrature error enters the area. eta, f and
-    p_e are computed at unit prefactor and scaled last by the energy they
-    are given: an energy whose p_e overflows gives p_e > 1, not a
-    non-finite f.
+    with B the Airy kernel J1(A w rho / c)/rho and tau from the rephasing
+    time: at unit prefactor (the factor in front), Re of the `fourier_sum`
+    at tau of the order-0 column of this `AirySpectrum` of chi's band,
+    alias-free for |tau| up to TAU_SPAN pulse widths, so no cumulative
+    quadrature error enters the area. eta, f and p_e are computed at unit
+    prefactor and scaled last by the energy they are given: an energy
+    whose p_e overflows gives p_e > 1, not a non-finite f.
 
     The grid does not depend on rho, so one instance serves a whole run
     (`eta`, p_e(0) and the excitation curve), and f is computed once per
-    radius and kept, so `probability` at a radius already computed is a
-    lookup. The radii of an array (the excitation curve's samples) are
-    computed RADII_PER_BLOCK at a time, each block as the columns of one
-    chi and one `f_integral` call, so they share every emission transform.
+    radius and kept: `probability` at a radius already computed is a
+    lookup. The radii of an array are computed RADII_PER_BLOCK at a time,
+    each block the columns of one chi and one `f_integral` call, so they
+    share every emission transform.
     """
 
     def __init__(self, geometry: FocusingGeometry, spectrum: PulseSpectrum,
@@ -208,9 +207,7 @@ class PulseAreaSynthesis(AirySpectrum):
         span = (TAU_SPAN + SPECTRUM_REACH) / spectrum.spectral_width
         super().__init__(spectrum, geometry.numerical_aperture, _band_points(
             spectrum, span + spectrum.mean_wavelength / C_LIGHT, grid_scale))
-        self.tls = tls
-        self.spectrum = spectrum
-        self.grid_scale = grid_scale
+        self.tls, self.grid_scale = tls, grid_scale
         self.max_radius = ((2.0 * np.pi / self.frequencies[1] - span)
                            * C_LIGHT / self.aperture)
         # the transition's coupling times the pulse's field amplitude
@@ -227,7 +224,7 @@ class PulseAreaSynthesis(AirySpectrum):
         not finite, and one past 2 pi / dw - A max(rho) / c -
         SPECTRUM_REACH / G, the reach the grid resolves at these radii
         (TAU_SPAN pulse widths at `max_radius`)."""
-        c = self.columns(rho)
+        c = self.columns(self.radii(rho))
         far = float(np.max(rho, initial=0.0))
         if far > self.max_radius:
             raise GridRangeError(f"chi at radius {far!r} m is past "
@@ -299,20 +296,19 @@ def eta(
     synthesis: PulseAreaSynthesis | None = None,
 ) -> float:
     """Maximum pulse area at the focus: a scan of chi(0, tau) on the tau
-    grid of `f_integral` at four times its density (`_eta_taus`, one
-    chirp z-transform), then Newton steps tau <- tau - chi'/chi'' on one
-    `fourier_sum` at tau of the order-0, -1 and -2 columns at rho = 0,
-    from every lobe the peak may lie on, each step clamped to the two scan
-    intervals around the lobe's largest sample. The peak lies within half
-    a scan interval dtau of a sample, and |chi''| <= the summed moduli of
-    the order-2 column (unit prefactor), so a lobe whose largest sample (a
-    local maximum of the scan) is lower than the largest sample by more
-    than 1/2 max|chi''| (dtau/2)^2 cannot hold it; every other lobe is
-    polished, which a narrowband spectrum, with many lobes of nearly equal
-    height, needs. The steps stop when tau stops changing, after
-    NEWTON_STEPS, or at a chi'' that is zero or not finite; eta is the
-    prefactor at `pulse_energy` times the largest polished |chi| or
-    |sample|.
+    grid of `f_integral` at four times its density (`_eta_taus`, one chirp
+    z-transform), then Newton steps tau <- tau - chi'/chi'' on the
+    `AirySpectrum.sums` at tau of orders 0-2 at rho = 0 from every lobe the
+    peak may lie on, each step clamped to the two scan intervals around the
+    lobe's largest sample. The peak lies within half a scan interval dtau of
+    a sample, and |chi''| <= the summed moduli of the order-2 column (unit
+    prefactor), so a lobe whose largest sample (a local maximum of the
+    scan) is lower than the largest by more than 1/2 max|chi''| (dtau/2)^2
+    cannot hold it; every other lobe is polished, which a narrowband
+    spectrum, with many lobes of nearly equal height, needs. The steps stop
+    when tau stops changing, after NEWTON_STEPS, or at a chi'' that is zero
+    or not finite; eta is the prefactor at `pulse_energy` times the largest
+    polished |chi| or |sample|.
 
     `synthesis`, built from the same inputs at any pulse energy, supplies
     chi; without it eta builds a synthesis of its own.
@@ -322,9 +318,7 @@ def eta(
                                        grid_scale)
     taus = _eta_taus(synthesis)
     scan = np.abs(synthesis.chi(0.0, unit=True)(taus))
-    w = synthesis.frequencies
-    orders = np.stack([synthesis.columns(0.0, k) for k in range(3)], axis=1)
-    loss = 0.5 * np.abs(orders[:, 2]).sum() * (0.5 * (taus[1] - taus[0])) ** 2
+    loss = 0.5 * np.abs(synthesis.columns(0.0, 2)).sum() * (0.5 * (taus[1] - taus[0])) ** 2
     padded = np.concatenate(([-np.inf], scan, [-np.inf]))
     lobes = np.flatnonzero((scan > padded[:-2]) & (scan >= padded[2:])
                            & (scan >= scan.max() - loss))
@@ -332,7 +326,7 @@ def eta(
     for i in lobes:
         lo, hi = taus[max(i - 1, 0)], taus[min(i + 1, taus.size - 1)]
         tau = float(taus[i])
-        value, slope, curvature = fourier_sum(w, tau, orders).real
+        value, slope, curvature = synthesis.sums(0.0, (0, 1, 2), tau).real
         for _step in range(NEWTON_STEPS):
             if not (np.isfinite(curvature) and curvature != 0.0):
                 break
@@ -341,7 +335,7 @@ def eta(
             if new == tau:
                 break
             tau = new
-            value, slope, curvature = fourier_sum(w, tau, orders).real
+            value, slope, curvature = synthesis.sums(0.0, (0, 1, 2), tau).real
         best = max(best, abs(value))
     return float(synthesis._coupling * _amplitude_prefactor(pulse_energy) * best)
 

@@ -16,9 +16,8 @@ radial dependence enters only through A*w*rho/c; resolution curves are
 therefore exactly scale invariant in the product A*rho. J1(A w rho/c)
 has Fourier support |t| <= A rho/c in w, so every integral over w is
 band-limited and takes a grid sized from its band (`_band_points`).
-That spectrum, Airy-weighted, is one object, `AirySpectrum`: the field
-and chi are Fourier sums of its columns, and the rephased intensity the
-squared plain sum of one.
+`AirySpectrum` is that spectrum, Airy-weighted: the field and chi are
+Fourier sums of its columns, the rephased intensity and eta its `sums`.
 
 Intensities here are reported in arbitrary units (only ratios enter the
 resolution function); field amplitudes carry full SI prefactors because
@@ -130,8 +129,8 @@ class RadialCurve:
 
 
 def _amplitude_prefactor(pulse_energy: float) -> float:
-    if pulse_energy <= 0:
-        raise InvalidParameterError(f"pulse energy must be positive, got {pulse_energy}")
+    if not 0 < pulse_energy < np.inf:
+        raise InvalidParameterError(f"pulse energy must be finite and positive, got {pulse_energy}")
     return np.sqrt(2.0 * pulse_energy / (EPSILON_0 * C_LIGHT))
 
 
@@ -150,18 +149,18 @@ def _band_points(spectrum: PulseSpectrum, reach: float, grid_scale: float) -> in
 
 
 class AirySpectrum:
-    """The focused spectrum of one spectrum and aperture A on the n-point
-    grid `frequencies` of [0, max_frequency]: for radius rho and order k
-    the column conj(phi h) (A/c) (i w)^k J1(x)/x, x = A w rho / c, h the
-    trapezoid weights. Its Fourier sum at tau is the k-th tau derivative
-    of the sum of order 0, and the plain sum of order 1 is i conj of the
-    rephased amplitude int phi(w) J1(A w rho / c) / rho dw."""
+    """The focused `spectrum` at aperture A on the n-point grid `frequencies`
+    of [0, max_frequency]: for radius rho and order k the column conj(phi
+    h) (A/c) (i w)^k J1(x)/x, x = A w rho / c, h the trapezoid weights. Its
+    Fourier sum at tau is the k-th tau derivative of order 0's, and its
+    plain sum of order 1 i conj(int phi(w) J1(A w rho / c) / rho dw)."""
 
     def __init__(self, spectrum: PulseSpectrum, aperture: float, n: int):
         w = self.frequencies = spectrum.frequency_grid(n)
-        self.aperture = aperture
+        self.spectrum, self.aperture = spectrum, aperture
         self._weights = np.conj(spectrum.value(w) * trapezoid_weights(w)
                                 * (aperture / C_LIGHT))
+        self._powers = {}  # ks -> the weights times (i w)^k, one column per k in ks
 
     @staticmethod
     def radii(rho) -> np.ndarray:
@@ -172,12 +171,21 @@ class AirySpectrum:
         return radii
 
     def columns(self, rho, order: int = 0) -> np.ndarray:
-        """The order-k columns of rho, one J1(x)/x array of shape (n,) + shape(rho)."""
-        radii = self.radii(rho)
-        w = self.frequencies.reshape((-1,) + (1,) * radii.ndim)
-        j1 = j1_over_x(self.aperture * w * radii / C_LIGHT)
+        """The order-k columns of radii rho, already `radii`, of shape (n,) + shape(rho)."""
+        w = self.frequencies.reshape((-1,) + (1,) * np.ndim(rho))
         # i^k w^k, as numpy's power of the complex 1j w is slow at k = 1
-        return self._weights.reshape(w.shape) * (1j ** order * w ** order) * j1
+        return (self._weights.reshape(w.shape) * (1j ** order * w ** order)
+                * j1_over_x(self.aperture * w * rho / C_LIGHT))
+
+    def sums(self, rho, ks=(1,), tau: float = 0.0) -> np.ndarray:
+        """Sums over w of the order-k columns (k in the tuple ks) of radii rho, already
+        `radii`, times e^{i w tau}: shape(rho) + (len(ks),), one real product of J1(x)/x."""
+        w = self.frequencies
+        if ks not in self._powers:
+            self._powers[ks] = np.stack([self._weights * (1j ** k * w ** k) for k in ks], -1)
+        v = self._powers[ks] * np.exp(1j * (w * tau))[:, None] if tau else self._powers[ks]
+        x = np.multiply.outer(rho, self.aperture * w / C_LIGHT)
+        return (j1_over_x(x) @ v.view(float)).view(complex)
 
 
 def focal_field_time(
@@ -191,14 +199,13 @@ def focal_field_time(
     """Real time-domain field at radius rho in the focal plane (V/m), at
     times t (s) from the rephasing instant f/c: it peaks at t = 0.
 
-    Synthesized as (kappa / pi) * Re int_0^inf E(rho, w) e^{-i w (t + f/c)}
-    dw using the reality fold phi(w) = conj(phi(-w)); kappa is the package
-    field calibration constant: -(kappa/pi) sqrt(2U/(eps0 c)) times the
-    real part of one `fourier_sum` at t (a chirp z-transform on a uniform
-    t) of the order-1 `AirySpectrum` column, on the `_band_points` grid of
-    max|t| + A rho / c + SPECTRUM_REACH / G. A radius that is not finite
-    and >= 0, or a t that is not finite, raises InvalidParameterError, and
-    a grid of more than MAX_FREQUENCY_POINTS GridRangeError.
+    Synthesized as (kappa / pi) Re int_0^inf E(rho, w) e^{-i w (t + f/c)} dw
+    by the reality fold phi(w) = conj(phi(-w)), kappa the package field
+    calibration constant: -(kappa/pi) sqrt(2U/(eps0 c)) times Re of one
+    `fourier_sum` at t of the order-1 `AirySpectrum` column, on the
+    `_band_points` grid of max|t| + A rho / c + SPECTRUM_REACH / G. A
+    radius not finite and >= 0, or a t not finite, raises
+    InvalidParameterError, a grid over MAX_FREQUENCY_POINTS GridRangeError.
     """
     rho = float(AirySpectrum.radii(rho))        # it sizes the grid
     t = np.asarray(t, dtype=float)
@@ -230,13 +237,12 @@ def focal_intensity_rephased(
     grid_scale: float = 1.0,
 ) -> np.ndarray:
     """Rephasing-time intensity |int_0^inf dw phi(w) J1(A w rho/c)/rho|^2
-    in arbitrary units (only ratios are meaningful downstream): the
-    squared modulus of the plain sum of the order-1 `AirySpectrum` column,
-    for blocks of radii of at most CHUNK_ELEMENTS elements, on a grid
-    holding the band max(A rho, mean wavelength) / c + SPECTRUM_REACH / G
-    (so a curve's samples and later radii share it), refined n -> 2n - 1
-    until the amplitudes agree within 1e-12 of their peak (a real part of
-    phi converges only as h^4)."""
+    in arbitrary units (only ratios are meaningful downstream): |order-1
+    `AirySpectrum.sums`|^2 for blocks of radii of at most CHUNK_ELEMENTS
+    elements, on a grid holding the band max(A rho, mean wavelength) / c +
+    SPECTRUM_REACH / G (so a curve's samples and later radii share it),
+    refined n -> 2n - 1 until the amplitudes agree within 1e-12 of their
+    peak (a real part of phi converges only as h^4)."""
     rhos = np.atleast_1d(AirySpectrum.radii(rho))   # they size the grid
     a = geometry.numerical_aperture
     reach = (max(a * np.max(rhos, initial=0.0), spectrum.mean_wavelength) / C_LIGHT
@@ -245,7 +251,7 @@ def focal_intensity_rephased(
     def amplitudes(n: int) -> np.ndarray:
         airy = AirySpectrum(spectrum, a, n)
         rows = _chunk(airy.frequencies)
-        return np.concatenate([airy.columns(rhos[i0:i0 + rows], 1).sum(axis=0)
+        return np.concatenate([airy.sums(rhos[i0:i0 + rows])[:, 0]
                                for i0 in range(0, rhos.size, rows)])
 
     amp = refine_until_converged(amplitudes, _band_points(spectrum, reach, grid_scale),

@@ -4,14 +4,14 @@ Filon transforms, certified outer cutoffs.
 Spectral moments integrate smooth Gaussian-tailed kernels, where
 composite trapezoid converges fast but must be *certified* by grid
 refinement. Every sum_j c_j e^{i y_k x_j} in the package - chi, the
-field, eta's one-point Newton sums, the inner emission transform and
-Filon's rule - is one call of `fourier_sum`: one chirp z-transform on
-numpy.fft when both grids lie on their lines, else blocks of exp(i
-outer(y, x)). Filon-type weights treat an e^{i q t} oscillation far
-above the grid Nyquist scale exactly; they need only that sum plus two
-endpoint terms. One routine, `certified_tail_cutoff`, integrates an
-outer integral through the caller's support edge on one grid and
-certifies the end by the tail over its doubling.
+field, the inner emission transform and Filon's rule - is one call of
+`fourier_sum`: one chirp z-transform on numpy.fft when both grids lie on
+their lines, else blocks of exp(i outer(y, x)). Filon-type weights treat
+an e^{i q t} oscillation far above the grid Nyquist scale exactly; they
+need only that sum plus two endpoint terms. One routine,
+`certified_tail_cutoff`, integrates an outer integral through the
+caller's support edge on one grid and certifies the end by the tail over
+its doubling.
 """
 
 from __future__ import annotations
@@ -134,9 +134,9 @@ def _chunk(x: np.ndarray) -> int:
 
 # a grid is uniform within this many ulps of max|grid| of its end-point line
 UNIFORM_ULPS = 8
-# fewer points, and a block beats three FFTs; the only Fourier sums of the
-# scenario, oracle or figure commands that short are eta's one-point Newton
-# sums, besides a direct evaluation of chi or the field at a few times
+# fewer points, and a block beats three FFTs; no Fourier sum of the scenario,
+# oracle or figure commands is that short, only a direct evaluation of chi
+# or the field at a few times
 MIN_CHIRP_POINTS = 12
 
 

@@ -515,27 +515,25 @@ def test_huge_pulse_period_excites_without_traceback(tmp_path):
 
 def _watch_blocks(monkeypatch):
     """Every block of a blocked product from now on: ("j1_over_x", shape,
-    bytes) of each matrix of Airy-weighted columns (the focal intensity's
-    radius blocks, chi's radii) that J1(x)/x is taken of, and ("exp", x,
-    outputs) of each Fourier sum of MIN_CHIRP_POINTS or more outputs that
-    falls back to blocks of complex exponentials. A shorter sum is a block
-    by design: `eta`'s one-point Newton sums are."""
+    bytes) of each matrix of radii and frequencies that J1(x)/x is taken
+    of (the focal intensity's radius blocks, chi's columns), and ("exp",
+    x, rows per block) of each Fourier sum that falls back to blocks of
+    complex exponentials."""
     built = []
-    real_j1, real_chirp = focal.j1_over_x, quadrature._chirp_z
+    real_j1, real_chunk = focal.j1_over_x, quadrature._chunk
 
     def j1_block(x):
         if np.ndim(x) == 2:
             built.append(("j1_over_x", x.shape, x.tobytes()))
         return real_j1(x)
 
-    def exp_blocks(x, y, c):
-        z = real_chirp(x, y, c)
-        if z is None and y.size >= quadrature.MIN_CHIRP_POINTS:
-            built.append(("exp", x.tobytes(), y.size))
-        return z
+    def exp_blocks(x):
+        rows = real_chunk(x)
+        built.append(("exp", x.tobytes(), rows))
+        return rows
 
     monkeypatch.setattr(focal, "j1_over_x", j1_block)
-    monkeypatch.setattr(quadrature, "_chirp_z", exp_blocks)
+    monkeypatch.setattr(quadrature, "_chunk", exp_blocks)
     return built
 
 
@@ -555,9 +553,8 @@ def _watch_chirps(monkeypatch):
 
 
 def test_run_scenario_builds_each_block_once(tmp_path, monkeypatch):
-    # every Fourier sum of many outputs is a chirp z-transform, so the only
-    # blocks are the J1(x)/x blocks of the Airy-weighted columns; none is
-    # built twice
+    # every Fourier sum is a chirp z-transform, so the only blocks are the
+    # J1(x)/x blocks of the focal intensity and of chi; none is built twice
     built = _watch_blocks(monkeypatch)
     run_scenario(loads_config("grid_scale = 0.3\noutput_dir = "
                               + str(tmp_path) + "\n"))
@@ -621,8 +618,7 @@ def test_tau_axes_lie_on_their_lines(tmp_path, monkeypatch):
     oracle_compare(cfg, [(10.0, 0.05)])
     run_scenario(cfg)
     assert transforms
-    assert all(quadrature._line(y)[-1] and chirped for _, y, chirped in transforms
-               if y.size >= quadrature.MIN_CHIRP_POINTS)
+    assert all(quadrature._line(y)[-1] and chirped for _, y, chirped in transforms)
 
 
 def test_oracle_row_builds_no_exp_block(tmp_path, monkeypatch):
@@ -636,7 +632,9 @@ def test_oracle_row_builds_no_exp_block(tmp_path, monkeypatch):
     assert row.endswith(",")  # no error
     assert transforms and all(chirped or y.size < quadrature.MIN_CHIRP_POINTS
                               for _, y, chirped in transforms)
-    assert not [b for b in built if b[0] == "exp"]
+    # no exp block, and the one J1(x)/x matrix is chi's column at rho = 0
+    # for p_e(0): the row takes no focal intensity
+    assert [(kind, shape[1:]) for kind, shape, _ in built] == [("j1_over_x", (1,))]
 
 
 def _f_calls(monkeypatch):

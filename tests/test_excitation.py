@@ -233,7 +233,6 @@ def test_eta_steps_stay_in_the_scan_bracket(scenario, monkeypatch):
     # sample; the reference scan has two lobes, chi being odd in tau. Grid
     # scale 0.3 scans the grid of scale 1, and grid scale 2 a finer one
     _, spectrum, geometry, tls, train = scenario
-    real_sum = excitation.fourier_sum
     for grid_scale in (0.3, 2.0):
         synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy,
                                        tls, grid_scale)
@@ -245,17 +244,15 @@ def test_eta_steps_stay_in_the_scan_bracket(scenario, monkeypatch):
             seen = []
             rest = {}
 
-            def sums(w, tau, c):
-                # the scan passes through; each lobe's one-point sums start
-                # at its sample and draw the curvatures anew
-                if np.ndim(tau):
-                    return real_sum(w, tau, c)
+            def sums(rho, ks, tau):
+                # each lobe's steps start at its sample and draw the curvatures anew
+                assert rho == 0.0 and ks == (0, 1, 2)
                 if tau in taus[lobes]:
                     rest["it"] = iter(curvatures + [0.0])
                 seen.append(tau)
                 return np.array([0.0, 1e300, next(rest["it"])])
 
-            monkeypatch.setattr(excitation, "fourier_sum", sums)
+            monkeypatch.setattr(synthesis, "sums", sums)
             got = ps.eta(geometry, spectrum, train.pulse_energy, tls, grid_scale,
                          synthesis)
             steps = int(len(curvatures) > 1)
@@ -323,14 +320,13 @@ def test_eta_polishes_few_lobes_of_a_narrowband_spectrum(scenario, monkeypatch):
     carrier = cfg.carrier_frequency_rad_per_s
     spectrum = ps.make_gaussian_spectrum(carrier, 0.001 * carrier)
     synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls)
-    real, taus = excitation.fourier_sum, []
+    real, taus = synthesis.sums, []
 
-    def sums(w, tau, c):
-        if not np.ndim(tau):
-            taus.append(tau)
-        return real(w, tau, c)
+    def sums(rho, ks, tau):
+        taus.append(tau)
+        return real(rho, ks, tau)
 
-    monkeypatch.setattr(excitation, "fourier_sum", sums)
+    monkeypatch.setattr(synthesis, "sums", sums)
     got = ps.eta(geometry, spectrum, train.pulse_energy, tls, 1.0, synthesis)
     assert 0 < len(taus) <= 118
     np.testing.assert_allclose(got, _zoomed_eta(synthesis, tls.transition_frequency),

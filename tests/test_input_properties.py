@@ -20,8 +20,13 @@ from pulsescope.errors import (
     InvalidStateError,
     NumericalConvergenceError,
 )
-from pulsescope.excitation import PulseTrainConfig, TwoLevelSystem
-from pulsescope.focal import FocusingGeometry
+from pulsescope.excitation import (
+    PulseAreaSynthesis,
+    PulseTrainConfig,
+    TwoLevelSystem,
+    eta,
+)
+from pulsescope.focal import FocusingGeometry, focal_field_time
 from pulsescope.spectra import make_gaussian_spectrum, make_spectrum
 
 DEFAULTS = ScenarioConfig()
@@ -165,3 +170,15 @@ def test_physics_objects_reject_values_that_are_not_finite(build, args, index,
     drawn[index] = value
     with pytest.raises(InvalidParameterError):
         build(*drawn)
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, 0.0])
+def test_pulse_energy_entry_points_reject_values_that_are_not_finite(energy):
+    # eta, the synthesis and the field take a pulse energy directly, not
+    # through PulseTrainConfig; a NaN or infinite energy used to give nan
+    spectrum, geometry, tls, _ = DEFAULTS.build()
+    for call in (lambda: eta(geometry, spectrum, energy, tls, 0.3),
+                 lambda: PulseAreaSynthesis(geometry, spectrum, energy, tls, 0.3),
+                 lambda: focal_field_time(geometry, spectrum, energy, 0.0, 0.0)):
+        with pytest.raises(InvalidParameterError):
+            call()

@@ -1,6 +1,6 @@
 """The Fourier sum - a chirp z-transform between uniform grids, blocks of
 complex exponentials otherwise - and the radius blocks of the focal
-intensity's Airy-weighted columns, against the loops they replaced.
+intensity's Airy-weighted sums, against the loops they replaced.
 
 The reference loops below are the package's former implementations of
 chi, the time-domain focal field, the inner emission transform, Filon's
@@ -231,7 +231,7 @@ def test_focal_intensity_matches_trapezoid_loop(scenario, monkeypatch):
         lambda w: (1.0 + 0.5j) * w * np.exp(-((w - 3e15) / 2e15) ** 2),
         3e15, 1e15)
     # blocks of 7 radii, each one J1(x)/x array of the Airy-weighted
-    # spectrum's columns, so the chunk seams are covered too
+    # spectrum's sums, so the chunk seams are covered too
     monkeypatch.setattr(focal, "_chunk", lambda x: 7)
     blocks = []
     real_j1 = focal.j1_over_x
@@ -254,7 +254,7 @@ def test_focal_intensity_matches_trapezoid_loop(scenario, monkeypatch):
         n = int(np.ceil(4.0 * s.max_frequency * reach / (2.0 * np.pi)) + 1) | 1
         grids = []
         while len(grids) < len(blocks):
-            grids += [(n, 7)] * 4 + [(n, 5)]
+            grids += [(7, n)] * 4 + [(5, n)]
             n = 2 * n - 1
         assert len(grids) >= 10 and blocks == grids
         scalar = ps.focal_intensity_rephased(geometry, s, float(rhos[5]))
