@@ -53,10 +53,7 @@ SPECTRUM_REACH = 8.0  # exp(-G^2 t^2), the spectrum's transform, < e^-64 past 8 
 # bound on the points of a `_band_points` frequency grid; the largest in
 # use, an N = 64 oracle train's drive at grid scale 4, takes 2.4e5
 MAX_FREQUENCY_POINTS = 1_000_000
-# spot_size's regula falsi keeps its steps SECANT_MARGIN * hi inside its
-# bracket, far above any evaluator's rounding, and stops after
-# SECANT_BUDGET evaluations
-SECANT_MARGIN = 1e-9
+# spot_size's regula falsi bisects after SECANT_BUDGET trials
 SECANT_BUDGET = 8
 
 
@@ -113,7 +110,7 @@ class RadialCurve:
             raise InvalidParameterError(f"unknown curve kind {self.kind!r}")
         if self.radii.size != self.values.size:
             raise InvalidParameterError("radii and values must have equal length")
-        if self.radii[0] != 0.0:
+        if self.radii.size == 0 or self.radii[0] != 0.0:
             raise InvalidParameterError("radial grid must start at rho = 0")
         if np.any(np.diff(self.radii) <= 0):
             raise InvalidParameterError("radial grid must increase strictly")
@@ -221,7 +218,7 @@ def focal_field_time(
                 "time grid does not resolve the field oscillation",
                 max_step=float(np.max(dt)), required=needed,
             )
-    reach = (float(np.max(np.abs(t))) + geometry.numerical_aperture * rho / C_LIGHT
+    reach = (float(np.max(np.abs(t), initial=0.0)) + geometry.numerical_aperture * rho / C_LIGHT
              + SPECTRUM_REACH / spectrum.spectral_width)
     airy = AirySpectrum(spectrum, geometry.numerical_aperture,
                         _band_points(spectrum, reach, grid_scale))
@@ -244,6 +241,8 @@ def focal_intensity_rephased(
     refined n -> 2n - 1 until the amplitudes agree within 1e-12 of their
     peak (a real part of phi converges only as h^4)."""
     rhos = np.atleast_1d(AirySpectrum.radii(rho))   # they size the grid
+    if rhos.size == 0:
+        return np.zeros(np.shape(rho))
     a = geometry.numerical_aperture
     reach = (max(a * np.max(rhos, initial=0.0), spectrum.mean_wavelength) / C_LIGHT
              + SPECTRUM_REACH / spectrum.spectral_width)
@@ -311,29 +310,26 @@ def spot_size(curve: RadialCurve, threshold: float = 0.5,
               rtol: float = 1e-6) -> float:
     """Smallest radius where a resolution curve crosses the threshold.
 
-    Brackets on the stored samples [lo, hi], then returns bit for bit
-    what bisecting the curve's evaluator to relative tolerance rtol
-    returns, in fewer evaluations. Illinois regula falsi, started from
-    the two samples' stored values, first narrows an evaluated bracket
-    [a, b] to half the bisection's last width, or stops after
-    SECANT_BUDGET evaluations. The bisection then runs unchanged on
-    [lo, hi], except that a midpoint more than SECANT_MARGIN * hi below
-    a counts as above the threshold, and one as far above b as below it,
-    without an evaluation; each other midpoint is evaluated once. That
-    is the bisection's own answer whenever the evaluator crosses the
-    threshold once within the sample bracket, as the bisection assumes.
+    Brackets the crossing on the stored samples [lo, hi] and narrows the
+    bracket [a, b] by Illinois regula falsi on the curve's evaluator,
+    started from the two samples' stored values. Each trial point lies
+    at least rtol * hi / 4 inside [a, b], so one next to the crossing
+    closes the bracket; after SECANT_BUDGET trials the trial point is the
+    midpoint. Returns the midpoint once b - a <= rtol * hi: within
+    rtol * hi / 2 of the crossing whenever the evaluator crosses the
+    threshold once within the sample bracket.
 
-    rtol must be a finite number in [4 eps, 1). A curve without an
-    evaluator raises InvalidParameterError.
+    threshold must be a number in (0, 1], rtol a finite number in
+    [4 eps, 1). A curve without an evaluator raises InvalidParameterError.
     """
     if curve.kind != "resolution":
         raise InvalidParameterError("spot size is defined on resolution curves")
     if curve.evaluator is None:
         raise InvalidParameterError(
             "spot size searches the curve's evaluator; this curve has none")
-    if not 0.0 < threshold <= 1.0:
-        raise InvalidParameterError(f"threshold must lie in (0, 1], got {threshold}")
-    # below 4 eps, hi - lo cannot shrink under rtol * hi and bisection never ends
+    if not (isinstance(threshold, numbers.Real) and 0.0 < threshold <= 1.0):
+        raise InvalidParameterError(f"threshold must lie in (0, 1], got {threshold!r}")
+    # below 4 eps, b - a cannot shrink under rtol * hi and the search never ends
     if not (isinstance(rtol, numbers.Real) and 4.0 * np.finfo(float).eps <= rtol < 1.0):
         raise InvalidParameterError(f"rtol must lie in [4 eps, 1), got {rtol!r}")
     if threshold == 1.0:
@@ -347,41 +343,24 @@ def spot_size(curve: RadialCurve, threshold: float = 0.5,
     hi_idx = below[0]
     if hi_idx == 0:
         return 0.0
-    lo, hi = curve.radii[hi_idx - 1], curve.radii[hi_idx]
-    seen = {}
-
-    def above(r) -> bool:
-        if r not in seen:
-            seen[r] = curve.evaluator(r)
-        return seen[r] > threshold
-
-    # phase 1: the stored samples start the bracket, so it costs nothing
-    # until the first step; a steps up on "above", b down on "not above"
-    margin = SECANT_MARGIN * hi
-    a, b = lo, hi
+    hi = curve.radii[hi_idx]
+    # the stored samples start the bracket, so it costs nothing until the
+    # first trial; a steps up on "above", b down on "not above"
+    a, b = curve.radii[hi_idx - 1], hi
     ga, gb = curve.values[hi_idx - 1] - threshold, curve.values[hi_idx] - threshold
-    moved = 0
-    # half the bisection's last width; the floor above 2 margins keeps
-    # each clamped step strictly inside the bracket
-    width = max(0.5 * rtol * hi, 4.0 * margin)
-    for _ in range(SECANT_BUDGET):
-        if b - a <= width:
-            break
-        x = b - gb * (b - a) / (gb - ga)
+    margin = 0.25 * rtol * hi
+    moved = trials = 0
+    while b - a > rtol * hi:
+        x = b - gb * (b - a) / (gb - ga) if trials < SECANT_BUDGET else np.nan
         x = min(max(x, a + margin), b - margin) if np.isfinite(x) else 0.5 * (a + b)
-        if above(x):
-            a, ga = x, seen[x] - threshold
+        trials += 1
+        g = curve.evaluator(x) - threshold
+        if g > 0:
+            a, ga = x, g
             gb = 0.5 * gb if moved > 0 else gb  # Illinois: b kept twice
             moved = 1
         else:
-            b, gb = x, seen[x] - threshold
+            b, gb = x, g
             ga = 0.5 * ga if moved < 0 else ga
             moved = -1
-    # phase 2: the plain bisection, answered outside [a - margin, b + margin]
-    while (hi - lo) > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if mid < a - margin or (mid <= b + margin and above(mid)):
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+    return float(0.5 * (a + b))

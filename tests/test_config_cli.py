@@ -23,6 +23,7 @@ from pulsescope.errors import (
     RegimeViolationError,
 )
 from pulsescope.scenario import emit_figure_data, oracle_compare, run_scenario, scan
+from spot_reference import counted, plain_bisection
 
 
 def read_curve(path):
@@ -683,16 +684,15 @@ def test_curve_samples_share_few_f_calls(tmp_path, monkeypatch):
     assert len([call for call in others if call != [0.0]]) <= 6
 
 
-def test_spot_sizes_replay_the_plain_bisection(tmp_path, monkeypatch):
-    # both spot sizes of a run are the plain bisection's bits, each found
-    # in a few evaluations of its curve
-    from test_focal import counted, plain_bisection
+def test_spot_sizes_match_the_plain_bisection(tmp_path, monkeypatch):
+    # both spot sizes of a run lie within rtol * hi of the plain
+    # bisection's, each found in a few evaluations of its curve
     found = []
     real_spot_size = scenario.spot_size
 
     def recorded(curve):
-        calls = counted(curve)
-        found.append((curve, real_spot_size(curve), calls[0]))
+        radii = counted(curve)
+        found.append((curve, real_spot_size(curve), len(radii)))
         return found[-1][1]
 
     monkeypatch.setattr(scenario, "spot_size", recorded)
@@ -701,8 +701,19 @@ def test_spot_sizes_replay_the_plain_bisection(tmp_path, monkeypatch):
     assert [spot for _, spot, _ in found] == [report.spot_intensity_m,
                                                report.spot_excitation_m]
     for curve, spot, made in found:
-        assert made <= 6
-        assert spot == plain_bisection(curve)[0]
+        assert made <= 5
+        hi = curve.radii[np.nonzero(curve.values <= 0.5)[0][0]]
+        assert abs(spot - plain_bisection(curve)[0]) <= 1e-6 * hi
+
+
+def test_excitation_spot_is_independent_of_energy_and_pulse_count(tmp_path):
+    # U and N scale p_e at every radius alike and cancel in its
+    # resolution ratio, so the excitation spot moves only by rounding
+    cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
+    for parameter, values in (("U", [1e-9, 2e-9]), ("N", [1, 2])):
+        lines = (tmp_path / scan(cfg, parameter, values)).read_text().splitlines()
+        spots = [float(line.split(",")[-1]) for line in lines[1:]]
+        np.testing.assert_allclose(spots[1], spots[0], rtol=1e-6)
 
 
 def test_figure_1b_is_one_field_transform(tmp_path, monkeypatch):

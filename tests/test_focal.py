@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C
+from spot_reference import counted, plain_bisection
 from test_bessel import J1_FIRST_ZERO
 
 from pulsescope import excitation, focal
@@ -125,6 +126,18 @@ def test_fields_reject_negative_rho(ultrafast):
     for t in (float("nan"), np.array([0.0, float("nan"), 1e-17])):
         with pytest.raises(InvalidParameterError, match="finite"):
             focal_field_time(GEO, ultrafast, U, 0.0, t)
+
+
+def test_rephased_intensity_at_no_radii_is_empty(ultrafast):
+    # as chi and probability at no radii are; it raised a concatenation ValueError
+    out = focal_intensity_rephased(GEO, ultrafast, [])
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+def test_time_field_at_no_times_is_empty(ultrafast):
+    # it raised a zero-size reduction ValueError
+    out = focal_field_time(GEO, ultrafast, U, 0.0, [])
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
 def test_monochromatic_first_zero(narrowband):
@@ -415,6 +428,12 @@ def test_radial_curve_csv_round_trip(ultrafast):
     assert {k for _, _, k in rows} == {"resolution"}
 
 
+def test_empty_radial_curve_raises():
+    # it raised an IndexError
+    with pytest.raises(InvalidParameterError, match="rho = 0"):
+        RadialCurve([], [], "intensity")
+
+
 def test_radial_curve_invariants():
     with pytest.raises(InvalidParameterError):
         RadialCurve(np.array([0.0, 1.0, 1.0]), np.zeros(3), "intensity")
@@ -448,7 +467,7 @@ def test_resolution_curve_monotone_through_crossing(ultrafast):
 
 
 def test_spot_size_without_evaluator_raises():
-    # spot_size bisects the evaluator; bare samples are not enough
+    # spot_size searches the evaluator; bare samples are not enough
     bare = RadialCurve(np.linspace(0.0, 2.0, 5), [1.0, 0.8, 0.6, 0.4, 0.2],
                        "resolution")
     assert bare.evaluator is None
@@ -499,55 +518,28 @@ def test_resolution_curve_of_an_analytic_quantity():
         resolution_curve(np.square, 1.0, 5)
 
 
-def plain_bisection(curve, threshold=0.5, rtol=1e-6):
-    """(spot, evaluations) of the plain bisection spot_size replays: the
-    reference its answers must equal bit for bit."""
-    hi_idx = np.nonzero(curve.values <= threshold)[0][0]
-    lo, hi = curve.radii[hi_idx - 1], curve.radii[hi_idx]
-    evaluations = 0
-    while (hi - lo) > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        evaluations += 1
-        if curve.evaluator(mid) > threshold:
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi)), evaluations
-
-
-def counted(curve):
-    """curve with its evaluator wrapped to count calls into calls[0]."""
-    calls = [0]
-    evaluate = curve.evaluator
-
-    def wrapped(r):
-        calls[0] += 1
-        return evaluate(r)
-
-    curve.evaluator = wrapped
-    return calls
-
-
 def _gaussian_curve():
     # q = exp(-rho^2): the resolution crosses 1/2 at rho = sqrt(ln 3) = 1.0481
     return resolution_curve(lambda r: np.exp(-np.square(r)), 2.0, 9)
 
 
-@pytest.mark.parametrize("rtol", [1e-17, 0.0, -1e-6, math.nan, math.inf, 1.0,
-                                  2.0, "1e-6", None])
-def test_spot_size_rejects_rtol_before_evaluating(rtol):
-    # 1e-17 and 0 hung in the bisection; nan returned the sample midpoint
+@pytest.mark.parametrize("name, value", [
+    *[("rtol", v) for v in (1e-17, 0.0, -1e-6, math.nan, math.inf, 1.0, 2.0,
+                            "1e-6", None)],
+    *[("threshold", v) for v in (0.0, -0.5, 1.5, math.nan, math.inf, "0.5",
+                                 None, [0.5])]])
+def test_spot_size_rejects_inputs_before_evaluating(name, value):
+    # rtol 1e-17 and 0 hung in the bisection, nan returned the sample
+    # midpoint; threshold "0.5" raised a bare TypeError
     curve = _gaussian_curve()
-    calls = counted(curve)
-    with pytest.raises(InvalidParameterError, match="rtol"):
-        spot_size(curve, rtol=rtol)
-    assert calls[0] == 0
+    radii = counted(curve)
+    with pytest.raises(InvalidParameterError, match=name):
+        spot_size(curve, **{name: value})
+    assert radii == []
 
 
 def test_spot_size_at_the_smallest_rtol():
-    rtol = 4 * np.finfo(float).eps
-    spot = spot_size(_gaussian_curve(), rtol=rtol)
-    assert spot == plain_bisection(_gaussian_curve(), rtol=rtol)[0]
+    spot = spot_size(_gaussian_curve(), rtol=4 * np.finfo(float).eps)
     np.testing.assert_allclose(spot, np.sqrt(np.log(3.0)), rtol=1e-14)
 
 
@@ -598,7 +590,7 @@ CURVES = st.fixed_dictionaries({
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(CURVES)
-def test_spot_size_replays_the_plain_bisection(drawn):
+def test_spot_size_matches_the_plain_bisection(drawn):
     scale = drawn["scale"]
     q = _quantity(drawn["kind"], scale, drawn["power"],
                   drawn["edge"] * scale, drawn["level"])
@@ -606,10 +598,17 @@ def test_spot_size_replays_the_plain_bisection(drawn):
     below = np.nonzero(curve.values <= drawn["threshold"])[0]
     if below.size == 0 or below[0] == 0:
         return  # no sample bracket: nothing is evaluated
-    args = drawn["threshold"], drawn["rtol"]
-    calls = counted(curve)
-    spot = spot_size(curve, *args)
-    made = calls[0]
-    expected, evaluations = plain_bisection(curve, *args)
-    assert spot == expected
-    assert made <= evaluations + SECANT_BUDGET
+    threshold, rtol = drawn["threshold"], drawn["rtol"]
+    hi = curve.radii[below[0]]
+    expected, evaluations = plain_bisection(curve, threshold, rtol)
+    radii = counted(curve)
+    spot = spot_size(curve, threshold, rtol)
+    # both answers lie within rtol * hi / 2 of the one crossing
+    assert abs(spot - expected) <= rtol * hi
+    assert len(radii) <= evaluations + SECANT_BUDGET
+    # each call evaluates a new radius, never a stored sample
+    assert len(set(radii)) == len(radii)
+    assert not set(radii) & set(curve.radii.tolist())
+    if drawn["kind"] in ("analytic", "lorentzian"):
+        crossing, _ = plain_bisection(curve, threshold, 4 * np.finfo(float).eps)
+        assert abs(spot - crossing) <= 0.5 * rtol * hi
