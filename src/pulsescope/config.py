@@ -15,8 +15,7 @@ with a 1.6 ns lifetime and tenfold inhomogeneous broadening, driven by
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +139,3 @@ class ScenarioReport:
     spot_excitation_m: float
     flags: dict
     curve_files: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"

@@ -34,9 +34,8 @@ is isolated in one function so an alternative convention can be swapped.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -169,9 +168,6 @@ class ExcitationResult:
     eta: float
     f_value: float
     flags: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 class PulseAreaSynthesis(AirySpectrum):

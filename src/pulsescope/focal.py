@@ -26,7 +26,6 @@ the excitation chain needs absolute pulse areas.
 
 from __future__ import annotations
 
-import io
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -48,7 +47,6 @@ from .spectra import PulseSpectrum
 PARAXIAL_LIMIT = 0.2
 FAR_FIELD_WAVELENGTHS = 50.0
 
-CURVE_KINDS = ("intensity", "resolution")
 SPECTRUM_REACH = 8.0  # exp(-G^2 t^2), the spectrum's transform, < e^-64 past 8 / G
 # bound on the points of a `_band_points` frequency grid; the largest in
 # use, an N = 64 oracle train's drive at grid scale 4, takes 2.4e5
@@ -87,42 +85,30 @@ class FocusingGeometry:
 
 @dataclass
 class RadialCurve:
-    """Sampled radial profile with an optional evaluator.
+    """Sampled resolution curve with its evaluator.
 
-    radii start at zero and increase strictly; kind tags the unit
-    ("intensity", "resolution"). The evaluator, when present, recomputes
-    the underlying continuous function at any radius. spot_size brackets
-    the crossing on the stored values and evaluates it only inside that
-    bracket, a few times per curve.
+    radii start at zero and increase strictly, and values start at
+    exactly 1. The evaluator recomputes the underlying continuous
+    function at any radius. spot_size brackets the crossing on the
+    stored values and evaluates it only inside that bracket, a few times
+    per curve.
     """
 
     radii: np.ndarray
     values: np.ndarray
-    kind: str
-    evaluator: Optional[Callable[[float], float]] = field(
-        default=None, repr=False, compare=False
-    )
+    evaluator: Callable[[float], float] = field(repr=False, compare=False)
 
     def __post_init__(self):
         self.radii = np.asarray(self.radii, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.kind not in CURVE_KINDS:
-            raise InvalidParameterError(f"unknown curve kind {self.kind!r}")
         if self.radii.size != self.values.size:
             raise InvalidParameterError("radii and values must have equal length")
         if self.radii.size == 0 or self.radii[0] != 0.0:
             raise InvalidParameterError("radial grid must start at rho = 0")
         if np.any(np.diff(self.radii) <= 0):
             raise InvalidParameterError("radial grid must increase strictly")
-        if self.kind == "resolution" and self.values[0] != 1.0:
+        if self.values[0] != 1.0:
             raise InvalidParameterError("resolution curves must start at exactly 1")
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("rho_m,value,kind\n")
-        for r, v in zip(self.radii, self.values):
-            buf.write(f"{float(r)!r},{float(v)!r},{self.kind}\n")
-        return buf.getvalue()
 
 
 def _amplitude_prefactor(pulse_energy: float) -> float:
@@ -240,7 +226,7 @@ def focal_intensity_rephased(
     SPECTRUM_REACH / G (so a curve's samples and later radii share it),
     refined n -> 2n - 1 until the amplitudes agree within 1e-12 of their
     peak (a real part of phi converges only as h^4)."""
-    rhos = np.atleast_1d(AirySpectrum.radii(rho))   # they size the grid
+    rhos = AirySpectrum.radii(rho).ravel()          # they size the grid
     if rhos.size == 0:
         return np.zeros(np.shape(rho))
     a = geometry.numerical_aperture
@@ -256,7 +242,7 @@ def focal_intensity_rephased(
     amp = refine_until_converged(amplitudes, _band_points(spectrum, reach, grid_scale),
                                  rtol=1e-12, what="rephased focal amplitude")
     out = amp.real**2 + amp.imag**2
-    return out if np.ndim(rho) else float(out[0])
+    return out.reshape(np.shape(rho)) if np.ndim(rho) else float(out[0])
 
 
 def resolution_curve(quantity: Callable, rho_max: float,
@@ -287,7 +273,7 @@ def resolution_curve(quantity: Callable, rho_max: float,
 
     values = ratio(samples)
     values[0] = 1.0
-    return RadialCurve(radii, values, "resolution", evaluate)
+    return RadialCurve(radii, values, evaluate)
 
 
 def intensity_resolution_curve(
@@ -320,13 +306,8 @@ def spot_size(curve: RadialCurve, threshold: float = 0.5,
     threshold once within the sample bracket.
 
     threshold must be a number in (0, 1], rtol a finite number in
-    [4 eps, 1). A curve without an evaluator raises InvalidParameterError.
+    [4 eps, 1).
     """
-    if curve.kind != "resolution":
-        raise InvalidParameterError("spot size is defined on resolution curves")
-    if curve.evaluator is None:
-        raise InvalidParameterError(
-            "spot size searches the curve's evaluator; this curve has none")
     if not (isinstance(threshold, numbers.Real) and 0.0 < threshold <= 1.0):
         raise InvalidParameterError(f"threshold must lie in (0, 1], got {threshold!r}")
     # below 4 eps, b - a cannot shrink under rtol * hi and the search never ends

@@ -31,8 +31,7 @@ doubling-tail check from `quadrature`, as the analytic chain does.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -278,9 +277,6 @@ class OracleReport:
     p_e_analytic: float
     relative_deviation: float
     flags: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def default_time_grid(

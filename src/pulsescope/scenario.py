@@ -2,14 +2,18 @@
 
 Everything here is a thin composition of the physics modules; every
 number in a report is recomputable by calling the underlying operation
-with the same configuration. Outputs are deterministic: identical
-configurations produce byte-identical CSV/JSON.
+with the same configuration. Every file is written by one of two
+writers: `_write_csv` (a header line, then one row per index of its
+columns; a number as repr(float(x)), text as it is, quoted per RFC 4180
+only when it holds a comma, a quote or a newline) and `_write_json` (a
+dataclass or a dict, indented, keys sorted). Outputs are deterministic:
+identical configurations produce byte-identical CSV/JSON.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +32,6 @@ from .excitation import (
     validity_flags,
 )
 from .focal import (
-    RadialCurve,
     focal_field_time,
     focal_intensity_rephased,
     intensity_resolution_curve,
@@ -60,15 +63,48 @@ def _write(cfg: ScenarioConfig, name: str, text: str) -> str:
     return name
 
 
+def _write_json(cfg: ScenarioConfig, name: str, record) -> str:
+    """Write a dataclass or a dict as indented JSON with sorted keys."""
+    record = asdict(record) if is_dataclass(record) else record
+    return _write(cfg, name, json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
+def _text(cell: str) -> str:
+    """A text cell, quoted per RFC 4180 when it holds a comma, quote or newline."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _write_csv(cfg: ScenarioConfig, name: str, header: str, *columns) -> str:
+    """Write the header line, then one row per index of the columns.
+
+    An array column is all numbers; any other column is a sequence of
+    cells, each a text (`_text`) or a number. A number is repr(float(x))."""
+    cells = [map(repr, np.asarray(col, dtype=float).tolist()) if isinstance(col, np.ndarray)
+             else [_text(c) if isinstance(c, str) else repr(float(c)) for c in col]
+             for col in columns]
+    rows = map(",".join, zip(*cells, strict=True))
+    return _write(cfg, name, "\n".join([header, *rows]) + "\n")
+
+
+def _write_curve(cfg: ScenarioConfig, name: str, radii, values, kind: str) -> str:
+    """A radial table: rho_m, value and the kind, "resolution" or "intensity"."""
+    return _write_csv(cfg, name, "rho_m,value,kind", radii, values, [kind] * len(radii))
+
+
 def emit_spectrum(cfg: ScenarioConfig) -> str:
     """Write the spectral density and statistics; returns the means as text."""
     spectrum = cfg.build()[0]
     w = spectrum.frequency_grid(2001)
     dens = np.abs(spectrum.value(w)) ** 2
-    rows = "".join(f"{float(wi)!r},{float(di)!r}\n" for wi, di in zip(w, dens))
-    _write(cfg, "spectrum.csv", "omega_rad_per_s,density_s\n" + rows)
-    _write(cfg, "spectrum.json",
-           json.dumps(spectrum.serializable(), indent=2, sort_keys=True) + "\n")
+    _write_csv(cfg, "spectrum.csv", "omega_rad_per_s,density_s", w, dens)
+    _write_json(cfg, "spectrum.json", {
+        "carrier_frequency_rad_per_s": spectrum.carrier_frequency,
+        "spectral_width_rad_per_s": spectrum.spectral_width,
+        "mean_frequency_rad_per_s": spectrum.mean_frequency,
+        "mean_wavelength_m": spectrum.mean_wavelength,
+    })
     return (f"mean frequency {spectrum.mean_frequency!r} rad/s, "
             f"mean wavelength {spectrum.mean_wavelength!r} m")
 
@@ -79,8 +115,7 @@ def focus(cfg: ScenarioConfig) -> str:
     rho_max = spectrum.mean_wavelength / geometry.numerical_aperture
     radii = np.linspace(0.0, rho_max, 81)
     vals = focal_intensity_rephased(geometry, spectrum, radii, cfg.grid_scale)
-    name = _write(cfg, "focal_intensity.csv",
-                  RadialCurve(radii, vals, "intensity").to_csv())
+    name = _write_curve(cfg, "focal_intensity.csv", radii, vals, "intensity")
     return f"wrote {name} ({len(radii)} radii)"
 
 
@@ -89,7 +124,8 @@ def _intensity_spot(cfg: ScenarioConfig, spectrum, geometry) -> tuple[float, str
     curve = intensity_resolution_curve(geometry, spectrum,
                                        grid_scale=cfg.grid_scale)
     spot = spot_size(curve)
-    return spot, _write(cfg, "intensity_resolution.csv", curve.to_csv())
+    return spot, _write_curve(cfg, "intensity_resolution.csv", curve.radii,
+                              curve.values, "resolution")
 
 
 def resolve(cfg: ScenarioConfig) -> str:
@@ -105,7 +141,7 @@ def excite(cfg: ScenarioConfig) -> str:
     result = excitation_probability(train, tls, geometry, spectrum, 0.0,
                                     cfg.grid_scale)
     rate = imaging_rate(train, tls, result.p_e)
-    _write(cfg, "excitation.json", result.to_json())
+    _write_json(cfg, "excitation.json", result)
     return f"p_e(0) = {result.p_e!r}, eta = {result.eta!r}, R = {rate!r} Hz"
 
 
@@ -139,8 +175,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     spot_e = None
     if curve_e is not None:
         spot_e = spot_size(curve_e)
-        files["excitation_resolution"] = _write(
-            cfg, "excitation_resolution.csv", curve_e.to_csv())
+        files["excitation_resolution"] = _write_curve(
+            cfg, "excitation_resolution.csv", curve_e.radii, curve_e.values,
+            "resolution")
     rate = imaging_rate(train, tls, result.p_e)
 
     report = ScenarioReport(
@@ -152,7 +189,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         flags=dict(result.flags),
         curve_files=files,
     )
-    _write(cfg, "scenario_report.json", report.to_json())
+    _write_json(cfg, "scenario_report.json", report)
     return report
 
 
@@ -171,25 +208,21 @@ def emit_figure_data(cfg: ScenarioConfig, figure: str) -> str:
                              grid_scale=cfg.grid_scale)
         e = e / np.max(np.abs(e))
         t = geometry.reference_sphere_radius / C_LIGHT + tau  # absolute time
-        rows = "".join(f"{float(wbar * ti)!r},{float(ei)!r}\n" for ti, ei in zip(t, e))
-        return _write(cfg, "figure_1b.csv", "omega_bar_t,field_arbitrary\n" + rows)
+        return _write_csv(cfg, "figure_1b.csv", "omega_bar_t,field_arbitrary",
+                          wbar * t, e)
 
     if figure == "1c":
         w = spectrum.frequency_grid(2001)
         density = np.abs(spectrum.value(w)) ** 2 * wbar
-        rows = "".join(f"{float(wi / wbar)!r},{float(di)!r}\n" for wi, di in zip(w, density))
-        return _write(cfg, "figure_1c.csv",
-                      "omega_over_mean,spectral_density_times_mean\n" + rows)
+        return _write_csv(cfg, "figure_1c.csv",
+                          "omega_over_mean,spectral_density_times_mean", w / wbar, density)
 
     if figure == "1c-inset":
         w0 = spectrum.carrier_frequency
         ratios = np.logspace(-2, 2, 33)
-        rows = []
-        for r in ratios:
-            s = make_gaussian_spectrum(w0, r * w0)
-            rows.append(f"{float(r)!r},{float(s.mean_frequency / w0)!r}\n")
-        return _write(cfg, "figure_1c_inset.csv",
-                      "width_over_carrier,mean_over_carrier\n" + "".join(rows))
+        means = [make_gaussian_spectrum(w0, r * w0).mean_frequency / w0 for r in ratios]
+        return _write_csv(cfg, "figure_1c_inset.csv", "width_over_carrier,mean_over_carrier",
+                          ratios, means)
 
     # 1d: both resolution functions against A rho / lambda_bar
     a = geometry.numerical_aperture
@@ -201,13 +234,9 @@ def emit_figure_data(cfg: ScenarioConfig, figure: str) -> str:
     curve_e = excitation_resolution_curve(
         train, tls, geometry, spectrum, rho_max=0.5 * lam / a, n_points=26,
         grid_scale=cfg.grid_scale)
-    rows = "".join(
-        f"{float(x)!r},{float(vi)!r},{float(ve)!r}\n"
-        for x, vi, ve in zip(xs, curve_i.values, curve_e.values)
-    )
-    return _write(cfg, "figure_1d.csv",
-                  "a_rho_over_lambda,intensity_resolution,excitation_resolution\n"
-                  + rows)
+    return _write_csv(cfg, "figure_1d.csv",
+                      "a_rho_over_lambda,intensity_resolution,excitation_resolution",
+                      xs, curve_i.values, curve_e.values)
 
 
 def _apply_parameter(cfg: ScenarioConfig, name: str, value: float) -> ScenarioConfig:
@@ -221,7 +250,6 @@ def scan(cfg: ScenarioConfig, parameter: str, values) -> str:
     if parameter not in SCAN_PARAMETERS:
         raise ConfigError(
             f"unknown scan parameter {parameter!r}; choose from {SCAN_PARAMETERS}")
-    header = "parameter,value,eta,p_e_focal,imaging_rate_hz,spot_excitation_m\n"
     # every row's config is checked and its physics built before the
     # first row runs
     configs = [(value, _apply_parameter(cfg, parameter, value)) for value in values]
@@ -230,13 +258,12 @@ def scan(cfg: ScenarioConfig, parameter: str, values) -> str:
     for value, sub, physics in built:
         _, _, tls, train = physics
         result, curve_e = _focal_excitation(physics, sub.grid_scale, n_points=17)
-        eta_val, p_e0 = result.eta, result.p_e
         spot_e = float("nan") if curve_e is None else spot_size(curve_e)
-        rate = imaging_rate(train, tls, p_e0)
-        rows.append(
-            f"{parameter},{float(value)!r},{float(eta_val)!r},{float(p_e0)!r},"
-            f"{float(rate)!r},{float(spot_e)!r}\n")
-    return _write(cfg, f"scan_{parameter}.csv", header + "".join(rows))
+        rows.append((parameter, value, result.eta, result.p_e,
+                     imaging_rate(train, tls, result.p_e), spot_e))
+    return _write_csv(cfg, f"scan_{parameter}.csv",
+                      "parameter,value,eta,p_e_focal,imaging_rate_hz,spot_excitation_m",
+                      *zip(*rows))
 
 
 def _oracle_single(cfg: ScenarioConfig, physics, width_ratio: float,
@@ -309,22 +336,19 @@ def oracle_compare(cfg: ScenarioConfig, pairs) -> str:
     pairs = [(checked_number("oracle width ratio", ratio),
               checked_number("oracle eta target", target)) for ratio, target in pairs]
     physics = cfg.build()
-    header = ("width_over_transition,eta,p_e_analytic,p_e_oracle,"
-              "relative_deviation,error\n")
     rows = []
     reports = []
     for ratio, eta_target in pairs:
         try:
             rep = _oracle_single(cfg, physics, ratio, eta_target)
             reports.append(rep)
-            rows.append(
-                f"{rep.width_over_transition!r},{rep.eta!r},"
-                f"{rep.p_e_analytic!r},{rep.p_e_oracle!r},"
-                f"{rep.relative_deviation!r},\n")
+            rows.append((rep.width_over_transition, rep.eta, rep.p_e_analytic,
+                         rep.p_e_oracle, rep.relative_deviation, ""))
         except PulsescopeError as exc:  # annotate, do not abort
-            rows.append(f"{ratio!r},{eta_target!r},,,,"
-                        f"{type(exc).__name__}: {exc}\n")
-    name = _write(cfg, "oracle_compare.csv", header + "".join(rows))
+            rows.append((ratio, eta_target, "", "", "", f"{type(exc).__name__}: {exc}"))
+    name = _write_csv(cfg, "oracle_compare.csv",
+                      "width_over_transition,eta,p_e_analytic,p_e_oracle,"
+                      "relative_deviation,error", *zip(*rows))
     for i, rep in enumerate(reports):
-        _write(cfg, f"oracle_report_{i}.json", rep.to_json())
+        _write_json(cfg, f"oracle_report_{i}.json", rep)
     return name

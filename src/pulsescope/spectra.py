@@ -72,14 +72,6 @@ class PulseSpectrum:
         """Uniform grid on [0, max_frequency]."""
         return np.linspace(0.0, self.max_frequency, n)
 
-    def serializable(self) -> dict:
-        return {
-            "carrier_frequency_rad_per_s": self.carrier_frequency,
-            "spectral_width_rad_per_s": self.spectral_width,
-            "mean_frequency_rad_per_s": self.mean_frequency,
-            "mean_wavelength_m": self.mean_wavelength,
-        }
-
 
 def _gaussian_shape(carrier: float, width: float) -> Callable:
     def shape(omega):

@@ -126,8 +126,8 @@ def test_criterion_5_excitation_spot_formula(built):
                                                n_points=17)
         spot = ps.spot_size(curve)
         want = 0.4 * np.pi * C / (a * spectrum.mean_frequency)
-        results.append((a, spot, want, abs(spot / want - 1.0)))
-    worst = max(r[3] for r in results)
+        results.append((a, spot, want, spot / want - 1.0))
+    worst = max(abs(r[3]) for r in results)
     ok = worst <= 0.10
     detail = "; ".join(
         f"A={a}: {s * 1e9:.2f} nm vs 0.4 pi c/(A wbar) = {w * 1e9:.2f} nm ({d:+.1%})"

@@ -1,5 +1,6 @@
 """Config dialect, scenario plumbing, CLI subcommands and exit codes."""
 
+import csv
 import json
 import os
 import re
@@ -293,6 +294,52 @@ def test_cli_focus_figure_scan_oracle(tmp_path, fast_cfg_text):
     assert main(["--config", str(cfg), "--out", str(out),
                  "scan", "N", "1", "2"]) == 0
     assert (out / "scan_N.csv").read_text().count("\n") == 3
+
+
+ROUND_TRIP_COMMANDS = ("spectrum", "focus", "resolve", "excite", "scenario",
+                       "figure 1b", "figure 1c", "figure 1c-inset", "figure 1d",
+                       "scan A 0.05 0.1", "scan N 1 2", "oracle 10 0.05 30 0.05")
+TEXT_COLUMNS = ("kind", "parameter", "error")
+
+
+def test_every_output_file_reads_back(tmp_path, fast_cfg_text):
+    # every CSV row has the header's fields and every number cell is the
+    # repr of its float; every JSON file is indented with its keys sorted
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(fast_cfg_text)
+    out = tmp_path / "out"
+    for command in ROUND_TRIP_COMMANDS:
+        assert main(["--config", str(cfg), "--out", str(out), *command.split()]) == 0
+    for path in sorted(out.glob("*.csv")):
+        with open(path, newline="") as f:
+            header, *rows = csv.reader(f)
+        assert rows, path.name
+        for row in rows:
+            assert len(row) == len(header), (path.name, row)
+            for name, cell in zip(header, row):
+                if name not in TEXT_COLUMNS and cell != "":
+                    assert repr(float(cell)) == cell, (path.name, name, cell)
+    names = sorted(path.name for path in out.glob("*.json"))
+    assert names == ["excitation.json", "oracle_report_0.json", "oracle_report_1.json",
+                     "scenario_report.json", "spectrum.json"]
+    for name in names:
+        text = (out / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_oracle_error_cell_with_a_comma_reads_back_whole(tmp_path):
+    # the row's GridRangeError message holds commas; unquoted, the row had
+    # 8 fields under the 6-field header and the error column was cut short
+    out = tmp_path / "out"
+    assert main(["--grid-scale", "0.3", "--out", str(out),
+                 "oracle", "0.0001", "0.05"]) == 0
+    with open(out / "oracle_compare.csv", newline="") as f:
+        reader = csv.DictReader(f)
+        (row,) = list(reader)
+    assert len(reader.fieldnames) == 6 and len(row) == 6 and None not in row
+    assert row["error"].startswith("GridRangeError: emission tau grid needs ")
+    assert row["error"].endswith(", above the limit of 1000000, at spectral width "
+                                 "/ transition frequency = 0.0001")
 
 
 def test_cli_focus_follows_grid_scale(tmp_path):

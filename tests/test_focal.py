@@ -35,6 +35,7 @@ from pulsescope.focal import (
     spot_size,
 )
 from pulsescope.quadrature import trapezoid_weights
+from pulsescope.scenario import resolve
 from pulsescope.spectra import make_gaussian_spectrum, make_spectrum
 
 W0 = 2.0e15
@@ -132,6 +133,14 @@ def test_rephased_intensity_at_no_radii_is_empty(ultrafast):
     # as chi and probability at no radii are; it raised a concatenation ValueError
     out = focal_intensity_rephased(GEO, ultrafast, [])
     assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+def test_rephased_intensity_keeps_the_shape_of_2d_radii(ultrafast):
+    # it returned a (2, 1) array, the intensities at the first column only
+    rho = np.array([[0.0, 1e-7], [2e-7, 3e-7]])
+    got = focal_intensity_rephased(GEO, ultrafast, rho)
+    np.testing.assert_array_equal(
+        got, focal_intensity_rephased(GEO, ultrafast, rho.ravel()).reshape(2, 2))
 
 
 def test_time_field_at_no_times_is_empty(ultrafast):
@@ -418,9 +427,13 @@ def test_spot_size_no_crossing_raises(ultrafast):
         spot_size(curve, threshold=0.1)
 
 
-def test_radial_curve_csv_round_trip(ultrafast):
-    curve = intensity_resolution_curve(GEO, ultrafast, n_points=17)
-    text = curve.to_csv()
+def test_radial_curve_csv_round_trip(tmp_path):
+    # the curve `resolve` writes reads back to the curve's own bits
+    cfg = ScenarioConfig(output_dir=str(tmp_path))
+    resolve(cfg)
+    spectrum, geometry, _, _ = cfg.build()
+    curve = intensity_resolution_curve(geometry, spectrum, grid_scale=cfg.grid_scale)
+    text = (tmp_path / "intensity_resolution.csv").read_text()
     header, *rows = [line.split(",") for line in text.splitlines()]
     assert header == ["rho_m", "value", "kind"]
     np.testing.assert_array_equal([float(r) for r, _, _ in rows], curve.radii)
@@ -428,21 +441,25 @@ def test_radial_curve_csv_round_trip(ultrafast):
     assert {k for _, _, k in rows} == {"resolution"}
 
 
+def _one(r):
+    return 1.0
+
+
 def test_empty_radial_curve_raises():
     # it raised an IndexError
     with pytest.raises(InvalidParameterError, match="rho = 0"):
-        RadialCurve([], [], "intensity")
+        RadialCurve([], [], _one)
 
 
 def test_radial_curve_invariants():
-    with pytest.raises(InvalidParameterError):
-        RadialCurve(np.array([0.0, 1.0, 1.0]), np.zeros(3), "intensity")
-    with pytest.raises(InvalidParameterError):
-        RadialCurve(np.array([0.5, 1.0]), np.zeros(2), "intensity")
-    with pytest.raises(InvalidParameterError):
-        RadialCurve(np.array([0.0, 1.0]), np.array([0.9, 0.5]), "resolution")
-    with pytest.raises(InvalidParameterError):
-        RadialCurve(np.array([0.0, 1.0]), np.zeros(2), "banana")
+    with pytest.raises(InvalidParameterError, match="increase strictly"):
+        RadialCurve(np.array([0.0, 1.0, 1.0]), np.ones(3), _one)
+    with pytest.raises(InvalidParameterError, match="rho = 0"):
+        RadialCurve(np.array([0.5, 1.0]), np.ones(2), _one)
+    with pytest.raises(InvalidParameterError, match="exactly 1"):
+        RadialCurve(np.array([0.0, 1.0]), np.array([0.9, 0.5]), _one)
+    with pytest.raises(InvalidParameterError, match="equal length"):
+        RadialCurve(np.array([0.0, 1.0]), np.ones(3), _one)
 
 
 def test_degenerate_spectrum_invalid_state():
@@ -464,15 +481,6 @@ def test_resolution_curve_monotone_through_crossing(ultrafast):
     curve = intensity_resolution_curve(GEO, ultrafast, n_points=101)
     assert np.all(np.diff(curve.values) < 0)
     assert curve.values[-1] < 0.02
-
-
-def test_spot_size_without_evaluator_raises():
-    # spot_size searches the evaluator; bare samples are not enough
-    bare = RadialCurve(np.linspace(0.0, 2.0, 5), [1.0, 0.8, 0.6, 0.4, 0.2],
-                       "resolution")
-    assert bare.evaluator is None
-    with pytest.raises(InvalidParameterError, match="evaluator"):
-        spot_size(bare)
 
 
 def test_filon_weights_match_arbitrary_precision():

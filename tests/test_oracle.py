@@ -7,7 +7,8 @@ frozen as regressions; the headline equivalence targets are exercised in
 test_acceptance.py.
 """
 
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from pulsescope.errors import (
     NumericalConvergenceError,
 )
 from pulsescope.excitation import PulseAreaSynthesis, _photon_band
-from pulsescope.scenario import _oracle_single
+from pulsescope.scenario import _oracle_single, oracle_compare
 
 W0 = 2.0e15
 
@@ -376,13 +377,13 @@ def test_oracle_time_grid_is_never_coarser_than_grid_scale_1():
                           grid)
 
 
-def test_oracle_report_json():
-    cfg = ps.ScenarioConfig()
+def test_oracle_report_json(tmp_path):
+    # the report `oracle` writes reads back to the row's own record
+    cfg = ps.ScenarioConfig(output_dir=str(tmp_path))
+    oracle_compare(cfg, [(10.0, 0.05)])
     rep = _oracle_single(cfg, cfg.build(), 10.0, 0.05)
-    import json
-    data = json.loads(rep.to_json())
-    assert data["p_e_oracle"] == rep.p_e_oracle
-    assert data["relative_deviation"] == rep.relative_deviation
+    data = json.loads((tmp_path / "oracle_report_0.json").read_text())
+    assert data == asdict(rep)
 
 
 def test_oracle_probability_unreachable_floor_raises(physical_run,
