@@ -7,19 +7,11 @@ module adds only the removable singularity of J1(x)/x.
 
 `scipy.special` is imported at the first nonzero argument, not with the
 package: commands that take J1(x)/x only at x = 0 (ρ = 0) never load it.
-`j1` is scipy's own function, resolved on first access.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def __getattr__(name):
-    if name == "j1":
-        from scipy.special import j1
-        return j1
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def j1_over_x(x):

@@ -69,10 +69,11 @@ UNITARITY_BUDGET = 0.1
 TAU_SPAN = 12.0  # half-span of the emission transform's tau grid, in pulse widths
 # bound on the points of the inner emission transform's tau grid
 MAX_TAU_POINTS = 1_000_000
-# radii whose f one f_integral call computes together; a block's arrays
-# grow with it (the reference run peaks about 1 MB higher at 8 than at 1,
-# and 4 MB at 33)
-RADII_PER_BLOCK = 8
+# radii whose f one f_integral call computes together: the 33 radii of
+# the scenario curve in two calls, the 17 of a scan row in one. A
+# block's arrays grow with it (a reference scenario peaks about 0.4 MB
+# higher at 17 than at 8, and 1.6 MB at 33)
+RADII_PER_BLOCK = 17
 # bound on eta's Newton steps: 2 to 4 reach a bit-stable tau from the
 # largest scan sample, and the bound stops one alternating between two
 # neighbouring floats
@@ -490,7 +491,8 @@ def excitation_probability(
     grid_scale: float = 1.0,
     synthesis: PulseAreaSynthesis | None = None,
 ) -> ExcitationResult:
-    """p_e(rho) = f(rho) * 2 N Gamma0 / (pi w0^3) with validity flags.
+    """p_e(rho) = f(rho) * 2 N Gamma0 / (pi w0^3) with validity flags; p_e
+    and f are arrays over an array of radii (`PulseAreaSynthesis.probability`).
 
     eta and p_e share `synthesis` (built from these inputs), or one built
     here when it is not given.
@@ -530,15 +532,17 @@ def excitation_resolution_curve(
     grid_scale: float = 1.0,
     synthesis: PulseAreaSynthesis | None = None,
 ) -> RadialCurve:
-    """Sampled excitation-resolution curve with a one-radius evaluator.
+    """Sampled excitation-resolution curve with its evaluator.
 
     The samples and the evaluator share one PulseAreaSynthesis, held by
-    the evaluator: `synthesis` (built from these inputs, whose p_e(0) it
-    may already hold) or one built here. The whole array of sample radii
-    goes to `PulseAreaSynthesis.probability`, which computes them as
-    column blocks; each evaluation spot_size makes (about five per
-    curve) is a block of one radius. eta and the flags are not computed.
-    The train is not checked either: N and T cancel in the ratio.
+    the evaluator: `synthesis` (built from these inputs, whose p_e it
+    may already hold) or one built here. The whole array of sample
+    radii, rho = 0 among them, goes to `PulseAreaSynthesis.probability`,
+    which computes them as column blocks of RADII_PER_BLOCK (two for the
+    33 of `scenario`); each evaluator call spot_size makes (one or two
+    pairs of radii per curve) is a block too. eta and the flags are not
+    computed. The train is not checked either: N and T cancel in the
+    ratio.
     """
     if rho_max is None:
         rho_max = spectrum.mean_wavelength / geometry.numerical_aperture

@@ -51,7 +51,7 @@ SPECTRUM_REACH = 8.0  # exp(-G^2 t^2), the spectrum's transform, < e^-64 past 8 
 # bound on the points of a `_band_points` frequency grid; the largest in
 # use, an N = 64 oracle train's drive at grid scale 4, takes 2.4e5
 MAX_FREQUENCY_POINTS = 1_000_000
-# spot_size's regula falsi bisects after SECANT_BUDGET trials
+# spot_size bisects after SECANT_BUDGET radii of pairs and regula falsi
 SECANT_BUDGET = 8
 
 
@@ -89,14 +89,15 @@ class RadialCurve:
 
     radii start at zero and increase strictly, and values start at
     exactly 1. The evaluator recomputes the underlying continuous
-    function at any radius. spot_size brackets the crossing on the
-    stored values and evaluates it only inside that bracket, a few times
-    per curve.
+    function at a radius (a float) or at an array of radii (an array,
+    all in one call). spot_size brackets the crossing on the stored
+    values and evaluates it only inside that bracket, in one or two
+    calls of two radii per curve when the curve is smooth there.
     """
 
     radii: np.ndarray
     values: np.ndarray
-    evaluator: Callable[[float], float] = field(repr=False, compare=False)
+    evaluator: Callable = field(repr=False, compare=False)
 
     def __post_init__(self):
         self.radii = np.asarray(self.radii, dtype=float)
@@ -252,8 +253,9 @@ def resolution_curve(quantity: Callable, rho_max: float,
     quantity maps an array of radii to the sequence of their q, and is
     called once for the n_points samples (an integer >= 1; 1 keeps only
     rho = 0). The samples take q(0) from the first radius. The
-    evaluator, exactly 1 at rho = 0, calls quantity with one radius; it
-    is what spot_size searches, starting from the stored samples.
+    evaluator, exactly 1 at rho = 0, takes a radius or an array of radii
+    and calls quantity once with its nonzero radii; it is what spot_size
+    searches, starting from the stored samples.
     """
     if (isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer))
             or n_points < 1):
@@ -268,8 +270,12 @@ def resolution_curve(quantity: Callable, rho_max: float,
     def ratio(q):
         return 2.0 * q / (q0 + q)
 
-    def evaluate(r: float) -> float:
-        return 1.0 if r == 0.0 else float(ratio(quantity(np.array([r]))[0]))
+    def evaluate(r):
+        r = np.asarray(r, dtype=float)
+        out, nonzero = np.ones(r.shape), r != 0.0
+        if nonzero.any():
+            out[nonzero] = ratio(np.asarray(quantity(r[nonzero]), dtype=float))
+        return out if out.ndim else float(out)
 
     values = ratio(samples)
     values[0] = 1.0
@@ -283,7 +289,7 @@ def intensity_resolution_curve(
     n_points: int = 81,
     grid_scale: float = 1.0,
 ) -> RadialCurve:
-    """Sampled intensity-resolution curve with a one-radius evaluator."""
+    """Sampled intensity-resolution curve with its evaluator (`resolution_curve`)."""
     if rho_max is None:
         # one Airy-scale unit past the expected half crossing
         rho_max = spectrum.mean_wavelength / geometry.numerical_aperture
@@ -292,18 +298,41 @@ def intensity_resolution_curve(
         rho_max, n_points)
 
 
+def _inverse_cubic(radii, gaps) -> float:
+    """The radius at g = 0 of the cubic in g through the four points
+    (gaps[i], radii[i]), in plain arithmetic (Lagrange's form):
+    sum_i radii[i] prod_{j != i} gaps[j] / (gaps[j] - gaps[i])."""
+    root = 0.0
+    for i, term in enumerate(radii):
+        for j, g in enumerate(gaps):
+            if j != i:
+                term *= g / (g - gaps[i])
+        root += term
+    return root
+
+
 def spot_size(curve: RadialCurve, threshold: float = 0.5,
               rtol: float = 1e-6) -> float:
     """Smallest radius where a resolution curve crosses the threshold.
 
     Brackets the crossing on the stored samples [lo, hi] and narrows the
-    bracket [a, b] by Illinois regula falsi on the curve's evaluator,
-    started from the two samples' stored values. Each trial point lies
-    at least rtol * hi / 4 inside [a, b], so one next to the crossing
-    closes the bracket; after SECANT_BUDGET trials the trial point is the
-    midpoint. Returns the midpoint once b - a <= rtol * hi: within
-    rtol * hi / 2 of the crossing whenever the evaluator crosses the
-    threshold once within the sample bracket.
+    bracket [a, b] on the curve's evaluator from a guess: first the
+    inverse cubic through the four stored samples around the crossing,
+    if they decrease strictly, then the secant through the last two
+    points evaluated. A trusted guess (the cubic, or a secant step of at
+    most sqrt(rtol) hi / 2, whose error on a curve that bends on the
+    scale of hi is under rtol hi / 4) is evaluated as the pair guess +/-
+    rtol hi / 4, in one call: a pair that straddles the crossing closes
+    the bracket. Any other trial is one radius, at least rtol hi / 4
+    inside [a, b]: the guess, moved rtol hi / 4 toward the end that moved
+    last, or the Illinois regula falsi point when the guess is not
+    inside [a, b]. Past SECANT_BUDGET radii every trial is the midpoint.
+    No radius is evaluated twice, and no stored sample. The search ends
+    once b - a <= rtol hi / 2 (rtol hi where bisecting that far would
+    take more trials than a plain bisection of [lo, hi]) and returns the
+    secant root of [a, b], kept within rtol hi / 2 of both ends: within
+    rtol hi / 2 of the crossing whenever the evaluator crosses the
+    threshold once within [lo, hi], and far closer on a smooth curve.
 
     threshold must be a number in (0, 1], rtol a finite number in
     [4 eps, 1).
@@ -324,24 +353,52 @@ def spot_size(curve: RadialCurve, threshold: float = 0.5,
     hi_idx = below[0]
     if hi_idx == 0:
         return 0.0
-    hi = curve.radii[hi_idx]
+    hi = float(curve.radii[hi_idx])
     # the stored samples start the bracket, so it costs nothing until the
     # first trial; a steps up on "above", b down on "not above"
-    a, b = curve.radii[hi_idx - 1], hi
-    ga, gb = curve.values[hi_idx - 1] - threshold, curve.values[hi_idx] - threshold
+    a, b = float(curve.radii[hi_idx - 1]), hi
+    ga, gb = (curve.values[hi_idx - 1:hi_idx + 1] - threshold).tolist()
+    wa, wb = ga, gb  # Illinois: an end's value, halved when the other moves twice
+    last = [(a, ga), (b, gb)]  # the two points evaluated last
+    guess, trusted = np.nan, True
+    gaps = curve.values[max(hi_idx - 2, 0):hi_idx + 2] - threshold
+    if gaps.size == 4 and np.all(np.diff(gaps) < 0):
+        guess = _inverse_cubic(curve.radii[hi_idx - 2:hi_idx + 2].tolist(), gaps.tolist())
     margin = 0.25 * rtol * hi
-    moved = trials = 0
-    while b - a > rtol * hi:
-        x = b - gb * (b - a) / (gb - ga) if trials < SECANT_BUDGET else np.nan
-        x = min(max(x, a + margin), b - margin) if np.isfinite(x) else 0.5 * (a + b)
-        trials += 1
-        g = curve.evaluator(x) - threshold
-        if g > 0:
-            a, ga = x, g
-            gb = 0.5 * gb if moved > 0 else gb  # Illinois: b kept twice
-            moved = 1
+    start, width = b - a, 2.0 * margin
+    moved = spent = 0
+    while b - a > width:
+        if spent >= SECANT_BUDGET and width < rtol * hi and (
+                np.ceil(np.log2((b - a) / width)) > np.ceil(np.log2(start / (rtol * hi)))):
+            width = rtol * hi
+            continue
+        inside = a < guess < b
+        x = min(max(guess, a + 2.0 * margin), b - 2.0 * margin) if inside else a
+        if inside and trusted and spent + 2 <= SECANT_BUDGET and a < x - margin < x + margin < b:
+            xs = [x - margin, x + margin]
+        elif spent < SECANT_BUDGET:
+            x = guess + moved * margin if inside else b - wb * (b - a) / (wb - wa)
+            xs = [min(max(x, a + margin), b - margin) if np.isfinite(x) else 0.5 * (a + b)]
         else:
-            b, gb = x, g
-            ga = 0.5 * ga if moved < 0 else ga
-            moved = -1
-    return float(0.5 * (a + b))
+            xs = [0.5 * (a + b)]
+        gs = (curve.evaluator(np.array(xs)) - threshold).tolist()
+        spent += len(xs)
+        for x, g in zip(xs, gs):
+            if not a < x < b:
+                continue  # the pair's upper point, past the lower one's new b
+            if g > 0:
+                a, ga, wa = x, g, g
+                wb = 0.5 * wb if moved > 0 else wb
+                moved = 1
+            else:
+                b, gb, wb = x, g, g
+                wa = 0.5 * wa if moved < 0 else wa
+                moved = -1
+        if [a, b] == xs:
+            break  # the pair straddles the crossing
+        last = (last + list(zip(xs, gs)))[-2:]
+        (x0, g0), (x1, g1) = last
+        guess = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else np.nan
+        trusted = abs(guess - x1) <= 0.5 * np.sqrt(rtol) * hi
+    root = b - gb * (b - a) / (gb - ga)
+    return float(min(max(root, b - 0.5 * rtol * hi), a + 0.5 * rtol * hi))

@@ -188,7 +188,11 @@ def _chirp_z(x, y, c):
     u = np.zeros((c.shape[1], size), dtype=complex)
     pre = w[-np.arange(n)]
     u[:, :n] = c.T * (pre if y0 == 0 else np.exp(1j * y0 * x) * pre)
-    z = np.fft.ifft(np.fft.fft(u) * kernel)[:, :m] * w[:m]
+    # in place: one (columns, size) array at a time
+    np.fft.fft(u, out=u)
+    u *= kernel
+    np.fft.ifft(u, out=u)
+    z = u[:, :m] * w[:m]
     if x0 != 0:
         z *= np.exp(1j * (dy * x0) * np.arange(m))
     return z.T

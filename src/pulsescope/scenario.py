@@ -148,19 +148,25 @@ def excite(cfg: ScenarioConfig) -> str:
 def _focal_excitation(physics, grid_scale: float, n_points: int):
     """(excitation at the focus, excitation-resolution curve or None if
     there are no pulses) of the built physics objects, from one
-    PulseAreaSynthesis: it computes eta and p_e(0) once and is freed with
-    the curve."""
+    PulseAreaSynthesis, freed with the curve. One `excitation_probability`
+    call checks the train and computes eta and p_e at the curve's sample
+    radii, rho = 0 first, in the column blocks of f_integral; the curve
+    then looks its samples up."""
     spectrum, geometry, tls, train = physics
     synthesis = PulseAreaSynthesis(geometry, spectrum, train.pulse_energy, tls,
                                    grid_scale)
-    result = excitation_probability(train, tls, geometry, spectrum, 0.0,
+    rho_max = spectrum.mean_wavelength / geometry.numerical_aperture
+    # the radii the curve samples (`resolution_curve`)
+    radii = np.linspace(0.0, rho_max, n_points)
+    result = excitation_probability(train, tls, geometry, spectrum, radii,
                                     grid_scale, synthesis)
+    focus = replace(result, p_e=float(result.p_e[0]), f_value=float(result.f_value[0]))
     curve = None
     if train.pulse_count > 0:
         curve = excitation_resolution_curve(
-            train, tls, geometry, spectrum, n_points=n_points,
+            train, tls, geometry, spectrum, rho_max, n_points=n_points,
             grid_scale=grid_scale, synthesis=synthesis)
-    return result, curve
+    return focus, curve
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:

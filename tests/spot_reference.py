@@ -21,13 +21,14 @@ def plain_bisection(curve, threshold=0.5, rtol=1e-6):
 
 
 def counted(curve):
-    """The radii the curve's evaluator is called at from now on, one per call."""
-    radii = []
+    """The calls of the curve's evaluator from now on, each the list of
+    its radii (one for a float, every radius of an array)."""
+    calls = []
     evaluate = curve.evaluator
 
     def wrapped(r):
-        radii.append(r)
+        calls.append(np.atleast_1d(r).tolist())
         return evaluate(r)
 
     curve.evaluator = wrapped
-    return radii
+    return calls

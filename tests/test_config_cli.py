@@ -121,6 +121,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     ok = tmp_path / "ok.cfg"
     ok.write_text("")
     assert main(["--config", str(ok), "oracle", "10.0"]) == 2  # odd pair list
+    # a pulse of no energy drives nothing
+    dark = tmp_path / "dark.cfg"
+    dark.write_text("pulse_energy_J = 0\n")
+    assert main(["--config", str(dark), "--out", str(tmp_path / "o"), "excite"]) == 2
+    assert "pulse_energy_J" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_spectrum_and_resolve(tmp_path, capsys, fast_cfg_text):
@@ -397,8 +403,12 @@ def test_cli_prints_a_warning_as_one_line(tmp_path, capsys, monkeypatch):
     assert main(["--out", str(tmp_path), "--grid-scale", "0.3",
                  "scan", "T", "1e-20"]) == 0
     err = capsys.readouterr().err
+    # the period times the reference spectral width, to 3 figures: 0.000262
+    figure = f"{1e-20 * ps.ScenarioConfig().spectral_width_rad_per_s:.3g}"
+    assert figure == "0.000262"
     assert re.search(r"^warning: pulse period is not long against the pulse "
-                     r"duration \(T\*Gamma = .* < 10\)$", err, re.M)
+                     r"duration \(T\*Gamma = " + re.escape(figure) + r" < 10\)$",
+                     err, re.M)
     assert ".py:" not in err
     # library callers keep the standard format
     assert warnings.formatwarning is standard_format
@@ -715,31 +725,31 @@ def test_run_scenario_computes_focal_f_once(tmp_path, monkeypatch):
 
 
 def test_curve_samples_share_few_f_calls(tmp_path, monkeypatch):
-    # the 32 nonzero sample radii of the excitation curve run as column
-    # blocks; spot_size then calls f with one radius at a time, a few times
+    # the 33 sample radii of the excitation curve, rho = 0 among them (p_e(0)
+    # is a lookup), run as two column blocks; spot_size then evaluates at
+    # most two calls of at most two radii each
     calls = _f_calls(monkeypatch)
     cfg = loads_config("grid_scale = 0.3\noutput_dir = " + str(tmp_path) + "\n")
     run_scenario(cfg)
     radii, _ = read_curve(tmp_path / "excitation_resolution.csv")
-    samples = set(radii[1:].tolist())
+    samples = set(radii.tolist())
     sample_calls = [call for call in calls if samples & set(call)]
-    assert len(samples) == 32 and len(sample_calls) <= 4
+    assert len(samples) == 33 and 0.0 in samples and len(sample_calls) <= 2
     assert set().union(*sample_calls) == samples
     others = [call for call in calls if call not in sample_calls]
-    assert all(len(call) == 1 for call in others)
-    # p_e(0) is one of them
-    assert len([call for call in others if call != [0.0]]) <= 6
+    assert len(others) <= 2 and all(len(call) <= 2 for call in others)
+    assert len(calls) <= 4
 
 
 def test_spot_sizes_match_the_plain_bisection(tmp_path, monkeypatch):
     # both spot sizes of a run lie within rtol * hi of the plain
-    # bisection's, each found in a few evaluations of its curve
+    # bisection's, each found in at most two evaluator calls of its curve
     found = []
     real_spot_size = scenario.spot_size
 
     def recorded(curve):
-        radii = counted(curve)
-        found.append((curve, real_spot_size(curve), len(radii)))
+        calls = counted(curve)
+        found.append((curve, real_spot_size(curve), calls))
         return found[-1][1]
 
     monkeypatch.setattr(scenario, "spot_size", recorded)
@@ -747,8 +757,9 @@ def test_spot_sizes_match_the_plain_bisection(tmp_path, monkeypatch):
                                        + str(tmp_path) + "\n"))
     assert [spot for _, spot, _ in found] == [report.spot_intensity_m,
                                                report.spot_excitation_m]
-    for curve, spot, made in found:
-        assert made <= 5
+    for curve, spot, calls in found:
+        made = sum(len(call) for call in calls)
+        assert made <= 5 and len(calls) <= 2
         hi = curve.radii[np.nonzero(curve.values <= 0.5)[0][0]]
         assert abs(spot - plain_bisection(curve)[0]) <= 1e-6 * hi
 

@@ -57,6 +57,8 @@ def test_train_validation_and_resonance(scenario):
         ps.PulseTrainConfig(-1, 1.0, 1.0)
     with pytest.raises(InvalidParameterError):
         ps.PulseTrainConfig(1, 0.0, 1.0)
+    with pytest.raises(InvalidParameterError, match="pulse energy"):
+        ps.PulseTrainConfig(1, 1.0, 0.0)
     # worked scenario: w0 T / 2pi = 14.0098, off resonance beyond 1e-6
     assert train.resonance_offset(tls.transition_frequency) > 1e-6
     resonant = ps.PulseTrainConfig(

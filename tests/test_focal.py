@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C
 from spot_reference import counted, plain_bisection
@@ -540,10 +540,10 @@ def test_spot_size_rejects_inputs_before_evaluating(name, value):
     # rtol 1e-17 and 0 hung in the bisection, nan returned the sample
     # midpoint; threshold "0.5" raised a bare TypeError
     curve = _gaussian_curve()
-    radii = counted(curve)
+    calls = counted(curve)
     with pytest.raises(InvalidParameterError, match=name):
         spot_size(curve, **{name: value})
-    assert radii == []
+    assert calls == []
 
 
 def test_spot_size_at_the_smallest_rtol():
@@ -598,6 +598,15 @@ CURVES = st.fixed_dictionaries({
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(CURVES)
+# every trial above the crossing, until one past the last guess moves b
+@example({"kind": "lorentzian", "scale": 1.5200022094869609e-06, "power": 1.0,
+          "edge": 1.0, "level": 0.0, "reach": 5.0603898579717566, "n_points": 39,
+          "threshold": 0.9746367874260911, "rtol": 7.685564514100996e-12})
+# a bisection that ends at rtol * hi, whose secant root lies too near b
+@example({"kind": "step", "scale": 2.2235147746892783e-07, "power": 1.0,
+          "edge": 1.380939393393114, "level": 0.3662870101273198,
+          "reach": 5.538081317919223, "n_points": 78,
+          "threshold": 0.5382761982762321, "rtol": 5.839461026916929e-12})
 def test_spot_size_matches_the_plain_bisection(drawn):
     scale = drawn["scale"]
     q = _quantity(drawn["kind"], scale, drawn["power"],
@@ -609,14 +618,19 @@ def test_spot_size_matches_the_plain_bisection(drawn):
     threshold, rtol = drawn["threshold"], drawn["rtol"]
     hi = curve.radii[below[0]]
     expected, evaluations = plain_bisection(curve, threshold, rtol)
-    radii = counted(curve)
+    calls = counted(curve)
     spot = spot_size(curve, threshold, rtol)
+    radii = [r for call in calls for r in call]
     # both answers lie within rtol * hi / 2 of the one crossing
     assert abs(spot - expected) <= rtol * hi
     assert len(radii) <= evaluations + SECANT_BUDGET
-    # each call evaluates a new radius, never a stored sample
+    # each radius is new, never a stored sample
     assert len(set(radii)) == len(radii)
     assert not set(radii) & set(curve.radii.tolist())
+    if drawn["kind"] == "step":
+        # the crossing is the edge; the bracket's ends are within an ulp
+        assert abs(spot - drawn["edge"] * scale) <= 0.5 * rtol * hi + 2 * np.spacing(hi)
     if drawn["kind"] in ("analytic", "lorentzian"):
+        # the secant root of the last bracket, not its midpoint
         crossing, _ = plain_bisection(curve, threshold, 4 * np.finfo(float).eps)
-        assert abs(spot - crossing) <= 0.5 * rtol * hi
+        assert abs(spot - crossing) <= 0.01 * rtol * hi
