@@ -163,7 +163,8 @@ class PulseTrainConfig:
 
 @dataclass(frozen=True)
 class ExcitationResult:
-    """Excitation probability with its building blocks and validity flags."""
+    """Excitation probability with its building blocks and validity flags;
+    p_e and f_value are arrays over an array of radii, else floats."""
 
     p_e: float
     eta: float

@@ -51,7 +51,7 @@ SPECTRUM_REACH = 8.0  # exp(-G^2 t^2), the spectrum's transform, < e^-64 past 8 
 # bound on the points of a `_band_points` frequency grid; the largest in
 # use, an N = 64 oracle train's drive at grid scale 4, takes 2.4e5
 MAX_FREQUENCY_POINTS = 1_000_000
-# spot_size bisects after SECANT_BUDGET radii of pairs and regula falsi
+# spot_size bisects after SECANT_BUDGET radii of pairs and nudged guesses
 SECANT_BUDGET = 8
 
 
@@ -163,7 +163,8 @@ class AirySpectrum:
 
     def sums(self, rho, ks=(1,), tau: float = 0.0) -> np.ndarray:
         """Sums over w of the order-k columns (k in the tuple ks) of radii rho, already
-        `radii`, times e^{i w tau}: shape(rho) + (len(ks),), one real product of J1(x)/x."""
+        `radii`, times e^{i w tau}: shape(rho) + (len(ks),), one real product of J1(x)/x.
+        The weighted vectors of a tuple ks are made once per object."""
         w = self.frequencies
         if ks not in self._powers:
             self._powers[ks] = np.stack([self._weights * (1j ** k * w ** k) for k in ks], -1)
@@ -252,10 +253,10 @@ def resolution_curve(quantity: Callable, rho_max: float,
 
     quantity maps an array of radii to the sequence of their q, and is
     called once for the n_points samples (an integer >= 1; 1 keeps only
-    rho = 0). The samples take q(0) from the first radius. The
-    evaluator, exactly 1 at rho = 0, takes a radius or an array of radii
-    and calls quantity once with its nonzero radii; it is what spot_size
-    searches, starting from the stored samples.
+    rho = 0). The samples take q(0) from the first radius, and q(0) = 0
+    raises InvalidStateError. The evaluator, exactly 1 at rho = 0, takes
+    a radius or an array of radii and calls quantity once with its
+    nonzero radii; spot_size searches it from the stored samples.
     """
     if (isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer))
             or n_points < 1):
@@ -319,14 +320,14 @@ def spot_size(curve: RadialCurve, threshold: float = 0.5,
     bracket [a, b] on the curve's evaluator from a guess: first the
     inverse cubic through the four stored samples around the crossing,
     if they decrease strictly, then the secant through the last two
-    points evaluated. A trusted guess (the cubic, or a secant step of at
-    most sqrt(rtol) hi / 2, whose error on a curve that bends on the
-    scale of hi is under rtol hi / 4) is evaluated as the pair guess +/-
-    rtol hi / 4, in one call: a pair that straddles the crossing closes
-    the bracket. Any other trial is one radius, at least rtol hi / 4
-    inside [a, b]: the guess, moved rtol hi / 4 toward the end that moved
-    last, or the Illinois regula falsi point when the guess is not
-    inside [a, b]. Past SECANT_BUDGET radii every trial is the midpoint.
+    points evaluated. A trial is one of three kinds. A trusted guess
+    (the cubic, or a secant step of at most sqrt(rtol) hi / 2, whose
+    error on a curve that bends on the scale of hi is under rtol hi / 4)
+    is the pair guess +/- rtol hi / 4, in one call, if both lie inside
+    [a, b]: a pair that straddles the crossing closes the bracket. Any
+    other guess inside [a, b] is one radius, moved rtol hi / 4 toward the
+    end that moved last, at least rtol hi / 4 inside [a, b]. With no
+    guess inside [a, b], or past SECANT_BUDGET radii, it is the midpoint.
     No radius is evaluated twice, and no stored sample. The search ends
     once b - a <= rtol hi / 2 (rtol hi where bisecting that far would
     take more trials than a plain bisection of [lo, hi]) and returns the
@@ -350,15 +351,12 @@ def spot_size(curve: RadialCurve, threshold: float = 0.5,
             f"curve never reaches {threshold} within rho <= {curve.radii[-1]!r}; "
             "extend the radial grid"
         )
-    hi_idx = below[0]
-    if hi_idx == 0:
-        return 0.0
+    hi_idx = below[0]  # not 0: values[0] == 1 > threshold
     hi = float(curve.radii[hi_idx])
     # the stored samples start the bracket, so it costs nothing until the
     # first trial; a steps up on "above", b down on "not above"
     a, b = float(curve.radii[hi_idx - 1]), hi
     ga, gb = (curve.values[hi_idx - 1:hi_idx + 1] - threshold).tolist()
-    wa, wb = ga, gb  # Illinois: an end's value, halved when the other moves twice
     last = [(a, ga), (b, gb)]  # the two points evaluated last
     guess, trusted = np.nan, True
     gaps = curve.values[max(hi_idx - 2, 0):hi_idx + 2] - threshold
@@ -368,32 +366,25 @@ def spot_size(curve: RadialCurve, threshold: float = 0.5,
     start, width = b - a, 2.0 * margin
     moved = spent = 0
     while b - a > width:
-        if spent >= SECANT_BUDGET and width < rtol * hi and (
+        if spent >= SECANT_BUDGET and (
                 np.ceil(np.log2((b - a) / width)) > np.ceil(np.log2(start / (rtol * hi)))):
             width = rtol * hi
             continue
-        inside = a < guess < b
-        x = min(max(guess, a + 2.0 * margin), b - 2.0 * margin) if inside else a
-        if inside and trusted and spent + 2 <= SECANT_BUDGET and a < x - margin < x + margin < b:
-            xs = [x - margin, x + margin]
-        elif spent < SECANT_BUDGET:
-            x = guess + moved * margin if inside else b - wb * (b - a) / (wb - wa)
-            xs = [min(max(x, a + margin), b - margin) if np.isfinite(x) else 0.5 * (a + b)]
-        else:
+        if not (a < guess < b and spent < SECANT_BUDGET):
             xs = [0.5 * (a + b)]
+        elif trusted and spent + 2 <= SECANT_BUDGET and a < guess - margin < guess + margin < b:
+            xs = [guess - margin, guess + margin]
+        else:
+            xs = [min(max(guess + moved * margin, a + margin), b - margin)]
         gs = (curve.evaluator(np.array(xs)) - threshold).tolist()
         spent += len(xs)
         for x, g in zip(xs, gs):
             if not a < x < b:
                 continue  # the pair's upper point, past the lower one's new b
             if g > 0:
-                a, ga, wa = x, g, g
-                wb = 0.5 * wb if moved > 0 else wb
-                moved = 1
+                a, ga, moved = x, g, 1
             else:
-                b, gb, wb = x, g, g
-                wa = 0.5 * wa if moved < 0 else wa
-                moved = -1
+                b, gb, moved = x, g, -1
         if [a, b] == xs:
             break  # the pair straddles the crossing
         last = (last + list(zip(xs, gs)))[-2:]

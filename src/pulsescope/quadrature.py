@@ -238,8 +238,8 @@ def _rows(x: np.ndarray, y, what: str) -> np.ndarray:
     return rows
 
 
-# bound on the step panels the doubling reaches: as far as the 64 panels
-# (about 11 times the band edge) that one panel per call used to walk
+# bound on the step panels the doubling reaches, about 11 times the band
+# edge: an integrand not below its floor that far out is not decaying
 MAX_PANELS = 64
 
 

@@ -274,13 +274,16 @@ def scan(cfg: ScenarioConfig, parameter: str, values) -> str:
 
 def _oracle_single(cfg: ScenarioConfig, physics, width_ratio: float,
                    eta_target: float, n_pulses: int = 1) -> OracleReport:
-    """One oracle row on the built config `physics`, with its own spectrum."""
+    """One oracle row on the built config `physics`, with its own spectrum.
+
+    eta ~ sqrt(U) exactly, so one PulseAreaSynthesis at the config's pulse
+    energy gives the row's eta and, by `probability` at the row's energy,
+    its analytic p_e: 2 N Gamma0 / (pi w0^3) and its p_e > 1 check stay in
+    `excitation`."""
     w0 = cfg.transition_frequency_rad_per_s
     spectrum = make_gaussian_spectrum(w0, width_ratio * w0)
     _, base, tls, _ = physics
-    # pulse energy that realizes the requested focal area; eta ~ sqrt(U)
-    # exactly, so the one synthesis at the reference energy gives the
-    # row's eta, and its p_e at the row's energy
+    # pulse energy that realizes the requested focal area
     u_ref = cfg.pulse_energy_J
     reference = PulseAreaSynthesis(base, spectrum, u_ref, tls, cfg.grid_scale)
     eta_ref = eta(base, spectrum, u_ref, tls, cfg.grid_scale, reference)

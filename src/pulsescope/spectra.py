@@ -88,6 +88,8 @@ def make_spectrum(shape: Callable, carrier: float, width: float,
     shape(omega) must return the unnormalized complex amplitude for any
     real omega and satisfy shape(w) = conj(shape(-w)) and shape(0) = 0;
     these are enforced as invariants by the test suite rather than here.
+    Both moments are refined on one set of shape samples: each grid of
+    2n - 1 points evaluates only the midpoints it adds to the grid of n.
     """
     if not 0 < carrier < np.inf:
         raise InvalidParameterError(f"carrier frequency must be finite and positive, got {carrier}")
@@ -95,9 +97,8 @@ def make_spectrum(shape: Callable, carrier: float, width: float,
         raise InvalidParameterError(f"spectral width must be finite and positive, got {width}")
 
     wmax = carrier + TAIL_WIDTHS * width
-    # shape on each refinement grid; the grid of 2n - 1 points keeps every
-    # point of the one of n, so only its midpoints are new, evaluated as
-    # one contiguous array (the bits of evaluating the whole grid)
+    # shape on each refinement grid; the new midpoints are evaluated as one
+    # contiguous array (the bits of evaluating the whole grid)
     samples = {}
 
     def sampled(n: int):

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -111,6 +112,20 @@ def test_cli_help_config(capsys):
     assert main(["--help-config"]) == 0
     out = capsys.readouterr().out
     assert "pulse_energy_J" in out and "unknown keys are rejected" in out.lower()
+
+
+def test_cli_without_a_command_prints_usage(capsys):
+    assert main([]) == 0
+    assert capsys.readouterr().out.startswith("usage:")
+
+
+def test_cli_module_runs_as_a_script():
+    src = os.path.dirname(os.path.dirname(ps.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-m", "pulsescope.cli", "--help-config"],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0 and "pulse_energy_J" in result.stdout
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -216,6 +216,27 @@ def test_grid_validation():
         ps.propagate_driven_tls(lambda t: np.zeros_like(t), coarse, W0)
 
 
+def test_grid_that_does_not_increase_raises():
+    grid = np.array([0.0, 1e-17, 1e-17, 2e-17])
+    with pytest.raises(InvalidParameterError, match="increase strictly"):
+        ps.propagate_driven_tls(lambda t: np.zeros_like(t), grid, W0)
+
+
+def test_unitarity_drift_raises(monkeypatch):
+    # a defect is >= 0, so even an exactly unitary run reaches the raise
+    monkeypatch.setattr(oracle, "UNITARITY_TOL", -1.0)
+    grid = np.linspace(0.0, 1e-15, 21)
+    with pytest.raises(NumericalConvergenceError, match="unitarity drift"):
+        ps.propagate_driven_tls(lambda t: np.zeros_like(t), grid, W0)
+
+
+def test_oracle_probability_rejects_another_transition():
+    grid = np.linspace(0.0, 1e-15, 21)
+    history = ps.propagate_driven_tls(lambda t: np.zeros_like(t), grid, W0)
+    with pytest.raises(InvalidParameterError, match="transition frequency"):
+        ps.oracle_excitation_probability(history, ps.TwoLevelSystem(2.0 * W0, 1e8), 10.0 * W0)
+
+
 def test_zero_drive_emission_amplitude_vanishes():
     grid = np.linspace(-20.0 / W0, 20.0 / W0, 8001)
     h = ps.propagate_driven_tls(lambda t: np.zeros_like(np.asarray(t)), grid, W0)
